@@ -20,14 +20,12 @@ by ``benchmarks/report.py``.
 
 from __future__ import annotations
 
-import random
 import sys
 import time
 from typing import Dict, List
 
 from repro.core.dynamic_mis import DynamicMIS
 from repro.graph.generators import erdos_renyi_graph
-from repro.workloads.changes import NodeDeletion
 from repro.workloads.sequences import edge_churn_sequence
 
 from harness import benchmark_seeds, emit, emit_json, emit_table, run_once
@@ -39,21 +37,11 @@ BATCH_SIZE = 12
 MASTER_SEED = 20260730
 TARGET_SPEEDUP_AT_MAX_N = 5.0
 
-# CSR-wave column: batched MIS-hub deletions.  Deleting many MIS nodes at
-# once triggers wide multi-level promotion cascades -- the regime the
-# vectorized CSR level evaluation is built for (wide levels amortize the
-# numpy call overhead; deletions never grow a row, so row patching stays
-# one join + one scatter).  (n, batch_size, num_batches) per sweep point;
-# batch sizes scale with n so the level widths clear the CSR engagement
-# threshold at the larger sizes.
-CSR_DELETION_SWEEP = ((500, 32, 6), (1000, 64, 8), (2000, 96, 10), (5000, 192, 12))
-
 
 def _time_batched(engine: str, graph, batches, seed: int, repetitions: int = 3) -> Dict:
     # Best-of-N: replays are bit-identical (asserted by the callers' output
     # checks), so the min discards scheduler jitter and one-time costs
-    # (lazy numpy imports, the CSR mirror's first build) without changing
-    # any measured semantics.
+    # (lazy numpy imports) without changing any measured semantics.
     elapsed = float("inf")
     for _ in range(repetitions):
         maintainer = DynamicMIS(seed=seed, initial_graph=graph, engine=engine)
@@ -71,36 +59,6 @@ def _time_batched(engine: str, graph, batches, seed: int, repetitions: int = 3) 
         "total_adjustments": sum(stats.batch_adjustments),
         "adjustments_per_change": stats.mean_batch_adjustments_per_change(),
     }
-
-
-def _deletion_cascade_batches(
-    n: int,
-    batch_size: int,
-    num_batches: int,
-    graph_seed: int,
-    workload_seed: int,
-    engine_seed: int,
-):
-    """Seeded batches of MIS-node deletions against a shadow tracker.
-
-    Each round samples ``batch_size`` members of the *current* MIS (replayed
-    on a shadow fast engine so batch construction never touches the timed
-    engines) and deletes them gracefully; survivors' neighbors promote in
-    cascades over the following levels.
-    """
-    graph = erdos_renyi_graph(n, AVERAGE_DEGREE / (n - 1), seed=graph_seed)
-    shadow = DynamicMIS(seed=engine_seed, initial_graph=graph, engine="fast")
-    rng = random.Random(workload_seed)
-    batches: List[List[NodeDeletion]] = []
-    for _ in range(num_batches):
-        mis = sorted(shadow.mis())
-        if len(mis) < batch_size:
-            break
-        batch = [NodeDeletion(node=node, graceful=True) for node in rng.sample(mis, batch_size)]
-        for change in batch:
-            shadow.apply(change)
-        batches.append(batch)
-    return graph, batches
 
 
 def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
@@ -132,36 +90,10 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
                 "final_mis_size": len(fast["final_mis"]),
             }
         )
-    csr_rows: List[List] = []
-    csr_series: List[Dict] = []
-    for n, batch_size, num_batches in CSR_DELETION_SWEEP:
-        graph, batches = _deletion_cascade_batches(
-            n, batch_size, num_batches, graph_seed, workload_seed, engine_seed
-        )
-        serial = _time_batched("fast", graph, batches, engine_seed)
-        csr = _time_batched("fast-csr", graph, batches, engine_seed)
-        assert serial["final_mis"] == csr["final_mis"], "CSR wave diverged!"
-        assert serial["total_adjustments"] == csr["total_adjustments"]
-        csr_speedup = serial["per_batch_us"] / csr["per_batch_us"]
-        csr_rows.append([n, batch_size, serial["per_batch_us"], csr["per_batch_us"], csr_speedup])
-        csr_series.append(
-            {
-                "n": n,
-                "batch_size": batch_size,
-                "num_batches": len(batches),
-                "fast_per_batch_us": round(serial["per_batch_us"], 3),
-                "fast_csr_per_batch_us": round(csr["per_batch_us"], 3),
-                "speedup": round(csr_speedup, 3),
-                "final_mis_size": len(csr["final_mis"]),
-            }
-        )
     return {
         "rows": rows,
         "series": series,
-        "csr_rows": csr_rows,
-        "csr_series": csr_series,
         "speedup_at_max_n": rows[-1][3],
-        "csr_speedup_at_max_n": csr_rows[-1][4],
         "python": sys.version.split()[0],
         "average_degree": AVERAGE_DEGREE,
         "batch_size": BATCH_SIZE,
@@ -172,7 +104,6 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
 def _payload(results: Dict) -> Dict:
     return {
         "series": results["series"],
-        "csr_series": results["csr_series"],
         "average_degree": results["average_degree"],
         "batch_size": results["batch_size"],
         "master_seed": results["master_seed"],
@@ -187,14 +118,6 @@ def test_a2_batched_backends(benchmark):
         ["n", "template us/batch", "fast us/batch", "speedup"],
         [[n, f"{t:.1f}", f"{f:.1f}", f"{s:.1f}x"] for n, t, f, s in results["rows"]],
     )
-    emit_table(
-        "A2b-CSR: per-batch deletion-cascade time, serial vs CSR wave (identical outputs)",
-        ["n", "batch", "fast us/batch", "fast-csr us/batch", "speedup"],
-        [
-            [n, b, f"{t:.1f}", f"{c:.1f}", f"{s:.2f}x"]
-            for n, b, t, c, s in results["csr_rows"]
-        ],
-    )
     emit(
         "A2b: native vectorized batch apply",
         [
@@ -205,13 +128,6 @@ def test_a2_batched_backends(benchmark):
                 "verdict": "pass"
                 if results["speedup_at_max_n"] >= TARGET_SPEEDUP_AT_MAX_N
                 else "CHECK",
-            },
-            {
-                "row": "CSR wave vs serial wave, deletion cascades at "
-                f"n={CSR_DELETION_SWEEP[-1][0]}",
-                "paper": "> 1x (vectorized levels beat the python walk)",
-                "measured": f"{results['csr_speedup_at_max_n']:.2f}x",
-                "verdict": "pass" if results["csr_speedup_at_max_n"] > 1.0 else "CHECK",
             },
             {
                 "row": "identical MIS outputs and adjustment totals per size",
@@ -228,9 +144,6 @@ def test_a2_batched_backends(benchmark):
     assert results["speedup_at_max_n"] >= 2.0
     speedups = [row[3] for row in results["rows"]]
     assert speedups[-1] > speedups[0]
-    # Same jitter guard for the CSR column: the committed trajectory point
-    # records the >1x win; the nightly floor only catches real regressions.
-    assert results["csr_speedup_at_max_n"] >= 0.8
 
 
 if __name__ == "__main__":

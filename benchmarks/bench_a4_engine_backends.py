@@ -67,20 +67,13 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
     graph_seed, workload_seed, engine_seed = benchmark_seeds(master_seed, 3)
     rows: List[List] = []
     series: List[Dict] = []
-    csr_series: List[Dict] = []
     for n in SIZES:
         spec = _scenario(n, graph_seed, workload_seed, engine_seed)
         template = _time_engine("template", spec)
         fast = _time_engine("fast", spec)
-        fast_csr = _time_engine("fast-csr", spec)
         assert template["final_mis"] == fast["final_mis"], "backends diverged!"
         assert template["mean_adjustments"] == fast["mean_adjustments"]
-        # The CSR-wave variant must stay on the identical trajectory: the
-        # mirror only changes how a level is evaluated, never its outcome.
-        assert fast_csr["final_mis"] == fast["final_mis"], "CSR backend diverged!"
-        assert fast_csr["mean_adjustments"] == fast["mean_adjustments"]
         speedup = template["per_change_us"] / fast["per_change_us"]
-        csr_speedup = template["per_change_us"] / fast_csr["per_change_us"]
         rows.append(
             [n, template["per_change_us"], fast["per_change_us"], speedup]
         )
@@ -95,19 +88,10 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
                 "final_mis_size": len(fast["final_mis"]),
             }
         )
-        csr_series.append(
-            {
-                "n": n,
-                "fast_csr_per_change_us": round(fast_csr["per_change_us"], 3),
-                "speedup": round(csr_speedup, 3),
-            }
-        )
     return {
         "rows": rows,
         "series": series,
-        "csr_series": csr_series,
         "speedup_at_max_n": rows[-1][3],
-        "csr_speedup_at_max_n": csr_series[-1]["speedup"],
         "python": sys.version.split()[0],
         "average_degree": AVERAGE_DEGREE,
         "master_seed": master_seed,
@@ -118,18 +102,8 @@ def test_a4_engine_backends(benchmark):
     results = run_once(benchmark, run_experiment)
     emit_table(
         "A4: per-change apply time, template vs fast engine (identical outputs)",
-        ["n", "template us/change", "fast us/change", "speedup", "fast-csr us/change", "csr x"],
-        [
-            [
-                n,
-                f"{t:.1f}",
-                f"{f:.1f}",
-                f"{s:.1f}x",
-                f"{c['fast_csr_per_change_us']:.1f}",
-                f"{c['speedup']:.1f}x",
-            ]
-            for (n, t, f, s), c in zip(results["rows"], results["csr_series"])
-        ],
+        ["n", "template us/change", "fast us/change", "speedup"],
+        [[n, f"{t:.1f}", f"{f:.1f}", f"{s:.1f}x"] for n, t, f, s in results["rows"]],
     )
     emit(
         "A4: array-backed engine backend",
@@ -140,14 +114,6 @@ def test_a4_engine_backends(benchmark):
                 "measured": f"{results['speedup_at_max_n']:.1f}x",
                 "verdict": "pass"
                 if results["speedup_at_max_n"] >= TARGET_SPEEDUP_AT_5000
-                else "CHECK",
-            },
-            {
-                "row": "fast-csr engine speedup per change at n=5000",
-                "paper": f">= {TARGET_SPEEDUP_AT_5000}x (per-change parity with fast)",
-                "measured": f"{results['csr_speedup_at_max_n']:.1f}x",
-                "verdict": "pass"
-                if results["csr_speedup_at_max_n"] >= TARGET_SPEEDUP_AT_5000
                 else "CHECK",
             },
             {
@@ -165,15 +131,11 @@ def test_a4_engine_backends(benchmark):
     assert results["speedup_at_max_n"] >= TARGET_SPEEDUP_AT_5000
     speedups = [row[3] for row in results["rows"]]
     assert speedups[-1] > speedups[0]
-    # Per-change churn rarely clears the CSR engagement threshold, so the
-    # CSR variant must simply stay at parity -- same acceptance bar.
-    assert results["csr_speedup_at_max_n"] >= TARGET_SPEEDUP_AT_5000
 
 
 def _payload(results: Dict) -> Dict:
     return {
         "series": results["series"],
-        "csr_series": results["csr_series"],
         "average_degree": results["average_degree"],
         "master_seed": results["master_seed"],
         "python": results["python"],

@@ -3,7 +3,7 @@
 The dynamic correctness story (seeded differential replay, checkpoint/resume
 differentials, wire-level service tests) only catches a contract violation
 when a seed happens to hit it.  This package is the static rung underneath:
-five stdlib-:mod:`ast` checkers that flag the violation *at lint time*, in
+four stdlib-:mod:`ast` checkers that flag the violation *at lint time*, in
 milliseconds, on every PR:
 
 ============================  ====================================================
@@ -17,8 +17,6 @@ milliseconds, on every PR:
                               ``create_scheduler``
 ``wire-protocol``             service client verbs, daemon dispatch tables and
                               typed error kinds stay consistent
-``shared-planes``             only flat scalars are written into
-                              ``repro.parallel`` shared-memory planes
 ============================  ====================================================
 
 Extend with :func:`register_checker` -- the registry is the same mechanism

@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -206,7 +206,7 @@ class ProjectIndex:
     """The parsed project handed to every checker.
 
     Checkers are project-wide functions (``checker(index) -> findings``), not
-    per-file visitors, because three of the five shipped checks are
+    per-file visitors, because three of the four shipped checks are
     cross-file by nature: registry discipline matches constructions against
     registrations elsewhere, the wire check matches the client against the
     daemon, and checkpoint parity follows snapshot helpers across modules.

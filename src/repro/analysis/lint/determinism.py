@@ -15,17 +15,15 @@ family while the report stays precise:
   wall time legitimately and are out of scope);
 * ``[set-iteration]`` -- a ``for`` loop or ordered comprehension iterating a
   bare set expression or a ``.values()`` / ``.keys()`` view in the
-  ``repro/core/``, ``repro/distributed/`` or ``repro/parallel/`` hot paths
-  without ``sorted()``, unless the iteration feeds an order-insensitive
-  reducer (``sum``/``len``/``min``/``max``/``all``/``any``/``set``/...);
+  ``repro/core/`` or ``repro/distributed/`` hot paths without ``sorted()``,
+  unless the iteration feeds an order-insensitive reducer
+  (``sum``/``len``/``min``/``max``/``all``/``any``/``set``/...);
 * ``[float-eq]`` -- ``==`` / ``!=`` on priority-like operands (``pi``,
-  ``prio*``, ``priority*``, the kernels' ``pm``/``pf`` naming) outside a
-  sanctioned *tie-escape site*.  Escapes are recognized structurally: an
-  equality whose enclosing boolean expression also compares the full key
-  tuple (``prio[m] == p and keys[m] < key``), a tie *mask* assigned to a
-  ``tie``-named variable and resolved against keys downstream, an
-  ``assert`` invariant, or anything in ``repro/parallel/kernels.py`` (whose
-  compares escape exact ties back to serial full-key evaluation).  A bare
+  ``prio*``, ``priority*``, ``pm``/``pf``) outside a sanctioned *tie-escape
+  site*.  Escapes are recognized structurally: an equality whose enclosing
+  boolean expression also compares the full key tuple (``prio[m] == p and
+  keys[m] < key``), a tie *mask* assigned to a ``tie``-named variable and
+  resolved against keys downstream, or an ``assert`` invariant.  A bare
   ``if prio[a] == prio[b]:`` that branches without consulting the key is
   the hazard.
 
@@ -82,7 +80,7 @@ _WALL_CLOCK_FUNCS = frozenset(
 _STATE_SCOPES = ("src/repro/core/", "src/repro/distributed/")
 
 #: Scope of the set-iteration and float-eq rules: the replayed hot paths.
-_HOT_SCOPES = ("src/repro/core/", "src/repro/distributed/", "src/repro/parallel/")
+_HOT_SCOPES = ("src/repro/core/", "src/repro/distributed/")
 
 #: Consumers for which iteration order cannot be observed.
 _ORDER_INSENSITIVE = frozenset(
@@ -94,10 +92,6 @@ _ORDER_INSENSITIVE = frozenset(
 _SET_METHODS = frozenset(
     {"intersection", "union", "difference", "symmetric_difference"}
 )
-
-#: The sanctioned float-compare sites: kernels escape exact ties to serial
-#: full-key evaluation, so their float ``==`` is part of the contract.
-_FLOAT_EQ_SANCTIONED = ("src/repro/parallel/kernels.py",)
 
 _PRIORITY_NAME_RE = re.compile(r"(^|_)(pi|prio|priorities|priority|pm|pf|pkey)($|_)")
 
@@ -281,8 +275,6 @@ def _sanctioned_tie_escape(node: ast.Compare, parents) -> bool:
 
 def _check_float_eq(file: SourceFile) -> Iterator[Finding]:
     assert file.tree is not None
-    if file.rel.endswith(_FLOAT_EQ_SANCTIONED):
-        return
     parents = build_parents(file.tree)
     for node in ast.walk(file.tree):
         if not isinstance(node, ast.Compare):

@@ -37,7 +37,6 @@ from repro.analysis.lint import (  # noqa: F401  (registration side effects)
     checkpoint_parity as _checkpoint_parity,
     determinism as _determinism,
     registry_discipline as _registry_discipline,
-    shared_planes as _shared_planes,
     wire_protocol as _wire_protocol,
 )
 

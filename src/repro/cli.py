@@ -56,7 +56,7 @@ reparameterized or handed to the conformance harness later.
 ``repro-mis lint``
     Run the stdlib-``ast`` contract checkers (:mod:`repro.analysis.lint`):
     determinism hazards, checkpoint parity, registry discipline, wire
-    protocol consistency and shared-plane safety.  Exits 1 on findings not
+    protocol consistency.  Exits 1 on findings not
     in the committed ``lint-baseline.json``.
 
 ``repro-mis --list-engines`` / ``--list-networks`` / ``--list-sinks`` /
@@ -101,7 +101,6 @@ from repro.scenario import (
     BackendSpec,
     CheckpointFormatError,
     GraphSpec,
-    ParallelSpec,
     ScenarioSpec,
     ScenarioSpecError,
     Session,
@@ -195,15 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-verify",
         action="store_true",
         help="skip the final invariant verification (timing runs)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate repair waves / protocol rounds on N worker processes "
-        "(overrides the spec's 'parallel' block; needs the 'fast' engine or "
-        "network; 0 or 1 forces serial)",
     )
 
     churn = subparsers.add_parser("churn", help="sequential maintainer under random churn")
@@ -336,16 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=NETWORK_NAMES,
         default=None,
         help="rehydrate evicted protocol sessions on this network core",
-    )
-    serve.add_argument(
-        "--workers-per-shard",
-        dest="workers_per_shard",
-        type=int,
-        default=0,
-        metavar="N",
-        help="give each shard's sessions an N-process evaluation pool "
-        "(best-effort: backends without pool support run serial; "
-        "default %(default)s = serial)",
     )
 
     client = subparsers.add_parser(
@@ -489,8 +469,7 @@ def _add_engine_argument(parser: argparse.ArgumentParser, role: str) -> None:
         choices=available_engines(),
         default="template",
         help="sequential MIS backend ('template' = paper-shaped reference, 'fast' = "
-        "array-backed, 'fast-csr' = fast + vectorized CSR repair wave, all with "
-        f"identical outputs; any registered backend works); {role}",
+        f"array-backed, identical outputs; any registered backend works); {role}",
     )
 
 
@@ -780,12 +759,6 @@ def _build_run_session(arguments) -> Session:
         overrides["network"] = arguments.network
     if arguments.protocol:
         overrides["protocol"] = arguments.protocol
-    if arguments.workers is not None:
-        # --workers N replaces the spec's parallel block outright; 0/1 strips
-        # it, so the same flag also forces a parallel spec back to serial.
-        overrides["parallel"] = (
-            ParallelSpec(workers=arguments.workers) if arguments.workers > 1 else None
-        )
 
     if arguments.resume_from:
         checkpoint = load_checkpoint(arguments.resume_from)
@@ -798,13 +771,6 @@ def _build_run_session(arguments) -> Session:
             raise ScenarioSpecError(
                 "--protocol cannot change on resume (snapshots are per-protocol); "
                 "only --engine/--network switch the backend"
-            )
-        if arguments.workers is not None:
-            import dataclasses
-
-            checkpoint = dataclasses.replace(
-                checkpoint,
-                spec=checkpoint.spec.with_backend(parallel=overrides.pop("parallel")),
             )
         session = Session.resume(
             checkpoint, engine=arguments.engine, network=arguments.network
@@ -1127,7 +1093,6 @@ def _run_serve(arguments) -> int:
         max_live=arguments.max_live,
         engine=arguments.engine,
         network=arguments.network,
-        workers_per_shard=arguments.workers_per_shard,
     )
     try:
         return run_service(config)

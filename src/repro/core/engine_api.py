@@ -407,23 +407,8 @@ def _fast_factory(
     return FastEngine(priorities=priorities, initial_graph=initial_graph)
 
 
-def _fast_csr_factory(
-    priorities: "Optional[PriorityAssigner]" = None,
-    initial_graph: "Optional[DynamicGraph]" = None,
-) -> MISEngine:
-    """The fast engine with the incremental CSR mirror + vectorized wave.
-
-    Degrades to a plain fast engine when numpy is unavailable (``csr=True``
-    is a no-op then), so selecting ``"fast-csr"`` is always safe.
-    """
-    from repro.core.fast_engine import FastEngine
-
-    return FastEngine(priorities=priorities, initial_graph=initial_graph, csr=True)
-
-
 register_engine("template", _template_factory)
 register_engine("fast", _fast_factory)
-register_engine("fast-csr", _fast_csr_factory)
 
 # Deferred import for type checkers only (avoids a cycle at runtime).
 from typing import TYPE_CHECKING  # noqa: E402

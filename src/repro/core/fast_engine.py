@@ -34,7 +34,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Hashable,
@@ -51,8 +50,6 @@ from repro.core.engine_api import BatchUpdateReport, EngineSnapshot, MISEngine
 from repro.core.invariant import InvariantViolation
 from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
 from repro.graph.dynamic_graph import DynamicGraph, GraphError, canonical_edge
-from repro.parallel.kernels import DESIRED_IN as _DESIRED_IN
-from repro.parallel.kernels import DESIRED_UNCERTAIN as _DESIRED_UNCERTAIN
 
 try:  # numpy accelerates the batched repair wave; plain python fallback below.
     import numpy as _np
@@ -67,12 +64,6 @@ _EMPTY_IDS = _np.empty(0, dtype=_np.int64) if _np is not None else None
 #: vectorized (numpy-mask) frontier; below it, per-call numpy overhead
 #: exceeds the plain walk over such small adjacency slices.
 _VECTOR_LEVEL_THRESHOLD = 64
-#: Frontier size from which a ``csr=True`` engine evaluates a whole repair
-#: level through the :class:`repro.core.csr.CSRMirror` gather kernels.
-#: Below it, the serial walk over such small frontiers is cheaper than the
-#: fixed per-call numpy overhead.  Tests monkeypatch this to force the CSR
-#: path fully on (1) or off (a huge value).
-_CSR_LEVEL_THRESHOLD = 32
 
 
 @dataclass(frozen=True)
@@ -125,13 +116,6 @@ class FastEngine(MISEngine):
     initial_graph:
         Optional starting graph whose MIS is computed with one array-based
         greedy pass.
-    csr:
-        Maintain an incremental :class:`repro.core.csr.CSRMirror` of the
-        adjacency and evaluate large repair-wave levels through its
-        vectorized gather kernels (the ``"fast-csr"`` backend).  Requires
-        numpy; silently stays a plain fast engine when numpy is absent, so
-        the flag is safe to pass unconditionally.  Outputs are bit-identical
-        either way (machine-checked by the CSR differential suite).
     """
 
     def __init__(
@@ -139,7 +123,6 @@ class FastEngine(MISEngine):
         priorities: Optional[PriorityAssigner] = None,
         seed: int = 0,
         initial_graph: Optional[DynamicGraph] = None,
-        csr: bool = False,
     ) -> None:
         self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
         # id-indexed parallel arrays (grow together in _new_slot).
@@ -158,23 +141,10 @@ class FastEngine(MISEngine):
         self._id_of: Dict[Node, int] = {}
         self._free: List[int] = []
         self._num_edges = 0
-        # Optional shared-memory evaluation pool (attach_parallel); never
-        # part of snapshots -- parallelism is an execution detail, not state.
-        self._pool = None
         # Incremental float64 mirror of _prio (indexed by id, physical length
         # grows by doubling) -- the batched wave indexes priorities through
         # numpy without re-copying the python list every batch.
         self._prio_np = _np.zeros(0, dtype=_np.float64) if _np is not None else None
-        # Optional slacked-CSR adjacency mirror (the "fast-csr" backend).
-        self._csr_requested = bool(csr)
-        self._csr = None
-        if self._csr_requested and _np is not None:
-            from repro.core.csr import CSRMirror
-
-            self._csr = CSRMirror()
-        # Hoisted dirty-marker (the mirror's bound set.add): every adjacency
-        # mutation calls it, so skip the two attribute hops of `._csr.mark`.
-        self._csr_mark = self._csr.mark if self._csr is not None else None
         if initial_graph is not None:
             self._bootstrap(initial_graph)
 
@@ -240,8 +210,6 @@ class FastEngine(MISEngine):
         del self._adj[nid][:]
         if self._prio_np is not None:
             self._prio_np[nid] = self._prio[nid]
-        if self._csr_mark is not None:
-            self._csr_mark(nid)
         self._id_of[label] = nid
         return nid
 
@@ -250,108 +218,7 @@ class FastEngine(MISEngine):
         self._labels[nid] = None
         self._keys[nid] = None
         del self._adj[nid][:]
-        if self._csr_mark is not None:
-            self._csr_mark(nid)
         self._free.append(nid)
-
-    # ------------------------------------------------------------------
-    # Parallel evaluation
-    # ------------------------------------------------------------------
-    def attach_parallel(self, pool: Optional[Any]) -> None:
-        """Evaluate batched repair-wave frontiers on ``pool``.
-
-        ``pool`` is a :class:`repro.parallel.pool.WorkerPool` (or ``None``
-        to detach).  Only the batched path (:meth:`apply_batch`) consults
-        it -- single-change propagation frontiers are far too small to pay
-        dispatch overhead -- and only for frontiers past the pool's
-        engagement threshold; everything else, including any pool failure,
-        runs the serial evaluation, so results are bit-identical either way
-        (the batch differential harness machine-checks this).
-        """
-        self._pool = pool
-
-    @property
-    def parallel_pool(self):
-        """The attached :class:`~repro.parallel.pool.WorkerPool` (or ``None``)."""
-        return self._pool
-
-    # ------------------------------------------------------------------
-    # CSR mirror (the "fast-csr" backend)
-    # ------------------------------------------------------------------
-    @property
-    def csr_mirror(self):
-        """The incremental :class:`~repro.core.csr.CSRMirror`, or ``None``.
-
-        ``None`` when the engine was built without ``csr=True`` or numpy is
-        unavailable (the engine then runs the plain wave).
-        """
-        return self._csr
-
-    def csr_planes(self):
-        """Synced frozen-layout planes for an external (FFI) backend.
-
-        Patches every dirty row, then returns the five-plane dict documented
-        in :mod:`repro.core.csr` (``starts``/``lengths``/``caps``/
-        ``indices`` plus the engine's ``prio``/``state`` planes).  Raises
-        :class:`RuntimeError` when no mirror is active -- a compiled backend
-        should be constructed over a ``csr=True`` engine.
-        """
-        if self._csr is None:
-            raise RuntimeError(
-                "no CSR mirror active (construct the engine with csr=True "
-                "and numpy available)"
-            )
-        capacity = len(self._labels)
-        self._csr.prepare(self._adj, capacity)
-        state = _np.frombuffer(self._state, dtype=_np.uint8)
-        return self._csr.export_planes(capacity, self._prio_np, state)
-
-    def _parallel_desired(self, frontier: Sequence[int], publish_csr: bool) -> Optional[bytes]:
-        """Evaluate :meth:`_desired` over ``frontier`` on the worker pool.
-
-        Returns one :mod:`repro.parallel.kernels` ``DESIRED_*`` code per
-        frontier entry, or ``None`` when the pool did not run (caller falls
-        back to the serial loop).  ``publish_csr`` ships the adjacency/
-        priority planes -- needed once per repair wave, since topology and
-        priorities are frozen while a wave runs; the state plane is
-        re-published every level because levels commit flips.
-        """
-        pool = self._pool
-        csr = self._csr
-        if publish_csr:
-            if csr is not None:
-                # The incremental mirror already holds the packed adjacency;
-                # ship its slacked planes instead of re-flattening the ragged
-                # rows in python (workers run the engine_desired_csr kernel).
-                capacity = len(self._labels)
-                csr.prepare(self._adj, capacity)
-                pool.publish("e_starts", csr.starts[:capacity].tobytes())
-                pool.publish("e_lengths", csr.lengths[:capacity].tobytes())
-                pool.publish("e_indices", csr.indices[: csr.tail].tobytes())
-                pool.publish("e_prio", self._prio_np[:capacity].tobytes())
-            else:
-                adj = self._adj
-                indptr = array("q", bytes(8 * (len(adj) + 1)))
-                total = 0
-                for nid, row in enumerate(adj):
-                    indptr[nid] = total
-                    total += len(row)
-                indptr[len(adj)] = total
-                indices = array("q", bytes(8 * total))
-                position = 0
-                for row in adj:
-                    indices[position : position + len(row)] = row
-                    position += len(row)
-                pool.publish("e_indptr", indptr.tobytes())
-                pool.publish("e_indices", indices.tobytes())
-                pool.publish("e_prio", array("d", self._prio).tobytes())
-        pool.publish("e_state", self._state)
-        pool.publish("e_frontier", array("q", frontier).tobytes())
-        pool.ensure("e_out", len(frontier))
-        kernel = "engine_desired" if csr is None else "engine_desired_csr"
-        if not pool.run(kernel, len(frontier)):
-            return None
-        return bytes(pool.view("e_out"))
 
     # ------------------------------------------------------------------
     # Read access
@@ -385,15 +252,6 @@ class FastEngine(MISEngine):
     def nodes(self) -> List[Node]:
         """All live node labels."""
         return list(self._id_of)
-
-    def interned_items(self) -> Iterator[Tuple[Node, int]]:
-        """``(label, id)`` pairs of the live interning map.
-
-        The public surface an external (FFI) backend uses to translate the
-        id-indexed :meth:`csr_planes` rows back to node labels; ids are only
-        stable until the label is deleted (free slots are reused).
-        """
-        return iter(self._id_of.items())
 
     def has_node(self, label: Node) -> bool:
         """Whether ``label`` is a live node."""
@@ -498,12 +356,6 @@ class FastEngine(MISEngine):
             assert self._prio_np[:capacity].tolist() == self._prio, (
                 "incremental priority mirror diverged from _prio"
             )
-        if self._csr is not None:
-            self._csr.prepare(self._adj, capacity)
-            self._csr.check_layout(capacity)
-            assert self._csr.decode(capacity) == [list(row) for row in self._adj], (
-                "CSR mirror diverged from the ragged adjacency"
-            )
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -530,11 +382,6 @@ class FastEngine(MISEngine):
         self._free = []
         self._num_edges = 0
         self._prio_np = _np.zeros(0, dtype=_np.float64) if _np is not None else None
-        if self._csr_requested and _np is not None:
-            from repro.core.csr import CSRMirror
-
-            self._csr = CSRMirror()
-        self._csr_mark = self._csr.mark if self._csr is not None else None
         self._priorities.restore_keys(dict(snapshot.priority_keys))
         self._load_topology(snapshot.nodes, snapshot.edges)
         id_of = self._id_of
@@ -557,9 +404,6 @@ class FastEngine(MISEngine):
         self._adj[iu].append(iv)
         self._adj[iv].append(iu)
         self._num_edges += 1
-        if self._csr_mark is not None:
-            self._csr_mark(iu)
-            self._csr_mark(iv)
         star = iv if self._earlier(iu, iv) else iu
         other = iu if star == iv else iv
         needs = self._state[star] != self._desired(star)
@@ -600,12 +444,9 @@ class FastEngine(MISEngine):
             raise GraphError("duplicate neighbors in node insertion")
         nid = self._intern(label)
         row = self._adj[nid]
-        mark = self._csr_mark
         for oid in neighbor_ids:
             row.append(oid)
             self._adj[oid].append(nid)
-            if mark is not None:
-                mark(oid)
         self._num_edges += len(neighbor_ids)
         # The new node enters with a provisional non-MIS output (state 0 set
         # by _intern); it flips iff it has no earlier MIS neighbor.
@@ -662,8 +503,7 @@ class FastEngine(MISEngine):
             If some change in the batch is invalid at its position -- raised
             by the up-front :func:`~repro.workloads.changes.validate_batch`
             pass, *before* any array delta is applied, so a failed batch
-            leaves the engine untouched (the per-change checks inside the
-            apply loop below are a defensive net and should be unreachable).
+            leaves the engine untouched.
         """
         from repro.workloads.changes import (
             EdgeDeletion,
@@ -677,7 +517,6 @@ class FastEngine(MISEngine):
         validate_batch(self.graph, changes)
         id_of = self._id_of
         adj = self._adj
-        mark = self._csr_mark
         # Dirty nodes are tracked by *label*, exactly like the template batch:
         # a label deleted and re-inserted inside the same batch keeps its seat
         # in the seed set even though its id changed.
@@ -688,59 +527,31 @@ class FastEngine(MISEngine):
 
         for change in changes:
             if isinstance(change, EdgeInsertion):
-                iu = id_of.get(change.u)
-                iv = id_of.get(change.v)
-                if iu is None or iv is None:
-                    raise GraphError(f"edge insertion {change} references a missing node")
-                if change.u == change.v:
-                    raise GraphError("edge insertion would create a self loop")
-                if iv in adj[iu]:
-                    raise GraphError(f"edge ({change.u!r}, {change.v!r}) already exists")
+                iu, iv = id_of[change.u], id_of[change.v]
                 adj[iu].append(iv)
                 adj[iv].append(iu)
                 self._num_edges += 1
-                if mark is not None:
-                    mark(iu)
-                    mark(iv)
                 star = iv if self._earlier(iu, iv) else iu
                 dirty_labels.add(self._labels[star])
             elif isinstance(change, EdgeDeletion):
-                iu = id_of.get(change.u)
-                iv = id_of.get(change.v)
-                if iu is None or iv is None or iv not in adj[iu]:
-                    raise GraphError(f"edge ({change.u!r}, {change.v!r}) does not exist")
+                iu, iv = id_of[change.u], id_of[change.v]
                 self._remove_half_edge(iu, iv)
                 self._remove_half_edge(iv, iu)
                 self._num_edges -= 1
                 star = iv if self._earlier(iu, iv) else iu
                 dirty_labels.add(self._labels[star])
             elif isinstance(change, (NodeInsertion, NodeUnmuting)):
-                if change.node in id_of:
-                    raise GraphError(f"node {change.node!r} already exists")
-                neighbor_ids: List[int] = []
-                for other in change.neighbors:
-                    if other == change.node:
-                        raise GraphError("node insertion would create a self loop")
-                    oid = id_of.get(other)
-                    if oid is None:
-                        raise GraphError(f"insertion neighbor {other!r} does not exist")
-                    neighbor_ids.append(oid)
-                if len(set(neighbor_ids)) != len(neighbor_ids):
-                    raise GraphError("duplicate neighbors in node insertion")
+                neighbor_ids = [id_of[other] for other in change.neighbors]
                 nid = self._intern(change.node)
                 row = adj[nid]
                 for oid in neighbor_ids:
                     row.append(oid)
                     adj[oid].append(nid)
-                    if mark is not None:
-                        mark(oid)
                 self._num_edges += len(neighbor_ids)
                 dirty_labels.add(change.node)
                 deleted_labels.discard(change.node)
             elif isinstance(change, NodeDeletion):
-                nid = id_of.get(change.node)
-                if nid is None:
-                    raise GraphError(f"node {change.node!r} does not exist")
+                nid = id_of[change.node]
                 if self._state[nid]:
                     labels = self._labels
                     dirty_labels.update(
@@ -901,27 +712,12 @@ class FastEngine(MISEngine):
         touched: List[int] = []
         influenced_labels: List[Node] = []
 
-        # Incrementally maintained priority mirror (no per-batch O(n) copy).
-        prio_np = self._prio_np
-        pool = self._pool
-        csr = self._csr
-        csr_state = None  # lazy uint8 view over self._state, built once per wave
-        csr_published = False  # CSR/priority planes ship once per wave
-
         dirty: Iterable[int] = sorted(set(dirty_ids))
         cap = 2 * len(self._id_of) + 5
         level = 0
         while True:
-            if _np is not None and isinstance(dirty, _np.ndarray):
-                if len(dirty) >= _CSR_LEVEL_THRESHOLD and csr is not None:
-                    frontier: Sequence[int] = dirty  # already unique (CSR frontier)
-                else:
-                    # Sub-threshold level: back to python ints -- the serial
-                    # walk indexes lists, where np.int64 scalars cost ~1.3x.
-                    frontier = dirty.tolist()
-            else:
-                frontier = list(dirty)
-            if len(frontier) == 0:
+            frontier = list(dirty)
+            if not frontier:
                 break
             level += 1
             if level > cap:
@@ -929,65 +725,15 @@ class FastEngine(MISEngine):
                     "batch repair wave did not converge; the starting states "
                     "probably violated the MIS invariant before the batch"
                 )
-            codes = None
-            if pool is not None and pool.engaged(len(frontier)):
-                codes = self._parallel_desired(frontier, not csr_published)
-                if codes is not None:
-                    csr_published = True
-            farr = None
-            flipped: Sequence[int]
-            if codes is None and csr is not None and len(frontier) >= _CSR_LEVEL_THRESHOLD:
-                # Whole-level evaluation as one gather + segment-reduce over
-                # the CSR mirror; only the rows this frontier reads are
-                # patched.  Uncertain codes (exact float priority ties) fall
-                # back to the full-key serial walk, like the pool path.
-                if csr_state is None:
-                    csr_state = _np.frombuffer(state, dtype=_np.uint8)
-                farr = (
-                    frontier
-                    if isinstance(frontier, _np.ndarray)
-                    else _np.asarray(frontier, dtype=_np.int64)
-                )
-                csr.prepare(adj, len(labels), farr)
-                level_codes = csr.desired_codes(farr, csr_state, prio_np)
-                evaluations += len(farr)
-                work += csr.last_eval_edges
-                desired_arr = level_codes == _DESIRED_IN
-                for position in _np.flatnonzero(level_codes == _DESIRED_UNCERTAIN):
-                    desired_arr[position] = self._desired(int(farr[position]))
-                flipped = farr[desired_arr != (csr_state[farr] != 0)]
-            elif codes is None:
-                serial_flipped: List[int] = []
-                for nid in frontier:
-                    evaluations += 1
-                    work += len(adj[nid])
-                    if self._desired(nid) != state[nid]:
-                        serial_flipped.append(nid)
-                flipped = serial_flipped
-            else:
-                pool_flipped: List[int] = []
-                for position, nid in enumerate(frontier):
-                    evaluations += 1
-                    work += len(adj[nid])
-                    code = codes[position]
-                    # Uncertain = an exact priority tie; only the full-key
-                    # serial comparison can break it bit-identically.
-                    desired = (
-                        self._desired(nid) if code == _DESIRED_UNCERTAIN else bool(code)
-                    )
-                    if desired != state[nid]:
-                        pool_flipped.append(nid)
-                flipped = pool_flipped
-            if len(flipped) == 0:
+            flipped: List[int] = []
+            for nid in frontier:
+                evaluations += 1
+                work += len(adj[nid])
+                if self._desired(nid) != state[nid]:
+                    flipped.append(nid)
+            if not flipped:
                 break
-            # Python bookkeeping loops index lists: iterate python ints
-            # (np.int64 scalars cost ~1.3x on every list subscript).
-            flipped_seq: Sequence[int] = (
-                flipped.tolist()
-                if _np is not None and isinstance(flipped, _np.ndarray)
-                else flipped
-            )
-            for nid in flipped_seq:
+            for nid in flipped:
                 if snap_stamp[nid] != epoch:
                     snap_stamp[nid] = epoch
                     snap_state[nid] = state[nid]
@@ -998,32 +744,22 @@ class FastEngine(MISEngine):
                     influenced_labels.append(labels[nid])
             state_flips += len(flipped)
             num_levels += 1
-            if farr is not None and len(flipped) >= 16:
-                # CSR level: vectorized flip commit + CSR-sliced frontier
-                # (flipped rows were patched for this level's evaluation).
-                csr_state[flipped] ^= 1
-                dirty = csr.later_frontier(flipped, prio_np, self._keys)
-            elif _np is not None and len(flipped) >= _VECTOR_LEVEL_THRESHOLD:
-                if prio_np is None:  # engine predates numpy's availability
-                    prio_np = _np.asarray(self._prio, dtype=_np.float64)
+            if self._prio_np is not None and len(flipped) >= _VECTOR_LEVEL_THRESHOLD:
                 flipped_arr = _np.asarray(flipped, dtype=_np.int64)
                 _np.frombuffer(state, dtype=_np.uint8)[flipped_arr] ^= 1
-                dirty = self._batch_frontier(flipped_arr, prio_np)
+                dirty = self._batch_frontier(flipped_arr, self._prio_np)
             else:
-                # Tiny flip sets (including sub-16 CSR levels) commit through
-                # the plain-python walk; numpy call overhead dominates there.
-                for nid in flipped_seq:
+                for nid in flipped:
                     state[nid] ^= 1
                 next_dirty: Set[int] = set()
                 prio, keys = self._prio, self._keys
-                for nid in flipped_seq:
+                for nid in flipped:
                     np_, nk = prio[nid], keys[nid]
                     for m in adj[nid]:
                         if prio[m] > np_ or (prio[m] == np_ and keys[m] > nk):
                             next_dirty.add(m)
                 dirty = next_dirty
 
-        del csr_state  # release the buffer export before any slot can grow
         alive = self._alive
         adjustments = sum(
             1 for nid in touched if alive[nid] and state[nid] != snap_state[nid]
@@ -1104,9 +840,6 @@ class FastEngine(MISEngine):
         if position != last:
             row[position] = row[last]
         del row[last]
-        mark = self._csr_mark
-        if mark is not None:
-            mark(nid)
 
 
 class FastGraphView:

@@ -58,13 +58,6 @@ from repro.distributed.async_network import AsyncDirectMISNetwork
 from repro.distributed.network import ProtocolError, RoundRecord, SynchronousMISNetwork
 from repro.distributed.node import CODE_TO_STATE, NodeRuntime, NodeState
 from repro.distributed.scheduler import DelayScheduler, RandomDelayScheduler
-from repro.parallel.kernels import (
-    GUARD_EARLIER_SETTLED as _GUARD_EARLIER_SETTLED,
-    GUARD_KNOWS_ALL_KEYS as _GUARD_KNOWS_ALL_KEYS,
-    GUARD_NO_EARLIER_MIS as _GUARD_NO_EARLIER_MIS,
-    GUARD_NO_LATER_C as _GUARD_NO_LATER_C,
-    GUARD_UNCERTAIN as _GUARD_UNCERTAIN,
-)
 from repro.distributed.state import (
     NetworkSnapshot,
     NetworkStateError,
@@ -652,13 +645,6 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         self._last_round_log: List[RoundRecord] = []
         self._introduced: Set[int] = set()
         self._transient: Set[int] = set()
-        # Optional shared-memory guard-evaluation pool (attach_parallel);
-        # never part of snapshots.  The published planes go stale on every
-        # topology change and on unflushed knowledge-row writes.
-        self._pool = None
-        self._pool_stale = True
-        self._pool_indptr: Optional[array] = None
-        self._pool_dirty: Set[int] = set()
         super().__init__(seed=seed, initial_graph=initial_graph, priorities=priorities)
 
     # ------------------------------------------------------------------
@@ -679,118 +665,6 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         self._introduced = set()
         self._transient = set()
         self._last_round_log = []
-        self._pool_stale = True
-        self._pool_dirty.clear()
-
-    # ------------------------------------------------------------------
-    # Parallel guard evaluation
-    # ------------------------------------------------------------------
-    def attach_parallel(self, pool) -> None:
-        """Evaluate per-round protocol guards on ``pool``.
-
-        ``pool`` is a :class:`repro.parallel.pool.WorkerPool` (or ``None``
-        to detach).  Rounds whose active set passes the pool's engagement
-        threshold evaluate all four local guards in one kernel sweep after
-        the absorb phase; everything else -- small rounds, priority ties,
-        any pool failure -- falls back to the serial guard methods, so every
-        execution is observably identical to the single-process simulator
-        (the protocol differential harness machine-checks this).
-        """
-        self._pool = pool
-        self._pool_stale = True
-        self._pool_dirty.clear()
-
-    @property
-    def parallel_pool(self):
-        """The attached :class:`~repro.parallel.pool.WorkerPool` (or ``None``)."""
-        return self._pool
-
-    def _publish_topology(self) -> None:
-        """Ship CSR adjacency, priorities and full knowledge rows to the pool.
-
-        Called once per change (topology and priorities are frozen while the
-        round loop runs); later rounds of the same change only refresh the
-        knowledge rows of nodes that received messages.
-        """
-        pool = self._pool
-        adj = self._adj
-        count = len(adj)
-        indptr = array("q", bytes(8 * (count + 1)))
-        total = 0
-        for nid, row in enumerate(adj):
-            indptr[nid] = total
-            total += len(row)
-        indptr[count] = total
-        indices = array("q", bytes(8 * total))
-        nstate = bytearray(total)
-        nkey = bytearray(total)
-        # memoryview targets: slice assignment is length-checked, so a
-        # knowledge row that drifted from its adjacency row fails loudly
-        # instead of silently shifting every later row's offsets.
-        nstate_view, nkey_view = memoryview(nstate), memoryview(nkey)
-        position = 0
-        for nid, row in enumerate(adj):
-            stop = position + len(row)
-            indices[position:stop] = row
-            nstate_view[position:stop] = self._nstate[nid]
-            nkey_view[position:stop] = self._nkey[nid]
-            position = stop
-        pool.publish("w_indptr", indptr.tobytes())
-        pool.publish("w_indices", indices.tobytes())
-        pool.publish("w_prio", array("d", self._prio).tobytes())
-        pool.publish("w_nstate", nstate)
-        pool.publish("w_nkey", nkey)
-        self._pool_indptr = indptr
-        self._pool_stale = False
-
-    def _parallel_guards(self, active_sorted: List[int]) -> Optional[bytes]:
-        """Guard masks for ``active_sorted`` (post-absorb), or ``None``.
-
-        Returns one :mod:`repro.parallel.kernels` ``GUARD_*`` bitmask per
-        active node, or ``None`` when the pool did not run -- the caller
-        then decides with the serial guard methods (the inboxes are already
-        absorbed either way, so no work repeats).
-        """
-        pool = self._pool
-        if self._pool_stale:
-            self._publish_topology()
-        else:
-            indptr = self._pool_indptr
-            nstate_view = pool.view("w_nstate")
-            nkey_view = pool.view("w_nkey")
-            for nid in self._pool_dirty:
-                start, stop = indptr[nid], indptr[nid + 1]
-                nstate_view[start:stop] = self._nstate[nid]
-                nkey_view[start:stop] = self._nkey[nid]
-        self._pool_dirty.clear()
-        pool.publish("w_active", array("q", active_sorted).tobytes())
-        pool.ensure("w_guards", len(active_sorted))
-        if not pool.run("network_guards", len(active_sorted)):
-            return None
-        return bytes(pool.view("w_guards"))
-
-    # Mask-or-serial guard accessors: a kernel mask answers when it is
-    # certain; ``None`` (no mask) or the uncertain bit (an exact priority
-    # tie) re-evaluates with the full-key serial predicate.
-    def _g_no_earlier_mis(self, nid: int, mask: Optional[int]) -> bool:
-        if mask is None or mask & _GUARD_UNCERTAIN:
-            return self._no_earlier_neighbor_in_mis(nid)
-        return bool(mask & _GUARD_NO_EARLIER_MIS)
-
-    def _g_no_later_c(self, nid: int, mask: Optional[int]) -> bool:
-        if mask is None or mask & _GUARD_UNCERTAIN:
-            return self._no_later_neighbor_in_c(nid)
-        return bool(mask & _GUARD_NO_LATER_C)
-
-    def _g_earlier_settled(self, nid: int, mask: Optional[int]) -> bool:
-        if mask is None or mask & _GUARD_UNCERTAIN:
-            return self._all_earlier_neighbors_in_output_states(nid)
-        return bool(mask & _GUARD_EARLIER_SETTLED)
-
-    def _g_knows_all_keys(self, nid: int, mask: Optional[int]) -> bool:
-        if mask is None or mask & _GUARD_UNCERTAIN:
-            return self._knows_all_neighbor_keys(nid)
-        return bool(mask & _GUARD_KNOWS_ALL_KEYS)
 
     # ------------------------------------------------------------------
     # Topology-change API
@@ -934,22 +808,6 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         """Run one round of the protocol state machine at one node."""
         raise NotImplementedError
 
-    def _decide(
-        self,
-        nid: int,
-        has_inbox: bool,
-        absorbed: Tuple[List[FastMessage], bool, bool],
-        round_no: int,
-        guard_mask: Optional[int],
-    ) -> Tuple[List[FastMessage], bool]:
-        """The decision half of :meth:`_node_step`, after the inbox absorb.
-
-        ``absorbed`` is the :meth:`_handle_inbox` result for this node;
-        ``guard_mask`` is the kernel's guard bitmask or ``None`` (evaluate
-        the guards serially).  ``_node_step`` is absorb followed by decide.
-        """
-        raise NotImplementedError
-
     def _seed_violation(self, nid: int, metrics: ChangeMetrics) -> List[FastMessage]:
         """Reaction of a node that locally detects an MIS-invariant violation."""
         raise NotImplementedError
@@ -972,20 +830,8 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         provably does nothing in both protocol state machines, so the visit
         order (ascending ``pi`` within the active set) and every observable
         outcome coincide with the full sorted sweep.
-
-        With a pool attached (:meth:`attach_parallel`), rounds with a large
-        active set split the serial per-node step into the three phases it
-        already factors into -- absorb every inbox (writes only the
-        receiver's own knowledge rows), evaluate every guard (pure reads of
-        own rows plus static priorities; the parallel part), decide in
-        ascending ``pi`` (writes only the decider's own state) -- which is
-        observably identical to the interleaved sweep because within a
-        round no node ever reads another node's live state, only what it
-        *heard* in earlier rounds.
         """
         self._last_round_log = []
-        pool = self._pool
-        self._pool_stale = True  # the change handlers may have edited topology
         labels = self._labels
         pending = list(seed_messages)
         if pending:
@@ -1017,30 +863,8 @@ class FastSynchronousMISNetwork(FastNetworkCore):
                 record.messages_delivered = delivered
             active = set(inboxes)
             active.update(self._transient)
-            active_sorted = sorted(active, key=sort_key)
-            absorbed = None
-            masks = None
-            if pool is not None:
-                self._pool_dirty.update(inboxes)
-                if pool.engaged(len(active_sorted)):
-                    absorbed = [
-                        self._handle_inbox(nid, inboxes.get(nid, ()), round_no)
-                        for nid in active_sorted
-                    ]
-                    masks = self._parallel_guards(active_sorted)
-            for index, nid in enumerate(active_sorted):
-                if absorbed is None:
-                    outgoing, changed = self._node_step(
-                        nid, inboxes.get(nid, ()), round_no
-                    )
-                else:
-                    outgoing, changed = self._decide(
-                        nid,
-                        nid in inboxes,
-                        absorbed[index],
-                        round_no,
-                        masks[index] if masks is not None else None,
-                    )
+            for nid in sorted(active, key=sort_key):
+                outgoing, changed = self._node_step(nid, inboxes.get(nid, ()), round_no)
                 if outgoing:
                     pending.extend(outgoing)
                     if record is not None:
@@ -1208,54 +1032,36 @@ class FastBufferedMISNetwork(FastSynchronousMISNetwork):
     def _node_step(
         self, nid: int, inbox: Sequence[FastMessage], round_no: int
     ) -> Tuple[List[FastMessage], bool]:
-        absorbed = self._handle_inbox(nid, inbox, round_no)
-        return self._decide(nid, bool(inbox), absorbed, round_no, None)
-
-    def _decide(
-        self,
-        nid: int,
-        has_inbox: bool,
-        absorbed: Tuple[List[FastMessage], bool, bool],
-        round_no: int,
-        guard_mask: Optional[int],
-    ) -> Tuple[List[FastMessage], bool]:
-        del has_inbox
-        outgoing, learned_new_key, c_trigger = absorbed
+        outgoing, learned_new_key, c_trigger = self._handle_inbox(nid, inbox, round_no)
         changed = False
         state_code = self._state[nid]
 
         if state_code <= CODE_M_BAR and not self._retiring[nid]:
-            if c_trigger and (
-                state_code == CODE_M or self._g_no_earlier_mis(nid, guard_mask)
-            ):
+            if c_trigger and (state_code == CODE_M or self._no_earlier_neighbor_in_mis(nid)):
                 # Rules 1 and 2: join the repair wave (a non-MIS node only if
                 # no other earlier neighbor is still in M).
                 self._enter_transient(nid, CODE_C, round_no)
                 changed = True
                 outgoing.append(self._state_broadcast(nid))
-            elif learned_new_key and self._g_knows_all_keys(nid, guard_mask):
+            elif learned_new_key and self._knows_all_neighbor_keys(nid):
                 # A new neighbor was discovered (edge or node insertion): the
                 # node re-checks the MIS invariant from local knowledge and
                 # starts the repair if it broke (this is v*'s detection step).
-                if self._g_no_earlier_mis(nid, guard_mask) != (state_code == CODE_M):
+                if self._no_earlier_neighbor_in_mis(nid) != (state_code == CODE_M):
                     self._enter_transient(nid, CODE_C, round_no)
                     changed = True
                     outgoing.append(self._state_broadcast(nid))
         elif state_code == CODE_C:
             entered = self._entered_c[nid]
-            if (
-                entered >= 0
-                and round_no - entered >= 2
-                and self._g_no_later_c(nid, guard_mask)
-            ):
+            if entered >= 0 and round_no - entered >= 2 and self._no_later_neighbor_in_c(nid):
                 self._enter_transient(nid, CODE_R, round_no)
                 changed = True
                 outgoing.append(self._state_broadcast(nid))
         elif state_code == CODE_R:
-            if self._g_earlier_settled(nid, guard_mask):
+            if self._all_earlier_neighbors_in_output_states(nid):
                 if self._retiring[nid]:
                     self._settle_output(nid, CODE_M_BAR)
-                elif self._g_no_earlier_mis(nid, guard_mask):
+                elif self._no_earlier_neighbor_in_mis(nid):
                     self._settle_output(nid, CODE_M)
                 else:
                     self._settle_output(nid, CODE_M_BAR)
@@ -1295,24 +1101,12 @@ class FastDirectMISNetwork(FastSynchronousMISNetwork):
     def _node_step(
         self, nid: int, inbox: Sequence[FastMessage], round_no: int
     ) -> Tuple[List[FastMessage], bool]:
-        absorbed = self._handle_inbox(nid, inbox, round_no)
-        return self._decide(nid, bool(inbox), absorbed, round_no, None)
-
-    def _decide(
-        self,
-        nid: int,
-        has_inbox: bool,
-        absorbed: Tuple[List[FastMessage], bool, bool],
-        round_no: int,
-        guard_mask: Optional[int],
-    ) -> Tuple[List[FastMessage], bool]:
-        del round_no
-        outgoing, learned_new_key, _ = absorbed
+        outgoing, learned_new_key, _ = self._handle_inbox(nid, inbox, round_no)
         changed = False
-        if (has_inbox or learned_new_key) and self._g_knows_all_keys(nid, guard_mask):
+        if (inbox or learned_new_key) and self._knows_all_neighbor_keys(nid):
             if self._retiring[nid]:
                 desired = CODE_M_BAR
-            elif self._g_no_earlier_mis(nid, guard_mask):
+            elif self._no_earlier_neighbor_in_mis(nid):
                 desired = CODE_M
             else:
                 desired = CODE_M_BAR

@@ -49,7 +49,6 @@ from repro.scenario.spec import (
     WORKLOAD_KINDS,
     BackendSpec,
     GraphSpec,
-    ParallelSpec,
     ScenarioSpec,
     ScenarioSpecError,
     WorkloadSpec,
@@ -60,7 +59,6 @@ __all__ = [
     "GraphSpec",
     "WorkloadSpec",
     "BackendSpec",
-    "ParallelSpec",
     "ScenarioSpecError",
     "WORKLOAD_KINDS",
     "RUNNER_NAMES",

@@ -81,7 +81,7 @@ from repro.distributed.state import NetworkSnapshot
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.scenario.journal import DeltaJournal, JournalError
 from repro.scenario.sinks import ScenarioObserver, create_sink
-from repro.scenario.spec import ParallelSpec, ScenarioSpec, ScenarioSpecError
+from repro.scenario.spec import ScenarioSpec
 from repro.workloads.adversary import AdaptiveAdversary
 from repro.workloads.changes import TopologyChange
 
@@ -218,12 +218,6 @@ class Session:
         (:meth:`checkpoint`) and :meth:`replay_to`; requires an unbatched
         workload and a :class:`~repro.core.state_api.Checkpointable`
         backend.
-    default_workers:
-        Best-effort parallelism for specs *without* an explicit
-        ``backend.parallel`` block (the service host threads its per-shard
-        budget through here).  Attaches a worker pool when the backend
-        supports one and silently runs serial otherwise -- unlike an
-        explicit spec block, which is strict.
 
     Use :meth:`Session.resume` (not the constructor) to continue from a
     :class:`SessionCheckpoint`.
@@ -235,7 +229,6 @@ class Session:
         observers: Iterable[ScenarioObserver] = (),
         _checkpoint: Optional[SessionCheckpoint] = None,
         record_journal: bool = False,
-        default_workers: Optional[int] = None,
     ) -> None:
         spec.validate()
         if _checkpoint is not None and _checkpoint.journal is not None:
@@ -297,8 +290,6 @@ class Session:
                     spec.backend.protocol, network=spec.backend.network, **kwargs
                 )
                 self._network.restore(_checkpoint.snapshot)
-        self._pool = None
-        self._attach_parallel(default_workers)
         if _checkpoint is not None:
             self._position = _checkpoint.position
             self._unit_index = self._unit_for_position(_checkpoint.position)
@@ -323,17 +314,6 @@ class Session:
     def spec(self) -> ScenarioSpec:
         """The scenario being run."""
         return self._spec
-
-    @property
-    def parallel_pool(self):
-        """The attached :class:`~repro.parallel.pool.WorkerPool`, or ``None``.
-
-        ``None`` means the session evaluates serially -- no parallel block in
-        the spec, an effectively-serial one (``workers <= 1`` or backend
-        ``"serial"``), or a best-effort ``default_workers`` hint on a backend
-        without pool support.
-        """
-        return self._pool
 
     @property
     def initial_graph(self) -> DynamicGraph:
@@ -622,7 +602,6 @@ class Session:
         engine: Optional[str] = None,
         network: Optional[str] = None,
         record_journal: bool = False,
-        default_workers: Optional[int] = None,
     ) -> "Session":
         """Continue a checkpointed scenario in a fresh session.
 
@@ -631,9 +610,7 @@ class Session:
         snapshot flavors are label-keyed, so any backend of the same family
         can restore them.  The override is folded into the resumed session's
         spec, so results attribute the right backend and a re-checkpoint
-        keeps it.  ``default_workers`` is the same best-effort parallelism
-        hint the constructor takes; checkpoints carry no pool state (a pool
-        is pure acceleration), so it simply applies to the resumed session.
+        keeps it.
         """
         overrides = {}
         if engine is not None:
@@ -649,48 +626,11 @@ class Session:
             observers=observers,
             _checkpoint=checkpoint,
             record_journal=record_journal,
-            default_workers=default_workers,
         )
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _attach_parallel(self, default_workers: Optional[int]) -> None:
-        """Build and attach the worker pool the spec (or the host) asked for.
-
-        An explicit ``backend.parallel`` block is strict: the named backend
-        must expose ``attach_parallel`` (the fast engine and fast networks
-        do) or the session refuses to construct, because silently dropping a
-        requested pool would misattribute benchmark results.  A bare
-        ``default_workers`` hint is best-effort: it comes from service-level
-        configuration that applies to whatever backends clients create, so
-        backends without pool support just run serial.
-        """
-        parallel = self._spec.backend.parallel
-        strict = parallel is not None
-        if parallel is None and default_workers and int(default_workers) > 1:
-            parallel = ParallelSpec(workers=int(default_workers))
-        if parallel is None:
-            return
-        pool = parallel.build_pool()
-        if pool is None:
-            return
-        target = (
-            self._maintainer.engine if self._maintainer is not None else self._network
-        )
-        attach = getattr(target, "attach_parallel", None)
-        if attach is None:
-            pool.close()
-            if strict:
-                raise ScenarioSpecError(
-                    f"backend {type(target).__name__} does not support parallel "
-                    f"evaluation; the parallel block needs engine 'fast' "
-                    f"(sequential) or network 'fast' (protocol)"
-                )
-            return
-        attach(pool)
-        self._pool = pool
-
     def _checkpoint_backend(self):
         backend = self._maintainer.engine if self._maintainer is not None else self._network
         if not isinstance(backend, Checkpointable):

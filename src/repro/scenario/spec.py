@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -359,69 +360,6 @@ class WorkloadSpec:
 # Backend part
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ParallelSpec:
-    """The parallel-evaluation part of a backend (see :mod:`repro.parallel`).
-
-    ``workers`` is the worker process count (0 or 1 keeps everything
-    serial); ``min_chunk`` the smallest per-worker slice worth dispatching
-    (a frontier or active set engages the pool only at ``2 * min_chunk``
-    items or more); ``backend`` the pool start method -- ``"fork"``,
-    ``"spawn"`` or ``"serial"`` (never engage, regardless of ``workers``).
-
-    Parallel evaluation never changes results -- pool or no pool, every run
-    is bit-identical (machine-checked by the differential harnesses) -- so
-    this block only tunes *where* the evaluation cycles are spent.
-    """
-
-    workers: int = 0
-    min_chunk: int = 256
-    backend: str = "fork"
-
-    _FIELDS = ("workers", "min_chunk", "backend")
-    _BACKENDS = ("fork", "spawn", "serial")
-
-    def validate(self) -> None:
-        """Raise :class:`ScenarioSpecError` on out-of-range fields."""
-        _check_int(self.workers, "parallel workers", minimum=0)
-        _check_int(self.min_chunk, "parallel min_chunk", minimum=1)
-        _check_choice(self.backend, self._BACKENDS, "parallel backend")
-
-    def build_pool(self):
-        """A fresh :class:`~repro.parallel.pool.WorkerPool` for this spec.
-
-        Returns ``None`` when the spec is effectively serial (no workers or
-        the ``"serial"`` backend) -- callers then skip attaching entirely.
-        """
-        if self.workers <= 1 or self.backend == "serial":
-            return None
-        from repro.parallel.pool import WorkerPool
-
-        return WorkerPool(
-            workers=self.workers, min_chunk=self.min_chunk, backend=self.backend
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (exact round-trip through :meth:`from_dict`)."""
-        return {
-            "workers": self.workers,
-            "min_chunk": self.min_chunk,
-            "backend": self.backend,
-        }
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "ParallelSpec":
-        """Decode (strict: unknown keys raise with a did-you-mean hint)."""
-        _check_keys(record, cls._FIELDS, "parallel spec")
-        spec = cls(
-            workers=record.get("workers", 0),
-            min_chunk=record.get("min_chunk", 256),
-            backend=record.get("backend", "fork"),
-        )
-        spec.validate()
-        return spec
-
-
-@dataclass(frozen=True)
 class BackendSpec:
     """The maintainer-backend part of a scenario.
 
@@ -449,9 +387,8 @@ class BackendSpec:
     network: str = "dict"
     protocol: str = "buffered"
     scheduler: Optional[Dict[str, Any]] = None
-    parallel: Optional[ParallelSpec] = None
 
-    _FIELDS = ("runner", "engine", "network", "protocol", "scheduler", "parallel")
+    _FIELDS = ("runner", "engine", "network", "protocol", "scheduler")
 
     def validate(self) -> None:
         """Raise on unknown runner/engine/network/protocol/scheduler names."""
@@ -469,14 +406,6 @@ class BackendSpec:
                     f"runner={self.runner!r} protocol={self.protocol!r}"
                 )
             self.build_scheduler()
-        if self.parallel is not None:
-            self.parallel.validate()
-            if self.runner == "protocol" and self.protocol == "async-direct":
-                raise ScenarioSpecError(
-                    "parallel evaluation applies to sequential and synchronous "
-                    "protocol scenarios; the asynchronous event loop has no "
-                    "per-round frontier to parallelize"
-                )
 
     def build_scheduler(self):
         """Instantiate the declared delay scheduler (``None`` when unset).
@@ -505,47 +434,52 @@ class BackendSpec:
             )
             if self.scheduler is not None:
                 described += f" scheduler={self.scheduler.get('kind')}"
-            if self.parallel is not None and self.parallel.workers > 1:
-                described += f" workers={self.parallel.workers}"
             return described
-        described = f"engine={self.engine}"
-        if self.parallel is not None and self.parallel.workers > 1:
-            described += f" workers={self.parallel.workers}"
-        return described
+        return f"engine={self.engine}"
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (exact round-trip through :meth:`from_dict`).
-
-        The ``parallel`` key only appears when the block is set, so specs
-        (and checkpoints) written before parallel evaluation existed decode
-        and re-encode byte-identically.
-        """
-        record = {
+        """Plain-dict form (exact round-trip through :meth:`from_dict`)."""
+        return {
             "runner": self.runner,
             "engine": self.engine,
             "network": self.network,
             "protocol": self.protocol,
             "scheduler": None if self.scheduler is None else dict(self.scheduler),
         }
-        if self.parallel is not None:
-            record["parallel"] = self.parallel.to_dict()
-        return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "BackendSpec":
-        """Decode (strict: unknown keys raise with a did-you-mean hint)."""
-        _check_keys(record, cls._FIELDS, "backend spec")
-        scheduler = record.get("scheduler")
-        parallel = record.get("parallel")
-        if parallel is not None and not isinstance(parallel, ParallelSpec):
-            parallel = ParallelSpec.from_dict(parallel)
+        """Decode (strict: unknown keys raise with a did-you-mean hint).
+
+        Two fields that older specs and checkpoints may carry decode with a
+        warning instead of an error, because neither ever changed an
+        output: a ``parallel`` block (the retired worker pool) is dropped,
+        and engine ``"fast-csr"`` (the retired CSR mirror) reads as
+        ``"fast"``.
+        """
+        fields = dict(record)
+        if "parallel" in fields:
+            del fields["parallel"]
+            warnings.warn(
+                "ignoring the legacy backend.parallel block; the worker pool "
+                "was removed and every run is serial",
+                stacklevel=2,
+            )
+        if fields.get("engine") == "fast-csr":
+            fields["engine"] = "fast"
+            warnings.warn(
+                "reading the legacy engine 'fast-csr' as 'fast'; the CSR "
+                "mirror was removed",
+                stacklevel=2,
+            )
+        _check_keys(fields, cls._FIELDS, "backend spec")
+        scheduler = fields.get("scheduler")
         spec = cls(
-            runner=record.get("runner", "sequential"),
-            engine=record.get("engine", "template"),
-            network=record.get("network", "dict"),
-            protocol=record.get("protocol", "buffered"),
+            runner=fields.get("runner", "sequential"),
+            engine=fields.get("engine", "template"),
+            network=fields.get("network", "dict"),
+            protocol=fields.get("protocol", "buffered"),
             scheduler=None if scheduler is None else dict(scheduler),
-            parallel=parallel,
         )
         spec.validate()
         return spec

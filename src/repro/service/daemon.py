@@ -66,9 +66,6 @@ class ServiceConfig:
     #: Preferred rehydration backends (see :class:`HostConfig`).
     engine: Optional[str] = None
     network: Optional[str] = None
-    #: Best-effort evaluation-pool budget per shard (0 = serial).  Each
-    #: shard hands it to its sessions as ``default_workers``.
-    workers_per_shard: int = 0
 
     def host_config(self) -> HostConfig:
         return HostConfig(
@@ -76,7 +73,6 @@ class ServiceConfig:
             max_live=self.max_live,
             engine=self.engine,
             network=self.network,
-            workers=self.workers_per_shard,
         )
 
 

@@ -92,10 +92,6 @@ class HostConfig:
     #: channel-deterministic scheduler (see
     #: :mod:`repro.testing.protocol_differential`).
     network: Optional[str] = None
-    #: Best-effort evaluation-pool budget handed to every session this host
-    #: creates or rehydrates (``default_workers``); 0 keeps them serial.
-    #: Specs with an explicit ``parallel`` block override it per session.
-    workers: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain form (what the daemon ships to a worker process)."""
@@ -104,7 +100,6 @@ class HostConfig:
             "max_live": self.max_live,
             "engine": self.engine,
             "network": self.network,
-            "workers": self.workers,
         }
 
 
@@ -199,7 +194,7 @@ class SessionHost:
         if session_id in self._entries or self._spool_path(session_id).exists():
             raise SessionExistsError(f"session {session_id!r} already exists")
         spec = ScenarioSpec.from_dict(record)
-        session = Session(spec, default_workers=self._config.workers or None)
+        session = Session(spec)
         entry = _Entry(session_id=session_id, session=session)
         self._entries[session_id] = entry
         self._touch(entry)
@@ -294,10 +289,6 @@ class SessionHost:
             if entry is not None and entry.session is not None
             else {"session": session_id}
         )
-        if entry is not None and entry.session is not None:
-            pool = entry.session.parallel_pool
-            if pool is not None:
-                pool.close()
         try:
             spool.unlink()
         except OSError:
@@ -411,9 +402,7 @@ class SessionHost:
             overrides["engine"] = self._config.engine
         if checkpoint.runner == "protocol" and self._config.network:
             overrides["network"] = self._config.network
-        return Session.resume(
-            checkpoint, default_workers=self._config.workers or None, **overrides
-        )
+        return Session.resume(checkpoint, **overrides)
 
     def _write_spool(self, entry: _Entry) -> Path:
         path = self._spool_path(entry.session_id)
@@ -423,11 +412,6 @@ class SessionHost:
 
     def _evict(self, entry: _Entry) -> None:
         self._write_spool(entry)
-        pool = entry.session.parallel_pool
-        if pool is not None:
-            # Deterministically stop the session's evaluation workers; a
-            # long-lived daemon must not wait for GC to reap processes.
-            pool.close()
         entry.session = None
         entry.evictions += 1
 

@@ -88,6 +88,19 @@ def test_async_replay_dict_vs_fast(seed: int) -> None:
 
 
 @pytest.mark.parametrize("protocol", ["buffered", "direct"])
+@pytest.mark.parametrize("seed", spawn_seeds(MASTER_SEED + 9, 2))
+def test_dense_replay_dict_vs_fast(protocol: str, seed: int) -> None:
+    """Dense graphs put many earlier and later neighbors behind every guard
+    a node's step checks (no earlier neighbor in M, no later one in C,
+    every earlier one settled, every key known)."""
+    graph, changes = conformance_workload(
+        seed, num_changes=40, start_nodes=24, edge_probability=0.4, burst_length=6
+    )
+    result = replay_protocol_differential(graph, changes, seed=seed, protocol=protocol)
+    assert result.networks == ("dict", "fast")
+
+
+@pytest.mark.parametrize("protocol", ["buffered", "direct"])
 def test_protocol_replay_from_scenario(protocol: str) -> None:
     """A declarative scenario drives the conformance run: the spec fixes the
     workload, the protocol and the verification reference, so "same

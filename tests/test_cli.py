@@ -146,17 +146,9 @@ class TestCommands:
         assert main(["--list-engines", "--list-networks"]) == 0
         output = capsys.readouterr().out
         assert "template" in output and "fast" in output
-        assert "fast-csr" in output  # the CSR-wave variant rides the registry
         assert "TemplateEngine" in output and "FastEngine" in output
         assert "native" in output  # batch capability flag
         assert "buffered" in output and "async-direct" in output
-
-    def test_churn_accepts_the_fast_csr_engine(self, capsys):
-        assert (
-            main(["churn", "--nodes", "12", "--changes", "20", "--engine", "fast-csr"])
-            == 0
-        )
-        assert "fast-csr" in capsys.readouterr().out
 
     def test_run_scenario_file(self, tmp_path, capsys):
         from repro.scenario import ScenarioSpec, WorkloadSpec
@@ -261,6 +253,52 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "resuming from" in output
         assert "network=fast" in output
+
+    def test_run_legacy_scenario_file(self, tmp_path, capsys):
+        """Spec files may still carry the retired backend fields."""
+        import json
+
+        from repro.scenario import BackendSpec, ScenarioSpec, WorkloadSpec
+
+        record = ScenarioSpec(
+            name="cli-legacy",
+            workload=WorkloadSpec(kind="mixed_churn", num_changes=15),
+            backend=BackendSpec(engine="fast"),
+        ).to_dict()
+        record["backend"].update(engine="fast-csr", parallel={"workers": 2})
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(record))
+        with pytest.warns(UserWarning, match="legacy") as caught:
+            assert main(["run", "--scenario", str(path)]) == 0
+        assert len(caught) == 2
+        output = capsys.readouterr().out
+        assert "cli-legacy" in output
+        assert "engine=fast" in output and "engine=fast-csr" not in output
+
+    def test_resume_from_a_legacy_checkpoint_file(self, tmp_path, capsys):
+        import json
+
+        from repro.scenario import BackendSpec, ScenarioSpec, WorkloadSpec
+
+        spec_path = tmp_path / "spec.json"
+        checkpoint_path = tmp_path / "checkpoint.json"
+        ScenarioSpec(
+            name="cli-legacy-resume",
+            workload=WorkloadSpec(kind="mixed_churn", num_changes=24),
+            backend=BackendSpec(engine="fast"),
+        ).save(spec_path)
+        arguments = ["--checkpoint-every", "10", "--checkpoint-path", str(checkpoint_path)]
+        assert main(["run", "--scenario", str(spec_path), *arguments]) == 0
+        capsys.readouterr()
+        record = json.loads(checkpoint_path.read_text())
+        record["spec"]["backend"]["parallel"] = {"workers": 4, "backend": "spawn"}
+        checkpoint_path.write_text(json.dumps(record))
+        with pytest.warns(UserWarning, match="legacy backend.parallel") as caught:
+            assert main(["run", "--resume-from", str(checkpoint_path)]) == 0
+        assert len(caught) == 1
+        output = capsys.readouterr().out
+        assert "resuming from" in output
+        assert "cli-legacy-resume" in output and "engine=fast" in output
 
     def test_run_checkpoint_flags_must_pair(self, tmp_path):
         with pytest.raises(SystemExit, match="go together"):

@@ -111,12 +111,34 @@ class TestBatchCorrectness:
 
     def test_invalid_change_in_batch_raises(self, engine_name, small_random_graph):
         engine = build_engine(engine_name, 8, small_random_graph)
-        with pytest.raises(GraphError):
-            engine.apply_batch([EdgeInsertion(*small_random_graph.edges()[0])])
-        with pytest.raises(GraphError):
-            engine.apply_batch([NodeDeletion("never-existed")])
-        with pytest.raises(GraphError):
-            engine.apply_batch([NodeInsertion("dup", ("missing-neighbor",))])
+        u, v = small_random_graph.edges()[0]
+        nodes = sorted(small_random_graph.nodes(), key=repr)
+        missing_edge = next(
+            (a, b)
+            for a in nodes
+            for b in nodes
+            if a != b and not small_random_graph.has_edge(a, b)
+        )
+        invalid = [
+            EdgeInsertion(u, v),  # already present
+            NodeDeletion("never-existed"),
+            NodeInsertion("dup", ("missing-neighbor",)),
+            EdgeInsertion(u, u),  # self-loop edge
+            NodeInsertion("loop", (u, "loop")),  # self-loop neighbor
+            NodeInsertion("twice", (u, v, u)),  # duplicate neighbors
+            NodeInsertion(u, ()),  # existing node inserted again
+            EdgeDeletion(*missing_edge),
+        ]
+        states_before = engine.states()
+        edges_before = engine.graph.edges()
+        for change in invalid:
+            with pytest.raises(GraphError):
+                # A valid change first: a failed batch must apply none of it.
+                engine.apply_batch([NodeInsertion("newbie", (u,)), change])
+            assert engine.states() == states_before, change
+            assert engine.graph.edges() == edges_before, change
+            assert not engine.graph.has_node("newbie"), change
+        engine.verify()
 
     def test_invalid_batch_leaves_engine_untouched(self, engine_name, small_random_graph):
         """Validation runs up-front: a failing batch applies none of its deltas."""

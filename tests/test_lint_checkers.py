@@ -504,56 +504,6 @@ class TestWireProtocol:
         assert findings_for(tmp_path, "wire-protocol") == []
 
 
-class TestSharedPlanes:
-    def test_object_store_into_plane_is_flagged(self, tmp_path):
-        make_project(
-            tmp_path,
-            {
-                "src/repro/parallel/kern.py": """
-                def kernel(planes, start, stop, params):
-                    planes["state"] = {}
-                    view = planes["e_state"]
-                    view[0] = "label"
-                """
-            },
-        )
-        messages = [f.message for f in findings_for(tmp_path, "shared-planes")]
-        assert len(messages) == 2
-        assert any("a dict" in m for m in messages)
-        assert any("a str" in m for m in messages)
-
-    def test_flat_scalar_stores_are_clean(self, tmp_path):
-        make_project(
-            tmp_path,
-            {
-                "src/repro/parallel/kern.py": """
-                def kernel(planes, start, stop, params):
-                    view = planes["e_state"]
-                    view[0] = 1.0
-                    view[1:3] = computed(params)
-                """
-            },
-        )
-        assert findings_for(tmp_path, "shared-planes") == []
-
-    def test_importers_of_repro_parallel_are_in_scope(self, tmp_path):
-        make_project(
-            tmp_path,
-            {
-                "src/repro/scenario/fanout.py": """
-                from repro.parallel.pool import WorkerPool
-
-                def publish(pool):
-                    plane = pool.ensure("e_state", 64)
-                    plane[0] = lambda: None
-                """
-            },
-        )
-        found = findings_for(tmp_path, "shared-planes")
-        assert len(found) == 1
-        assert "a function object" in found[0].message
-
-
 class TestSuppressionsAndFingerprints:
     def test_parse_suppressions_grammar(self):
         source = (
@@ -597,13 +547,12 @@ class TestSuppressionsAndFingerprints:
 
 
 class TestRepoSelfCheck:
-    def test_all_five_checkers_are_registered(self):
+    def test_all_four_checkers_are_registered(self):
         assert set(available_checkers()) >= {
             "determinism",
             "checkpoint-parity",
             "registry-discipline",
             "wire-protocol",
-            "shared-planes",
         }
 
     @pytest.mark.slow

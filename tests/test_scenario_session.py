@@ -94,6 +94,28 @@ class TestSequentialSession:
             session.maintainer.statistics.batch_sizes == maintainer.statistics.batch_sizes
         )
 
+    def test_batched_session_on_the_vector_wave_matches_the_template(self, monkeypatch):
+        # Every repair level of the fast engine's batches on the numpy mask,
+        # driven end to end through a batched session.
+        from repro.core import fast_engine
+
+        if fast_engine._np is None:
+            pytest.skip("numpy not available")
+        monkeypatch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", 1)
+        spec = small_spec(
+            graph=GraphSpec(family="erdos_renyi", nodes=48, seed=3),
+            workload=WorkloadSpec(kind="mixed_churn", num_changes=96, seed=5),
+            batch_size=12,
+        )
+        sessions = [Session(spec.with_backend(engine=name)) for name in ("template", "fast")]
+        for session in sessions:
+            assert session.run().verified
+        template, fast = (session.maintainer.statistics for session in sessions)
+        assert sessions[1].states() == sessions[0].states()
+        assert fast.batch_adjustments == template.batch_adjustments
+        assert fast.batch_influenced_sizes == template.batch_influenced_sizes
+        assert fast.batch_levels == template.batch_levels
+
     def test_result_per_change_us_is_consistent(self):
         result = run_scenario(small_spec())
         assert result.per_change_us == pytest.approx(
@@ -183,6 +205,35 @@ class TestCheckpointResume:
             resumed.maintainer.statistics.adjustments
             == reference.maintainer.statistics.adjustments
         )
+
+    def test_legacy_backend_fields_resume_as_a_fast_run(self, tmp_path):
+        # Checkpoints from before the worker pool and the CSR mirror were
+        # removed may carry a parallel block and engine "fast-csr"; neither
+        # ever changed an output, so they resume exactly as a fast run.
+        spec = small_spec(backend=BackendSpec(runner="sequential", engine="fast"))
+        reference = Session(spec)
+        reference.run()
+
+        interrupted = Session(spec)
+        for _ in range(17):
+            interrupted.step()
+        record = checkpoint_to_dict(interrupted.checkpoint())
+        record["spec"]["backend"].update(
+            engine="fast-csr", parallel={"workers": 2, "min_chunk": 256, "backend": "fork"}
+        )
+        path = tmp_path / "legacy.ckpt.json"
+        path.write_text(json.dumps(record))
+        with pytest.warns(UserWarning) as caught:
+            checkpoint = load_checkpoint(path)
+        assert len(caught) == 2
+        assert checkpoint.spec.backend == spec.backend
+
+        resumed = Session.resume(checkpoint)
+        resumed.run()
+        assert resumed.states() == reference.states()
+        stats, full_stats = resumed.maintainer.statistics, reference.maintainer.statistics
+        assert stats.adjustments == full_stats.adjustments
+        assert stats.influenced_sizes == full_stats.influenced_sizes
 
     def test_cross_engine_resume_updates_the_spec(self):
         # The engine override is folded into the resumed session's spec, so
@@ -333,6 +384,38 @@ class TestProtocolCheckpointResume:
         assert loaded.spec == spec
         resumed = Session.resume(loaded, network="fast")
         resumed.run()
+        assert resumed.states() == reference.states()
+        assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
+
+    @pytest.mark.parametrize("protocol", ["buffered", "direct"])
+    def test_legacy_backend_fields_resume_as_a_plain_run(self, protocol, tmp_path):
+        # Protocol checkpoints from before the worker pool and the CSR mirror
+        # were removed may carry a parallel block on the fast network and
+        # fast-csr as the reference engine; both resume as a plain run.
+        spec = small_spec(
+            backend=BackendSpec(
+                runner="protocol", protocol=protocol, network="fast", engine="fast"
+            )
+        )
+        reference = Session(spec)
+        reference.run()
+
+        interrupted = Session(spec)
+        for _ in range(19):
+            interrupted.step()
+        record = checkpoint_to_dict(interrupted.checkpoint())
+        record["spec"]["backend"].update(
+            engine="fast-csr", parallel={"workers": 2, "min_chunk": 256, "backend": "fork"}
+        )
+        path = tmp_path / "legacy.ckpt.json"
+        path.write_text(json.dumps(record))
+        with pytest.warns(UserWarning) as caught:
+            checkpoint = load_checkpoint(path)
+        assert len(caught) == 2
+        assert checkpoint.spec == spec
+
+        resumed = Session.resume(checkpoint)
+        assert resumed.run().verified
         assert resumed.states() == reference.states()
         assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
 

@@ -14,6 +14,8 @@ Pins down the satellite guarantees of the scenario API:
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,7 +107,7 @@ def scenario_specs(draw):
         scheduler = draw(scheduler_records())
     backend = BackendSpec(
         runner=runner,
-        engine=draw(st.sampled_from(("template", "fast", "fast-csr"))),
+        engine=draw(st.sampled_from(("template", "fast"))),
         network=draw(st.sampled_from(("dict", "fast"))),
         protocol=protocol,
         scheduler=scheduler,
@@ -123,6 +125,65 @@ def scenario_specs(draw):
         batch_size=batch_size,
         sinks=sinks,
     )
+
+
+_FORK_BLOCK = {"workers": 2, "min_chunk": 256, "backend": "fork"}
+_SPAWN_BLOCK = {"workers": 4, "min_chunk": 1, "backend": "spawn"}
+_SERIAL_BLOCK = {"workers": 1, "min_chunk": 256, "backend": "serial"}
+
+#: Backend records that older specs and checkpoints hold: the ``parallel``
+#: block on the fast engine or on a fast buffered/direct network (full or,
+#: hand-written, partial), and engine ``fast-csr`` as the sequential engine
+#: or a protocol run's reference engine.  Each with its warning count and
+#: the spec it must decode to.
+LEGACY_BACKEND_RECORDS = [
+    pytest.param(
+        {"engine": "fast", "parallel": _FORK_BLOCK}, 1, BackendSpec(engine="fast"), id="fork"
+    ),
+    pytest.param(
+        {"engine": "fast", "parallel": _SPAWN_BLOCK}, 1, BackendSpec(engine="fast"), id="spawn"
+    ),
+    pytest.param(
+        {"engine": "fast", "parallel": _SERIAL_BLOCK}, 1, BackendSpec(engine="fast"), id="serial"
+    ),
+    pytest.param(
+        {"engine": "fast", "parallel": {"workers": 2}},
+        1,
+        BackendSpec(engine="fast"),
+        id="partial-block",
+    ),
+    pytest.param({"engine": "fast-csr"}, 1, BackendSpec(engine="fast"), id="fast-csr"),
+    pytest.param(
+        {"engine": "fast-csr", "parallel": _FORK_BLOCK},
+        2,
+        BackendSpec(engine="fast"),
+        id="fast-csr-and-block",
+    ),
+    pytest.param(
+        {
+            "runner": "protocol",
+            "protocol": "buffered",
+            "network": "fast",
+            "engine": "fast",
+            "parallel": _FORK_BLOCK,
+        },
+        1,
+        BackendSpec(runner="protocol", protocol="buffered", network="fast", engine="fast"),
+        id="buffered-network",
+    ),
+    pytest.param(
+        {"runner": "protocol", "protocol": "direct", "network": "fast", "parallel": _SPAWN_BLOCK},
+        1,
+        BackendSpec(runner="protocol", protocol="direct", network="fast"),
+        id="direct-network",
+    ),
+    pytest.param(
+        {"runner": "protocol", "network": "fast", "engine": "fast-csr"},
+        1,
+        BackendSpec(runner="protocol", network="fast", engine="fast"),
+        id="fast-csr-reference",
+    ),
+]
 
 
 class TestRoundTrip:
@@ -166,15 +227,33 @@ class TestRoundTrip:
         assert spec.backend == BackendSpec()
         assert spec.workload.num_changes == 10
 
-    def test_fast_csr_backend_round_trips_and_validates(self):
-        spec = ScenarioSpec(
-            name="csr-trip",
-            workload=WorkloadSpec(kind="mixed_churn", num_changes=5),
-            backend=BackendSpec(engine="fast-csr"),
-        )
-        spec.validate()
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
-        assert ScenarioSpec.from_dict(spec.to_dict()).backend.engine == "fast-csr"
+    def test_legacy_parallel_block_is_dropped_with_a_warning(self):
+        record = {"engine": "fast", "parallel": {"workers": 4, "min_chunk": 8}}
+        with pytest.warns(UserWarning, match="legacy backend.parallel") as caught:
+            backend = BackendSpec.from_dict(record)
+        assert len(caught) == 1
+        assert backend == BackendSpec(engine="fast")
+        assert "parallel" not in backend.to_dict()
+        assert "parallel" in record  # the caller's record is not mutated
+
+    def test_legacy_fast_csr_engine_reads_as_fast_with_a_warning(self):
+        record = {"workload": {"num_changes": 5}, "backend": {"engine": "fast-csr"}}
+        with pytest.warns(UserWarning, match="legacy engine 'fast-csr'") as caught:
+            spec = ScenarioSpec.from_dict(record)
+        assert len(caught) == 1
+        assert spec.backend.engine == "fast"
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("record, num_warnings, expected", LEGACY_BACKEND_RECORDS)
+    def test_legacy_backend_records_decode_as_plain_specs(self, record, num_warnings, expected):
+        with pytest.warns(UserWarning, match="legacy") as caught:
+            backend = BackendSpec.from_dict(record)
+        assert len(caught) == num_warnings
+        assert backend == expected
+        # The re-encoded record is current: it decodes to the same spec silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert BackendSpec.from_dict(backend.to_dict()) == backend
 
 
 class TestShippedSpecFiles:
@@ -263,13 +342,18 @@ class TestStrictDecoding:
         with pytest.raises(UnknownEngineError, match="did you mean 'fast'"):
             BackendSpec(engine="fsat").validate()
 
-    def test_near_miss_of_the_csr_engine_has_did_you_mean(self):
-        with pytest.raises(UnknownEngineError, match="did you mean 'fast-csr'"):
-            BackendSpec(engine="fast-cs").validate()
-
     def test_bad_network_name_raises_the_registry_error(self):
         with pytest.raises(UnknownNetworkError, match="did you mean 'dict'"):
             BackendSpec(runner="protocol", network="dcit").validate()
+
+    def test_typo_next_to_a_legacy_block_still_has_did_you_mean(self):
+        with pytest.warns(UserWarning, match="legacy backend.parallel"):
+            with pytest.raises(ScenarioSpecError, match="did you mean 'runner'"):
+                BackendSpec.from_dict({"runer": "protocol", "parallel": _FORK_BLOCK})
+
+    def test_fast_csr_is_read_as_fast_only_in_the_engine_field(self):
+        with pytest.raises(UnknownNetworkError):
+            BackendSpec.from_dict({"runner": "protocol", "network": "fast-csr"})
 
     def test_bad_protocol_name_raises_the_registry_error(self):
         with pytest.raises(UnknownNetworkError, match="did you mean 'buffered'"):

@@ -67,10 +67,15 @@ class _FlakyServer:
                     pass
 
     def stop(self) -> None:
+        # close() alone does not wake a thread blocked in accept() on Linux,
+        # so a "stopped" server could still answer; shutdown() does.
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive(), "flaky server thread did not exit"
 
 
 @pytest.fixture
@@ -103,11 +108,9 @@ def test_mutating_op_never_retries(flaky_server):
     assert [message["op"] for message in flaky_server.requests] == ["ping"]
 
 
-def test_connection_failure_kind_when_daemon_is_gone():
-    server = _FlakyServer()
-    address = server.address
-    server.stop()
-    client = ServiceClient(address, timeout=2)
+def test_connection_failure_kind_when_daemon_is_gone(tmp_path):
+    # A socket path that never existed: nothing can be listening on it.
+    client = ServiceClient(f"unix:{tmp_path / 'gone.sock'}", timeout=2)
     with pytest.raises(ServiceClientError) as failure:
         client.ping()
     assert failure.value.kind == "connection"

@@ -15,6 +15,7 @@ guarantees under test:
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -160,6 +161,32 @@ class TestEviction:
         second = _host(tmp_path)
         assert second.adopt_spool() == ["a"]
         assert second.handle("query", {"session": "a"})["position"] == 4
+
+    def test_legacy_backend_fields_in_a_spool_file_rehydrate(self, tmp_path):
+        """Spool files may name engine ``fast-csr`` and carry a ``parallel``
+        block; the host rehydrates them as plain ``fast`` sessions."""
+        spec = _spec(changes=12, engine="fast")
+        first = _host(tmp_path)
+        first.handle("create", {"session": "old", "spec": spec.to_dict()})
+        first.handle("apply", {"session": "old", "steps": 5})
+        first.handle("drain", {})
+        path = tmp_path / "spool" / "old.ckpt.json"
+        record = json.loads(path.read_text())
+        record["spec"]["backend"].update(engine="fast-csr", parallel={"workers": 2})
+        path.write_text(json.dumps(record))
+
+        second = _host(tmp_path)
+        assert second.adopt_spool() == ["old"]
+        with pytest.warns(UserWarning) as caught:
+            status = second.handle("apply", {"session": "old", "steps": 99})
+        assert len(caught) == 2
+        assert status["position"] == 12 and status["done"]
+        reference = Session(spec)
+        reference.run()
+        hosted = second.handle("query", {"session": "old", "what": "states"})["states"]
+        assert hosted == sorted(
+            ([node, in_mis] for node, in_mis in reference.states().items()), key=repr
+        )
 
     def test_close_deletes_the_spool_file(self, tmp_path):
         host = _host(tmp_path)
