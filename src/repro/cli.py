@@ -777,7 +777,7 @@ def _build_run_session(arguments) -> Session:
         )
         print(
             f"resuming from {arguments.resume_from} at change {checkpoint.position} "
-            f"({checkpoint.remaining_changes} remaining)"
+            f"({session.num_changes - session.position} remaining)"
         )
         return session
 

@@ -41,9 +41,11 @@ cross-*backend* comparisons still need a channel-deterministic scheduler
 enumerate receivers in different orders, so they consume a random stream
 differently.
 
-Dynamic workloads (``workload.kind == "adaptive_adversary"``) are generated
-against the live backend one change at a time; their checkpoint carries the
-adversary's RNG state, so even an adaptive run resumes exactly.
+Every workload streams through one change iterator.  Static kinds iterate
+the materialized list; a resumed session replays its applied prefix from a
+fresh one.  Dynamic workloads (``workload.kind == "adaptive_adversary"``) are
+generated against the live backend one change at a time; their checkpoint
+carries the adversary's RNG state, so even an adaptive run resumes exactly.
 
 Sessions created with ``record_journal=True`` additionally keep a
 :class:`~repro.scenario.journal.DeltaJournal`: :meth:`Session.checkpoint`
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -235,23 +238,38 @@ class Session:
             # Delta checkpoints fold to a plain one exactly once, here.
             _checkpoint = _checkpoint.resolve()
         self._spec = spec
-        self._dynamic = spec.workload.is_dynamic
-        if self._dynamic:
-            self._initial_graph = spec.graph.build()
-            self._changes: List[TopologyChange] = []
-            self._batches: List[List[TopologyChange]] = []
-        else:
-            self._initial_graph, self._changes = spec.materialize()
-            self._batches = self._chunk(self._changes, spec.batch_size)
         self._observers: List[ScenarioObserver] = [
             create_sink(name) for name in spec.sinks
         ]
         self._observers.extend(observers)
-        self._position = 0  # changes applied
-        self._unit_index = 0  # batches applied (== position when unbatched)
-        self._elapsed = 0.0
+        self._position = 0 if _checkpoint is None else _checkpoint.position
+        self._elapsed = 0.0 if _checkpoint is None else _checkpoint.elapsed_s
         self._started = False
-        self._exhausted = False  # dynamic workload stopped early
+        self._exhausted = False  # the adaptive adversary stopped early
+        # The one change iterator; static and adaptive workloads differ only
+        # in how it is built, resumed and has its state read.
+        self._changes: List[TopologyChange] = []  # pulled from the iterator so far
+        self._workload: Iterator[TopologyChange]
+        if spec.workload.is_dynamic:
+            self._initial_graph = spec.graph.build()
+            self._num_changes = spec.workload.num_changes
+            adversary = AdaptiveAdversary(
+                self.mis, self._num_changes - self._position, rng_seed=spec.workload.seed
+            )
+            if _checkpoint is not None and _checkpoint.workload_state is not None:
+                adversary.setstate(_checkpoint.workload_state)
+            self._workload = adversary
+        else:
+            self._initial_graph, changes = spec.materialize()
+            self._num_changes = len(changes)
+            self._workload = iter(changes)
+            self._changes.extend(itertools.islice(self._workload, self._position))
+        unit_starts = range(0, self._num_changes, spec.batch_size or 1)
+        if self._position != self._num_changes and self._position not in unit_starts:
+            raise ValueError(
+                f"checkpoint position {self._position} does not align with the batch "
+                f"boundaries of batch_size={spec.batch_size}"
+            )
 
         self._maintainer: Optional[DynamicMIS] = None
         self._network = None
@@ -290,19 +308,6 @@ class Session:
                     spec.backend.protocol, network=spec.backend.network, **kwargs
                 )
                 self._network.restore(_checkpoint.snapshot)
-        if _checkpoint is not None:
-            self._position = _checkpoint.position
-            self._unit_index = self._unit_for_position(_checkpoint.position)
-            self._elapsed = _checkpoint.elapsed_s
-        self._adversary: Optional[AdaptiveAdversary] = None
-        if self._dynamic:
-            self._adversary = AdaptiveAdversary(
-                lambda: self._runner.mis(),
-                spec.workload.num_changes - self._position,
-                rng_seed=spec.workload.seed,
-            )
-            if _checkpoint is not None and _checkpoint.workload_state is not None:
-                self._adversary.setstate(_checkpoint.workload_state)
         self._journal: Optional[DeltaJournal] = None
         if record_journal:
             self._journal = self._create_journal()
@@ -322,7 +327,11 @@ class Session:
 
     @property
     def changes(self) -> List[TopologyChange]:
-        """The materialized workload (for dynamic workloads: generated so far)."""
+        """The changes pulled from the workload so far, extended in place.
+
+        A resumed static session starts with its replayed prefix; a resumed
+        adaptive session holds only the changes generated since the resume.
+        """
         return self._changes
 
     @property
@@ -342,17 +351,15 @@ class Session:
 
     @property
     def num_changes(self) -> int:
-        """Total workload length (the declared budget for dynamic workloads)."""
-        if self._dynamic:
-            return self._spec.workload.num_changes
-        return len(self._changes)
+        """Total workload length: the materialized list's for static
+        workloads, the declared budget for adaptive ones (which may stop
+        early).  ``len(changes)`` reaches it only when the session is done."""
+        return self._num_changes
 
     @property
     def done(self) -> bool:
         """Whether the whole workload has been applied."""
-        if self._dynamic:
-            return self._exhausted or self._position >= self.num_changes
-        return self._unit_index >= len(self._batches)
+        return self._exhausted or self._position >= self._num_changes
 
     @property
     def elapsed_s(self) -> float:
@@ -440,7 +447,7 @@ class Session:
             return None
         self._notify_start()
         unit = self._next_unit()
-        if unit is None:
+        if not unit:
             return None
         removed_edges = None
         if self._journal is not None:
@@ -459,31 +466,23 @@ class Session:
                 unit[0],
                 record,
                 removed_edges=removed_edges,
-                workload_state=(
-                    self._adversary.getstate() if self._adversary is not None else None
-                ),
+                workload_state=self._workload_state(),
                 elapsed_s=self._elapsed,
             )
         if self._spec.batch_size:
             for observer in self._observers:
-                observer.on_batch(self._unit_index, unit, record)
+                observer.on_batch(self._position // self._spec.batch_size, unit, record)
         else:
             for observer in self._observers:
                 observer.on_change(self._position, unit[0], record)
-        self._unit_index += 1
         self._position += len(unit)
         return record
 
-    def _next_unit(self) -> Optional[List[TopologyChange]]:
-        if not self._dynamic:
-            return self._batches[self._unit_index]
-        try:
-            change = next(self._adversary)
-        except StopIteration:
-            self._exhausted = True
-            return None
-        self._changes.append(change)
-        return [change]
+    def _next_unit(self) -> List[TopologyChange]:
+        unit = list(itertools.islice(self._workload, self._spec.batch_size or 1))
+        self._exhausted = not unit
+        self._changes.extend(unit)
+        return unit
 
     def __iter__(self) -> Iterator:
         """Yield the per-unit records while streaming to the end."""
@@ -551,9 +550,7 @@ class Session:
                 if self._maintainer is not None
                 else None
             ),
-            workload_state=(
-                self._adversary.getstate() if self._adversary is not None else None
-            ),
+            workload_state=self._workload_state(),
             elapsed_s=self._elapsed,
         )
 
@@ -655,9 +652,7 @@ class Session:
                 if self._maintainer is not None
                 else None
             ),
-            base_workload_state=(
-                self._adversary.getstate() if self._adversary is not None else None
-            ),
+            base_workload_state=self._workload_state(),
             base_elapsed_s=self._elapsed,
         )
 
@@ -667,30 +662,11 @@ class Session:
             for observer in self._observers:
                 observer.on_start(self)
 
-    def _chunk(
-        self, changes: Sequence[TopologyChange], batch_size: int
-    ) -> List[List[TopologyChange]]:
-        if not batch_size:
-            return [[change] for change in changes]
-        return [
-            list(changes[start : start + batch_size])
-            for start in range(0, len(changes), batch_size)
-        ]
-
-    def _unit_for_position(self, position: int) -> int:
-        if self._dynamic:
-            return position  # dynamic workloads are never batched
-        consumed = 0
-        for index, unit in enumerate(self._batches):
-            if consumed == position:
-                return index
-            consumed += len(unit)
-        if consumed != position:
-            raise ValueError(
-                f"checkpoint position {position} does not align with the batch "
-                f"boundaries of batch_size={self._spec.batch_size}"
-            )
-        return len(self._batches)
+    def _workload_state(self) -> Optional[Tuple]:
+        """The adversary's resumable state (static workloads replay instead)."""
+        if isinstance(self._workload, AdaptiveAdversary):
+            return self._workload.getstate()
+        return None
 
     def _build_result(self, verified: bool) -> ScenarioResult:
         summary = self.metrics_summary()

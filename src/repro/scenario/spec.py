@@ -265,8 +265,12 @@ class WorkloadSpec:
     ``num_changes`` is required (> 0) for the churn, sliding-window and
     adaptive kinds and must be left at 0 for ``build``/``teardown``/
     ``trace``, whose length is derived.  ``params`` forwards extra keyword
-    arguments to the sequence generator (e.g. ``insert_probability`` for
-    ``edge_churn``).
+    arguments to the sequence generator, each a probability in [0, 1]:
+    ``insert_probability`` for ``edge_churn``; ``insert_probability``,
+    ``attachment_probability`` and ``graceful_probability`` for
+    ``node_churn``; ``edge_change_probability`` for ``mixed_churn``; none
+    for ``build`` and ``teardown``.  Decoding checks them like every other
+    field.
     """
 
     kind: str = "mixed_churn"
@@ -279,6 +283,14 @@ class WorkloadSpec:
     _CHURN_KINDS = ("mixed_churn", "edge_churn", "node_churn")
     #: Kinds whose length is the explicit ``num_changes`` (all others derive it).
     _SIZED_KINDS = _CHURN_KINDS + ("sliding_window", "adaptive_adversary")
+    #: The probability params each generator kind accepts.
+    _GENERATOR_PARAMS = {
+        "mixed_churn": ("edge_change_probability",),
+        "edge_churn": ("insert_probability",),
+        "node_churn": ("insert_probability", "attachment_probability", "graceful_probability"),
+        "build": (),
+        "teardown": (),
+    }
 
     @property
     def is_dynamic(self) -> bool:
@@ -322,6 +334,18 @@ class WorkloadSpec:
                 "workload kind 'adaptive_adversary' takes no params "
                 "(num_changes is the deletion budget, seed drives the adversary RNG)"
             )
+        elif self.kind in self._GENERATOR_PARAMS:
+            context = f"bad params for workload kind {self.kind!r}"
+            try:
+                _check_keys(self.params, self._GENERATOR_PARAMS[self.kind], "params")
+            except ScenarioSpecError as error:
+                raise ScenarioSpecError(f"{context}: {error}") from None
+            for key, value in self.params.items():
+                real = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not (real and 0 <= value <= 1):
+                    raise ScenarioSpecError(
+                        f"{context}: {key} must be a real number in [0, 1], got {value!r}"
+                    )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (exact round-trip through :meth:`from_dict`)."""
@@ -574,30 +598,25 @@ class ScenarioSpec:
             )
             return DynamicGraph(nodes=range(num_nodes)), changes
         graph = self.graph.build()
-        try:
-            if workload.kind == "mixed_churn":
-                changes = mixed_churn_sequence(
-                    graph, workload.num_changes, seed=workload.seed, **workload.params
-                )
-            elif workload.kind == "edge_churn":
-                changes = edge_churn_sequence(
-                    graph, workload.num_changes, seed=workload.seed, **workload.params
-                )
-            elif workload.kind == "node_churn":
-                changes = node_churn_sequence(
-                    graph, workload.num_changes, seed=workload.seed, **workload.params
-                )
-            elif workload.kind == "build":
-                changes = build_sequence(graph, seed=workload.seed, **workload.params)
-                return DynamicGraph(), changes
-            elif workload.kind == "teardown":
-                changes = teardown_sequence(graph, seed=workload.seed, **workload.params)
-            else:  # pragma: no cover - kinds are validated upfront
-                raise AssertionError(workload.kind)
-        except TypeError as error:
-            raise ScenarioSpecError(
-                f"bad params for workload kind {workload.kind!r}: {error}"
-            ) from None
+        if workload.kind == "mixed_churn":
+            changes = mixed_churn_sequence(
+                graph, workload.num_changes, seed=workload.seed, **workload.params
+            )
+        elif workload.kind == "edge_churn":
+            changes = edge_churn_sequence(
+                graph, workload.num_changes, seed=workload.seed, **workload.params
+            )
+        elif workload.kind == "node_churn":
+            changes = node_churn_sequence(
+                graph, workload.num_changes, seed=workload.seed, **workload.params
+            )
+        elif workload.kind == "build":
+            changes = build_sequence(graph, seed=workload.seed, **workload.params)
+            return DynamicGraph(), changes
+        elif workload.kind == "teardown":
+            changes = teardown_sequence(graph, seed=workload.seed, **workload.params)
+        else:  # pragma: no cover - kinds are validated upfront
+            raise AssertionError(workload.kind)
         return graph, changes
 
     def _materialize_trace(self) -> Tuple[DynamicGraph, List[TopologyChange]]:

@@ -428,9 +428,9 @@ def replay_resume_differential(
                         step, None, "resumed run exhausted at a different point"
                     )
                 break
-            # Session.changes is the full materialized list for static
-            # workloads and the generated-so-far list for dynamic ones; the
-            # change just applied sits at the position index either way.
+            # Session.changes holds every change pulled so far, and the
+            # uninterrupted session started at position 0, so the change
+            # just applied sits at the position index for every workload.
             change = uninterrupted.changes[step] if step < len(uninterrupted.changes) else None
             if scenario.workload.is_dynamic and resumed.changes:
                 if resumed.changes[-1] != change:

@@ -13,8 +13,10 @@ private copy of the starting graph; they never mutate the caller's graph.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.workloads.changes import (
@@ -111,28 +113,10 @@ def edge_churn_sequence(
     random missing edge (if any), otherwise it deletes a uniform random
     existing edge (if any).  The node set never changes.
     """
-    rng = random.Random(seed)
-    working = graph.copy()
-    nodes = sorted(working.nodes(), key=repr)
-    if len(nodes) < 2:
+    if graph.num_nodes() < 2:
         raise ValueError("edge churn needs at least two nodes")
-    changes: List[TopologyChange] = []
-    for _ in range(num_changes):
-        do_insert = rng.random() < insert_probability
-        change = None
-        if do_insert:
-            change = _random_missing_edge(working, nodes, rng)
-            if change is None:
-                change = _random_present_edge(working, rng)
-        else:
-            change = _random_present_edge(working, rng)
-            if change is None:
-                change = _random_missing_edge(working, nodes, rng)
-        if change is None:
-            break
-        apply_change_to_graph(working, change)
-        changes.append(change)
-    return changes
+    working = _ChurnGraph(graph, seed)
+    return working.run(num_changes, working.edge_change, insert_probability)
 
 
 def node_churn_sequence(
@@ -151,27 +135,9 @@ def node_churn_sequence(
     probability ``graceful_probability`` (the flag only matters to the
     distributed simulators).
     """
-    rng = random.Random(seed)
-    working = graph.copy()
-    changes: List[TopologyChange] = []
-    fresh_counter = 0
-    for _ in range(num_changes):
-        nodes = sorted(working.nodes(), key=repr)
-        do_insert = rng.random() < insert_probability or len(nodes) <= 2
-        if do_insert:
-            fresh_counter += 1
-            new_node = f"n{fresh_counter}"
-            while working.has_node(new_node):
-                fresh_counter += 1
-                new_node = f"n{fresh_counter}"
-            neighbors = tuple(v for v in nodes if rng.random() < attachment_probability)
-            change: TopologyChange = NodeInsertion(new_node, neighbors)
-        else:
-            victim = rng.choice(nodes)
-            change = NodeDeletion(victim, graceful=rng.random() < graceful_probability)
-        apply_change_to_graph(working, change)
-        changes.append(change)
-    return changes
+    working = _ChurnGraph(graph, seed, label_prefix="n")
+    probabilities = (insert_probability, attachment_probability, graceful_probability)
+    return working.run(num_changes, working.node_change, *probabilities)
 
 
 def mixed_churn_sequence(
@@ -181,37 +147,14 @@ def mixed_churn_sequence(
     edge_change_probability: float = 0.7,
 ) -> List[TopologyChange]:
     """Interleaved edge and node churn (the general fully dynamic workload)."""
-    rng = random.Random(seed)
-    working = graph.copy()
-    changes: List[TopologyChange] = []
-    fresh_counter = 0
-    for _ in range(num_changes):
-        nodes = sorted(working.nodes(), key=repr)
-        if rng.random() < edge_change_probability and len(nodes) >= 2:
-            if rng.random() < 0.5:
-                change = _random_missing_edge(working, nodes, rng) or _random_present_edge(
-                    working, rng
-                )
-            else:
-                change = _random_present_edge(working, rng) or _random_missing_edge(
-                    working, nodes, rng
-                )
-        else:
-            if rng.random() < 0.5 or len(nodes) <= 2:
-                fresh_counter += 1
-                new_node = f"m{fresh_counter}"
-                while working.has_node(new_node):
-                    fresh_counter += 1
-                    new_node = f"m{fresh_counter}"
-                neighbors = tuple(v for v in nodes if rng.random() < 0.3)
-                change = NodeInsertion(new_node, neighbors)
-            else:
-                change = NodeDeletion(rng.choice(nodes), graceful=rng.random() < 0.5)
-        if change is None:
-            break
-        apply_change_to_graph(working, change)
-        changes.append(change)
-    return changes
+    working = _ChurnGraph(graph, seed, label_prefix="m")
+
+    def draw() -> Optional[TopologyChange]:
+        if working.rng.random() < edge_change_probability and len(working.nodes) >= 2:
+            return working.edge_change(0.5)
+        return working.node_change(0.5, 0.3, 0.5)
+
+    return working.run(num_changes, draw)
 
 
 def sliding_window_sequence(
@@ -295,20 +238,95 @@ def alternative_histories(
 # ----------------------------------------------------------------------
 # Internal helpers
 # ----------------------------------------------------------------------
-def _random_missing_edge(graph: DynamicGraph, nodes: Sequence, rng: random.Random):
-    if len(nodes) < 2:
+class _ChurnGraph:
+    """The evolving private copy of the topology a churn generator draws from.
+
+    The node and edge indexes stay sorted by ``repr`` -- the orders of
+    ``sorted(graph.nodes(), key=repr)`` and :meth:`DynamicGraph.edges` --
+    through ``bisect`` updates, O(degree) list operations per change instead
+    of a full re-sort.  ``rng.choice`` indexes these lists, so the draws are
+    the ones a re-sort before every change would give.  The edge index is
+    built at the first draw of a present edge, which node churn never makes.
+    """
+
+    def __init__(self, graph: DynamicGraph, seed: int, label_prefix: str = "") -> None:
+        self.rng = random.Random(seed)
+        self.graph = graph.copy()
+        self.nodes = sorted(self.graph.nodes(), key=repr)
+        self._edges: Optional[List[Tuple]] = None
+        self._fresh_labels = (f"{label_prefix}{k}" for k in itertools.count(1))
+
+    def run(
+        self, num_changes: int, draw: Callable[..., Optional[TopologyChange]], *args: float
+    ) -> List[TopologyChange]:
+        """Apply up to ``num_changes`` draws ``draw(*args)``; stop at the first ``None``."""
+        changes: List[TopologyChange] = []
+        for _ in range(num_changes):
+            change = draw(*args)
+            if change is None:
+                break
+            self.apply(change)
+            changes.append(change)
+        return changes
+
+    def edge_change(self, insert_probability: float) -> Optional[TopologyChange]:
+        """A coin toss between a missing edge to insert and a present one to delete."""
+        if self.rng.random() < insert_probability:
+            return self._missing_edge() or self._present_edge()
+        return self._present_edge() or self._missing_edge()
+
+    def node_change(
+        self, insert_probability: float, attachment_probability: float, graceful_probability: float
+    ) -> TopologyChange:
+        """Insert a fresh node (always when <= 2 are left) or delete a uniform one."""
+        if self.rng.random() < insert_probability or len(self.nodes) <= 2:
+            node = next(label for label in self._fresh_labels if not self.graph.has_node(label))
+            neighbors = tuple(v for v in self.nodes if self.rng.random() < attachment_probability)
+            return NodeInsertion(node, neighbors)
+        victim = self.rng.choice(self.nodes)
+        return NodeDeletion(victim, graceful=self.rng.random() < graceful_probability)
+
+    def apply(self, change: TopologyChange) -> None:
+        """Apply ``change`` to the sorted indexes and the graph."""
+        if self._edges is not None:
+            _index_edges(self._edges, self.graph, change)
+        if isinstance(change, NodeDeletion):
+            _remove_sorted(self.nodes, change.node)
+        elif isinstance(change, NodeInsertion):
+            bisect.insort(self.nodes, change.node, key=repr)
+        apply_change_to_graph(self.graph, change)
+
+    def _missing_edge(self) -> Optional[EdgeInsertion]:
+        for _ in range(200):
+            u = self.rng.choice(self.nodes)
+            v = self.rng.choice(self.nodes)
+            if u != v and not self.graph.has_edge(u, v):
+                return EdgeInsertion(*canonical_edge(u, v))
         return None
-    for _ in range(200):
-        u = rng.choice(nodes)
-        v = rng.choice(nodes)
-        if u != v and not graph.has_edge(u, v):
-            return EdgeInsertion(*canonical_edge(u, v))
-    return None
+
+    def _present_edge(self) -> Optional[EdgeDeletion]:
+        if self._edges is None:
+            self._edges = self.graph.edges()
+        if not self._edges:
+            return None
+        u, v = self.rng.choice(self._edges)
+        return EdgeDeletion(u, v, graceful=bool(self.rng.getrandbits(1)))
 
 
-def _random_present_edge(graph: DynamicGraph, rng: random.Random):
-    edges = graph.edges()
-    if not edges:
-        return None
-    u, v = rng.choice(edges)
-    return EdgeDeletion(u, v, graceful=bool(rng.getrandbits(1)))
+def _index_edges(edges: List[Tuple], graph: DynamicGraph, change: TopologyChange) -> None:
+    """Update ``edges`` for ``change`` before it is applied to ``graph``."""
+    if isinstance(change, EdgeInsertion):
+        bisect.insort(edges, canonical_edge(change.u, change.v), key=repr)
+    elif isinstance(change, EdgeDeletion):
+        _remove_sorted(edges, canonical_edge(change.u, change.v))
+    elif isinstance(change, NodeInsertion):
+        for v in change.neighbors:
+            bisect.insort(edges, canonical_edge(change.node, v), key=repr)
+    elif isinstance(change, NodeDeletion):
+        for v in graph.neighbors(change.node):
+            _remove_sorted(edges, canonical_edge(change.node, v))
+
+
+def _remove_sorted(items: List, item) -> None:
+    """Delete ``item`` from ``items``, a list sorted by ``repr`` (ties scanned in order)."""
+    del items[items.index(item, bisect.bisect_left(items, repr(item), key=repr))]

@@ -300,6 +300,26 @@ class TestCommands:
         assert "resuming from" in output
         assert "cli-legacy-resume" in output and "engine=fast" in output
 
+    def test_resume_builds_the_workload_once(self, tmp_path, capsys, monkeypatch):
+        from repro.scenario import ScenarioSpec, Session, WorkloadSpec, save_checkpoint
+
+        session = Session(ScenarioSpec(workload=WorkloadSpec(kind="mixed_churn", num_changes=20)))
+        for _ in range(8):
+            session.step()
+        path = tmp_path / "cp.json"
+        save_checkpoint(path, session.checkpoint())
+        calls = []
+        materialize = ScenarioSpec.materialize
+
+        def counting_materialize(spec):
+            calls.append(spec)
+            return materialize(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "materialize", counting_materialize)
+        assert main(["run", "--resume-from", str(path)]) == 0
+        assert len(calls) == 1
+        assert "at change 8 (12 remaining)" in capsys.readouterr().out
+
     def test_run_checkpoint_flags_must_pair(self, tmp_path):
         with pytest.raises(SystemExit, match="go together"):
             main(["run", "--scenario", "x.json", "--checkpoint-every", "5"])

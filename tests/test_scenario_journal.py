@@ -172,7 +172,8 @@ class TestFoldEqualsFreshSnapshot:
         for _ in range(9):
             session.step()
         folded = session.journal.fold(session.position)
-        assert folded.workload_state == session._adversary.getstate()
+        assert folded.workload_state is not None
+        assert folded.workload_state == session.checkpoint(full=True).workload_state
         assert folded.elapsed_s == pytest.approx(session.elapsed_s)
 
 

@@ -12,6 +12,7 @@ application, observers/sinks and the ``spec x backend`` grid helper.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -168,6 +169,7 @@ class TestCheckpointResume:
         full_result = uninterrupted.run()
 
         interrupted = Session(spec)
+        assert interrupted.changes == [] and interrupted.num_changes == 40
         for _ in range(stop_at):
             interrupted.step()
         checkpoint = interrupted.checkpoint()
@@ -176,7 +178,10 @@ class TestCheckpointResume:
         del interrupted  # the resumed session rebuilds everything from the checkpoint
 
         resumed = Session.resume(checkpoint)
+        # ``changes`` holds what was pulled so far: the replayed prefix.
+        assert resumed.changes == uninterrupted.changes[:stop_at]
         resumed_result = resumed.run()
+        assert resumed.changes == uninterrupted.changes
 
         assert resumed.states() == uninterrupted.states()
         assert resumed.mis() == uninterrupted.mis()
@@ -269,20 +274,33 @@ class TestCheckpointResume:
         assert len(path.read_text().splitlines()) == 40
 
     def test_batched_checkpoint_resume(self):
+        # batch_size 6 does not divide the 40 changes: six full batches,
+        # then one of four.  Resuming at each of the eight boundaries (the
+        # last is the end) replays the applied prefix into ``changes``.
         spec = small_spec(batch_size=6)
         uninterrupted = Session(spec)
         uninterrupted.run()
+        assert uninterrupted.maintainer.statistics.batch_sizes == [6] * 6 + [4]
+        for units in range(8):
+            interrupted = Session(spec)
+            for _ in range(units):
+                interrupted.step()
+            checkpoint = checkpoint_from_dict(checkpoint_to_dict(interrupted.checkpoint()))
+            assert checkpoint.position == min(6 * units, 40)
+            resumed = Session.resume(checkpoint)
+            assert resumed.changes == uninterrupted.changes[: checkpoint.position]
+            resumed.run()
+            assert resumed.done and resumed.position == 40
+            assert resumed.states() == uninterrupted.states()
+            assert resumed.maintainer.statistics == uninterrupted.maintainer.statistics
+            assert resumed.changes == uninterrupted.changes
 
-        interrupted = Session(spec)
-        interrupted.step()
-        interrupted.step()
-        resumed = Session.resume(interrupted.checkpoint())
-        resumed.run()
-        assert resumed.states() == uninterrupted.states()
-        assert (
-            resumed.maintainer.statistics.batch_sizes
-            == uninterrupted.maintainer.statistics.batch_sizes
-        )
+    @pytest.mark.parametrize("position", [3, 37, 41])
+    def test_resume_off_a_batch_boundary_raises(self, position):
+        checkpoint = Session(small_spec(batch_size=6)).checkpoint()
+        checkpoint = dataclasses.replace(checkpoint, position=position)
+        with pytest.raises(ValueError, match="does not align with the batch boundaries"):
+            Session.resume(checkpoint)
 
 
 class TestProtocolCheckpointResume:
@@ -539,6 +557,7 @@ class TestDynamicWorkloads:
         path = tmp_path / "adaptive.json"
         save_checkpoint(path, checkpoint)
         resumed = Session.resume(load_checkpoint(path), network="fast")
+        assert resumed.changes == []  # adaptive changes are not replayed
         resumed.run()
         assert resumed.states() == reference.states()
         assert resumed.changes == reference.changes[stop_at:]

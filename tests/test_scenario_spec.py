@@ -74,6 +74,9 @@ def workload_specs(draw):
             "num_nodes": draw(st.integers(min_value=2, max_value=80)),
             "window_size": draw(st.integers(min_value=1, max_value=40)),
         }
+    for key in WorkloadSpec._GENERATOR_PARAMS.get(kind, ()):
+        if draw(st.booleans()):
+            params[key] = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     return WorkloadSpec(
         kind=kind,
         num_changes=draw(st.integers(min_value=1, max_value=60)) if sized else 0,
@@ -446,6 +449,23 @@ class TestValidation:
         )
         with pytest.raises(ScenarioSpecError, match="bad params"):
             spec.materialize()
+
+    @pytest.mark.parametrize(
+        "kind, params, match",
+        [
+            ("edge_churn", {"insert_prob": 0.5}, "did you mean 'insert_probability'"),
+            ("edge_churn", {"insert_probability": "high"}, r"in \[0, 1\], got 'high'"),
+            ("edge_churn", {"insert_probability": 1.5}, r"in \[0, 1\], got 1.5"),
+            ("edge_churn", {"insert_probability": True}, r"in \[0, 1\], got True"),
+            ("mixed_churn", {"insert_probability": 0.5}, "'edge_change_probability'"),
+            ("build", {"seed": 1}, r"allowed keys: \(\)"),
+            ("teardown", {"seed": 1}, r"allowed keys: \(\)"),
+        ],
+    )
+    def test_bad_workload_params_fail_at_decode(self, kind, params, match):
+        with pytest.raises(ScenarioSpecError, match=match) as caught:
+            ScenarioSpec.from_dict({"workload": {"kind": kind, "params": params}})
+        assert f"bad params for workload kind {kind!r}" in str(caught.value)
 
     def test_scheduler_needs_the_async_protocol(self):
         with pytest.raises(ScenarioSpecError, match="async-direct"):
