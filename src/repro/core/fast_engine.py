@@ -884,11 +884,21 @@ class FastGraphView:
         return max((self.degree(node) for node in self.nodes()), default=0)
 
     def edges(self) -> List[Tuple[Node, Node]]:
-        seen = set()
-        for node in self.nodes():
-            for other in self._engine.neighbor_labels(node):
-                seen.add(canonical_edge(node, other))
-        return sorted(seen, key=repr)
+        """Canonical edges in :meth:`DynamicGraph.edges` order (sorted by ``repr``).
+
+        Walks each edge once, from its smaller id, and spells the sort key
+        ``repr((u, v))`` from one ``repr`` per node.
+        """
+        engine = self._engine
+        labels, adj = engine._labels, engine._adj
+        edges: List[Tuple[Node, Node]] = []
+        for label, nid in engine._id_of.items():
+            for m in adj[nid]:
+                if m > nid:
+                    edges.append(canonical_edge(label, labels[m]))
+        spelled = {label: repr(label) for label in engine._id_of}
+        edges.sort(key=lambda edge: f"({spelled[edge[0]]}, {spelled[edge[1]]})")
+        return edges
 
     def copy(self) -> DynamicGraph:
         """Materialize an independent :class:`DynamicGraph` snapshot."""

@@ -11,10 +11,16 @@ back, exactly (machine-checked by the round-trip tests in
 
 Node labels are encoded with the trace codec
 (:func:`repro.workloads.trace.encode_node`), so every node type the library
-uses (ints, strings, nested tuples from the reductions) round-trips.  The
+uses (ints, strings, nested tuples from the reductions) round-trips.  A
+snapshot encodes each label once and reuses the code in its edge,
+priority-key, state and knowledge rows; decoding keeps scalar labels as
+they are and hands only tagged tuples (and the invalid bare lists) to
+:func:`~repro.workloads.trace.decode_node`.  The
 CLI's ``run --checkpoint-every N --checkpoint-path p.json`` writes these
 files and ``run --resume-from p.json`` continues them -- on any registered
-backend, thanks to the label-keyed snapshots.
+backend, thanks to the label-keyed snapshots.  :func:`save_checkpoint`
+writes one line of compact JSON; whitespace is insignificant to the
+decoder, so indented files written by earlier versions load unchanged.
 
 Two record versions exist.  ``repro-checkpoint-v2`` (what this module
 writes) adds the asynchronous scheduler's resumable RNG state and the
@@ -84,23 +90,46 @@ def _decode_state_tree(value) -> Optional[Tuple]:
     )
 
 
-def _encode_nodes_edges(snapshot) -> Dict[str, Any]:
+def _label_codes(snapshot) -> Dict[Any, Any]:
+    """Each snapshot label's trace-codec encoding, computed once per label.
+
+    Every label reappears in the edge, priority-key and state rows (and, for
+    network snapshots, in two knowledge rows per edge), so the rows look
+    their codes up here instead of re-encoding.
+    """
+    return {node: encode_node(node) for node in snapshot.nodes}
+
+
+def _encode_nodes_edges(snapshot, codes) -> Dict[str, Any]:
     return {
-        "nodes": [encode_node(node) for node in snapshot.nodes],
-        "edges": [[encode_node(u), encode_node(v)] for u, v in snapshot.edges],
+        "nodes": [codes[node] for node in snapshot.nodes],
+        "edges": [[codes[u], codes[v]] for u, v in snapshot.edges],
         "priority_keys": [
-            [encode_node(node), _encode_key(key)]
-            for node, key in snapshot.priority_keys.items()
+            [codes[node], _encode_key(key)] for node, key in snapshot.priority_keys.items()
         ],
     }
 
 
+#: An encoded label of one of these types is the label itself; anything else
+#: (a tagged tuple, or a bare list for it to reject) goes to decode_node.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
 def _decode_nodes_edges(record) -> Dict[str, Any]:
     return {
-        "nodes": tuple(decode_node(value) for value in record["nodes"]),
-        "edges": tuple((decode_node(u), decode_node(v)) for u, v in record["edges"]),
+        "nodes": tuple(
+            value if type(value) in _SCALARS else decode_node(value) for value in record["nodes"]
+        ),
+        "edges": tuple(
+            (
+                u if type(u) in _SCALARS else decode_node(u),
+                v if type(v) in _SCALARS else decode_node(v),
+            )
+            for u, v in record["edges"]
+        ),
         "priority_keys": {
-            decode_node(node): _decode_key(key) for node, key in record["priority_keys"]
+            node if type(node) in _SCALARS else decode_node(node): _decode_key(key)
+            for node, key in record["priority_keys"]
         },
     }
 
@@ -109,11 +138,10 @@ def _decode_nodes_edges(record) -> Dict[str, Any]:
 # Snapshot flavors
 # ----------------------------------------------------------------------
 def _encode_engine_snapshot(snapshot: EngineSnapshot) -> Dict[str, Any]:
+    codes = _label_codes(snapshot)
     record = {"kind": "engine"}
-    record.update(_encode_nodes_edges(snapshot))
-    record["states"] = [
-        [encode_node(node), bool(in_mis)] for node, in_mis in snapshot.states.items()
-    ]
+    record.update(_encode_nodes_edges(snapshot, codes))
+    record["states"] = [[codes[node], bool(in_mis)] for node, in_mis in snapshot.states.items()]
     return record
 
 
@@ -122,7 +150,10 @@ def _decode_engine_snapshot(record) -> EngineSnapshot:
     return EngineSnapshot(
         nodes=parts["nodes"],
         edges=parts["edges"],
-        states={decode_node(node): bool(in_mis) for node, in_mis in record["states"]},
+        states={
+            node if type(node) in _SCALARS else decode_node(node): bool(in_mis)
+            for node, in_mis in record["states"]
+        },
         priority_keys=parts["priority_keys"],
     )
 
@@ -154,13 +185,12 @@ def _decode_metric_record(record) -> ChangeMetrics:
 
 
 def _encode_network_snapshot(snapshot: NetworkSnapshot) -> Dict[str, Any]:
+    codes = _label_codes(snapshot)
     record = {"kind": "network", "protocol": snapshot.protocol}
-    record.update(_encode_nodes_edges(snapshot))
-    record["states"] = [
-        [encode_node(node), value] for node, value in snapshot.states.items()
-    ]
+    record.update(_encode_nodes_edges(snapshot, codes))
+    record["states"] = [[codes[node], value] for node, value in snapshot.states.items()]
     record["knowledge"] = [
-        [encode_node(node), encode_node(neighbor), heard, bool(key_known)]
+        [codes[node], codes[neighbor], heard, bool(key_known)]
         for (node, neighbor), (heard, key_known) in snapshot.knowledge.items()
     ]
     record["scheduler_cursor"] = snapshot.scheduler_cursor
@@ -171,16 +201,23 @@ def _encode_network_snapshot(snapshot: NetworkSnapshot) -> Dict[str, Any]:
 
 def _decode_network_snapshot(record) -> NetworkSnapshot:
     parts = _decode_nodes_edges(record)
+    knowledge = {}
+    for node, neighbor, heard, key_known in record["knowledge"]:
+        if type(node) not in _SCALARS:
+            node = decode_node(node)
+        if type(neighbor) not in _SCALARS:
+            neighbor = decode_node(neighbor)
+        knowledge[node, neighbor] = (heard, bool(key_known))
     return NetworkSnapshot(
         protocol=record["protocol"],
         nodes=parts["nodes"],
         edges=parts["edges"],
-        states={decode_node(node): value for node, value in record["states"]},
-        priority_keys=parts["priority_keys"],
-        knowledge={
-            (decode_node(node), decode_node(neighbor)): (heard, bool(key_known))
-            for node, neighbor, heard, key_known in record["knowledge"]
+        states={
+            node if type(node) in _SCALARS else decode_node(node): value
+            for node, value in record["states"]
         },
+        priority_keys=parts["priority_keys"],
+        knowledge=knowledge,
         scheduler_cursor=record["scheduler_cursor"],
         metrics=tuple(_decode_metric_record(metric) for metric in record["metrics"]),
         # v1 records predate scheduler state; None restores as "fresh stream".
@@ -385,6 +422,11 @@ def checkpoint_from_dict(record: Dict[str, Any]) -> SessionCheckpoint:
 def save_checkpoint(path, checkpoint: SessionCheckpoint) -> None:
     """Write a checkpoint to a JSON file (atomically replaced on rewrite).
 
+    The file is one line of compact JSON (``separators=(",", ":")``, sorted
+    keys): an indented dump would make CPython fall back from its C encoder
+    to the pure-Python one, several times slower and ~3x larger on disk.
+    ``python -m json.tool`` pretty-prints it for reading.
+
     The temporary sibling carries the pid plus a random fragment, so two
     sessions checkpointing to the same path never clobber each other's
     half-written file, and it is removed again if encoding or writing
@@ -392,12 +434,14 @@ def save_checkpoint(path, checkpoint: SessionCheckpoint) -> None:
     without the flush-to-disk barrier a crash shortly after the rename could
     leave a truncated file under the final name -- the one failure mode the
     service daemon's spool directory must never see, since an evicted
-    session IS its checkpoint file.
+    session IS its checkpoint file.  On POSIX the parent directory is
+    fsynced *after* the rename, so the rename itself is durable too: an
+    acknowledged eviction cannot come back as the previous checkpoint.
     """
     target = Path(path)
     # Serialize before touching the filesystem: an encode failure must not
     # leave an orphaned temp file behind.
-    text = json.dumps(checkpoint_to_dict(checkpoint), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(checkpoint_to_dict(checkpoint), separators=(",", ":"), sort_keys=True) + "\n"
     temporary = target.with_name(
         f".{target.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     )
@@ -413,6 +457,14 @@ def save_checkpoint(path, checkpoint: SessionCheckpoint) -> None:
         except OSError:
             pass
         raise
+    if os.name == "posix":
+        # The rename lives in the directory: until the directory is synced
+        # too, a power loss can bring back the previous checkpoint.
+        directory = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def load_checkpoint(path) -> SessionCheckpoint:
@@ -421,6 +473,8 @@ def load_checkpoint(path) -> SessionCheckpoint:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as error:
         raise CheckpointFormatError(f"cannot read checkpoint file {path!r}: {error}") from None
+    except UnicodeDecodeError as error:
+        raise CheckpointFormatError(f"not valid UTF-8: {error}") from None
     try:
         record = json.loads(text)
     except json.JSONDecodeError as error:

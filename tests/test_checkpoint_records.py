@@ -1,0 +1,272 @@
+"""Pinned checkpoint records and the fast snapshot's edge list.
+
+The spool's speed depends on how :mod:`repro.scenario.checkpoint_io`
+encodes a checkpoint and on how the array-backed cores list their edges,
+but a checkpoint must keep decoding to the same thing.  These tests pin
+:func:`~repro.scenario.checkpoint_io.checkpoint_to_dict` with SHA-256
+digests over a grid of graph families, backends and workloads, plus one
+``fast`` engine over mixed label types (ints, floats, strings, tuples,
+nested tuples -- the ``repr`` fallback of
+:func:`~repro.graph.dynamic_graph.canonical_edge`).  They also check
+:meth:`~repro.core.fast_engine.FastGraphView.edges` against a
+:class:`~repro.graph.dynamic_graph.DynamicGraph` replaying the same churn.
+
+Two parts of a record are normalized before hashing: the wall-clock
+``elapsed_s``, and the row order of a network snapshot's ``knowledge``
+(dict-network rows follow ``set`` order, which moves with
+``PYTHONHASHSEED`` for string labels).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.core.dynamic_mis import DynamicMIS
+from repro.core.fast_engine import FastEngine
+from repro.distributed.network_api import create_network
+from repro.graph import generators
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.scenario.checkpoint_io import (
+    CheckpointFormatError,
+    checkpoint_from_dict,
+    checkpoint_to_dict,
+)
+from repro.scenario.session import Session, SessionCheckpoint
+from repro.scenario.spec import BackendSpec, GraphSpec, ScenarioSpec, WorkloadSpec
+from repro.workloads.sequences import mixed_churn_sequence, replay_on_graph
+
+_BACKENDS = {
+    "fast": (BackendSpec(engine="fast"), 0),
+    "fast-batch4": (BackendSpec(engine="fast"), 4),
+    "template": (BackendSpec(engine="template"), 0),
+    "direct-fast": (BackendSpec(runner="protocol", protocol="direct", network="fast"), 0),
+    "direct-dict": (BackendSpec(runner="protocol", protocol="direct", network="dict"), 0),
+}
+_WORKLOADS = ("mixed_churn", "node_churn")
+
+
+def _grid_spec(family: str, backend: str, workload: str) -> ScenarioSpec:
+    backend_spec, batch_size = _BACKENDS[backend]
+    return ScenarioSpec(
+        name=f"records-{family}-{backend}-{workload}",
+        seed=11,
+        graph=GraphSpec(family=family, nodes=40, seed=5),
+        workload=WorkloadSpec(kind=workload, num_changes=24, seed=7),
+        backend=backend_spec,
+        batch_size=batch_size,
+    )
+
+
+def _record_digest(checkpoint: SessionCheckpoint) -> str:
+    record = checkpoint_to_dict(checkpoint)
+    del record["elapsed_s"]
+    snapshot = record["snapshot"]
+    if snapshot["kind"] == "network":
+        snapshot["knowledge"] = sorted(snapshot["knowledge"], key=repr)
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def _grid_digests():
+    digests = {}
+    for family in generators.FAMILY_NAMES:
+        for backend in _BACKENDS:
+            for workload in _WORKLOADS:
+                session = Session(_grid_spec(family, backend, workload))
+                for _ in range(3):
+                    session.step()
+                digests[f"{family}/{backend}/{workload}"] = _record_digest(session.checkpoint())
+    return digests
+
+
+def _labelled_graph() -> DynamicGraph:
+    """Mixed label types; ints against strings or tuples only order by ``repr``."""
+    nodes = [0, 1, 2, 7, 2.5, -3.25, "a", "b10", "b9", (0, 1), (1, "x"), ((0, 1), 2), ("z", (3,))]
+    edges = [
+        (0, 1),
+        (1, 2),
+        (2, 2.5),
+        (0, -3.25),
+        (7, "a"),
+        ("a", "b10"),
+        ("b9", "b10"),
+        ((0, 1), 0),
+        ((0, 1), (1, "x")),
+        ((1, "x"), "a"),
+        (((0, 1), 2), (0, 1)),
+        (((0, 1), 2), 2.5),
+        (("z", (3,)), "b9"),
+        (("z", (3,)), 7),
+        (-3.25, (1, "x")),
+    ]
+    return DynamicGraph(nodes=nodes, edges=edges)
+
+
+def _labelled_checkpoint(snapshot) -> SessionCheckpoint:
+    return SessionCheckpoint(spec=ScenarioSpec(name="labelled"), position=0, snapshot=snapshot)
+
+
+def _labelled_engine_digest() -> str:
+    maintainer = DynamicMIS(engine=FastEngine(seed=3, initial_graph=_labelled_graph()))
+    for change in mixed_churn_sequence(_labelled_graph(), 30, seed=2):
+        maintainer.apply(change)
+    return _record_digest(_labelled_checkpoint(maintainer.engine.snapshot()))
+
+
+_GRID_DIGESTS = {
+    "cycle/direct-dict/mixed_churn": "9007c34845c0bf64c31607b3bb5feec69c4f7ad6699b5649c36d9c849dbbe437",
+    "cycle/direct-dict/node_churn": "9b4af0f05a2cedb6c56026de6da2e0f794bf4acc34e2ff1f69b0ea6dfb16a612",
+    "cycle/direct-fast/mixed_churn": "061a5fd9f0cc160808965ff37525a3310b8b5826294589dc036dc7370d03f5c4",
+    "cycle/direct-fast/node_churn": "79235dc208495b88cb44569be66c6125f14baeec30b6db73c5559d5ad6d96eab",
+    "cycle/fast-batch4/mixed_churn": "b575f69f9f9c2cec6681ffc44784309d0e92f387d89ebc166db62da5b22e2b5e",
+    "cycle/fast-batch4/node_churn": "ba906f8ef286a7470aba102e9f172cced5fc2b086c277af851654f4faec1c512",
+    "cycle/fast/mixed_churn": "4cb4ad35915302b3059f55c1ec07647678ccf4987df0ef4a250587e70c984f55",
+    "cycle/fast/node_churn": "c90b4b1345ed45a2a23e1dae73f7ca84805895ed93e4216924099b63532bd73d",
+    "cycle/template/mixed_churn": "995b65b6a262c19adb8a60fe6d0b3c67d2c61fa7c73cb6f17617b35a4019d0ae",
+    "cycle/template/node_churn": "8c29c5bf0567eccafedf45305a90e6c844e1183f9a9491c840d2e9e62ef415a1",
+    "erdos_renyi/direct-dict/mixed_churn": "fd9e84a8ad08f887f7a340f2666eb78a35ddbf05b1b653cf3aecdcd2a4a2149b",
+    "erdos_renyi/direct-dict/node_churn": "aa81c9f0ed58bef4e379d00ced4ef82307d26ca47feaa43531c76450db242422",
+    "erdos_renyi/direct-fast/mixed_churn": "a82f009bdd50927eefc35fbee09baf2ba637175deb6240a97642fedd6a44d681",
+    "erdos_renyi/direct-fast/node_churn": "d2abff7063e70d2650251de486c335404a285c25e74580c8f477be19e001803c",
+    "erdos_renyi/fast-batch4/mixed_churn": "bcb79ff497e541d9779696c84f0a0c62adb30db709681ce50139b3529ce00fdd",
+    "erdos_renyi/fast-batch4/node_churn": "a9f1fcc9f9671160c2654d5ddcadaf2b719bad20dd2d4a3e5350bf3af2859497",
+    "erdos_renyi/fast/mixed_churn": "cbac5ac0dc5576da2e36303f84f83bb87e83030316e99011c4e058f76a9d70b8",
+    "erdos_renyi/fast/node_churn": "9a1fe2d7ac9097ccc8c7f1441306266d42fa7ab2a521d54f37eeb0485bc33826",
+    "erdos_renyi/template/mixed_churn": "d4d30f35d00163e592764857a7afd7670bfe19f63ab53bea3405d5c7ede9db7d",
+    "erdos_renyi/template/node_churn": "e790608134e7c1ee4f9fec8912a643767986b98b22be789a4991a483f573742c",
+    "geometric/direct-dict/mixed_churn": "77d379d20144907955d65e5eb286c3f232ea2d6123952ed923601943f0fb1b40",
+    "geometric/direct-dict/node_churn": "bdc833f89248864c018b84d9c05a57f6307d37e363be3fbcc920ec42bc3fa3b3",
+    "geometric/direct-fast/mixed_churn": "548e74a08aa3a434247b82e6f8a6b53117ca0e72c99ae3ae331b13fa18c2eb64",
+    "geometric/direct-fast/node_churn": "0cca24c715856ad02ef45772b4ae6e1a3f546cd87b132d9a73e874c720bad6ad",
+    "geometric/fast-batch4/mixed_churn": "b2317781d54e608f039c58581f9a0b31935a3d69f8e4fd8e8b5776eb0b741b8e",
+    "geometric/fast-batch4/node_churn": "bbddb419cc4b0d35a6c956ea11377c3c2b6774a642a9708247bec69fe4880443",
+    "geometric/fast/mixed_churn": "e9ea2da1788c99868455fc8952c6eca0750f4fb272042ddce1eecee4f406272b",
+    "geometric/fast/node_churn": "ef941d09fe2ae866a51ef446711a9e400988123e074acef22f969e266bb5dbf6",
+    "geometric/template/mixed_churn": "dfd1d4abcd67b15bf89681d94a2ef8e14bdf785c4c1687ba8098a76c85b37a0a",
+    "geometric/template/node_churn": "74844d964498f887005cca3dd973cf7fa87db8ed8927d6f7240651d6454a163f",
+    "near_regular/direct-dict/mixed_churn": "e5f77295c9b3058441c8093dbaa237600b34d761d826abad7474190e05cc2e39",
+    "near_regular/direct-dict/node_churn": "7ac5cbd0e87e4e7422d861e4f6a1e82855d667da706295ff8b8d93ff86ba14ca",
+    "near_regular/direct-fast/mixed_churn": "fefd82804702b0b0327744be603d9835de73e4b2dbd366e0aa55d803fe0c6e87",
+    "near_regular/direct-fast/node_churn": "d520ccc3fdb2acca16c598b7824f09ea7fbadadb8b317181fa76a55ed18f585e",
+    "near_regular/fast-batch4/mixed_churn": "a882e1e973575264c51521e3ee1bc13ec29aef1a7e36742f28ad6e0c68eef836",
+    "near_regular/fast-batch4/node_churn": "bac1060bc531fcd3ba621707c387506aac46d7734d5ec3ceaa135abc8b3f6cfd",
+    "near_regular/fast/mixed_churn": "1dd548bc25e6e80ca6653a0d001a34dc428c0912f836558de903ca85d94e3cff",
+    "near_regular/fast/node_churn": "a35534c07cda9559dda83a8bd618c4cdd8a00989044f7754f28cd90ff4cf0aec",
+    "near_regular/template/mixed_churn": "cc0a0f2482ab6456f136bc3baf21516bb738032e3bbdf31872b68baf0ca62589",
+    "near_regular/template/node_churn": "4b2a535f484b72fb9f423007982246d3c4e8134f126f1e201b7f666e4584effd",
+    "path/direct-dict/mixed_churn": "59978d125f2e7d8035aa9c2c169520adb50131d41565ba3a3ddc5635f92fbf88",
+    "path/direct-dict/node_churn": "b1d8e4035906120143a98ac3986d901ffc2ea43f0f8f3f663da0e3420a87a03f",
+    "path/direct-fast/mixed_churn": "ad403c33d625659f130e0388f6b59311058a16ca460cbef4003099f020d4db73",
+    "path/direct-fast/node_churn": "83c93260372a3de1163dcd838099509e2cc8c827cc80a12de94526af1d6e90e4",
+    "path/fast-batch4/mixed_churn": "e5fbd178950ad9eb586607e8bbee70070fc647af57e3a3cf6a4af99fd0b5d048",
+    "path/fast-batch4/node_churn": "7ed61c3d4814eb094393e49ddf1470f5e483c6d7d21f1f517c3153abc65be66f",
+    "path/fast/mixed_churn": "7a97ba19de4170cb341a2f275682cea1718290dfc1a8fad696b48120be289fb6",
+    "path/fast/node_churn": "e66fc979bf9a3decb5a523703d5b1ff8d19073728cf306cc6a3d649d23953ed7",
+    "path/template/mixed_churn": "ddc43877be46ed22518bca1868549e07e80ec55a21b9d0b35003ec481680f1dc",
+    "path/template/node_churn": "6d9761764a260b013eef55fcea50cd2897d10070fb69717064af8c248c1b0854",
+    "preferential/direct-dict/mixed_churn": "e8e47263a5496ecd90a148d2a743eeb1329dc4bb0a6f43eb0fb5a53475106b51",
+    "preferential/direct-dict/node_churn": "5d44de785045d928b29b06fdb9101a96948971cd0166d1050f411202af27bad2",
+    "preferential/direct-fast/mixed_churn": "90f24eeff593b279caee77f8f85489bfb8680c6a21bcec10d191edd4b274605e",
+    "preferential/direct-fast/node_churn": "1904ec58864d59a902f9d38419ba8163001279aaf872aa25e0febd9a2992d36b",
+    "preferential/fast-batch4/mixed_churn": "535d4cdb1967f18dd18f6e12f0e2eaff6a197c54abe9fdd7a39b722505687200",
+    "preferential/fast-batch4/node_churn": "b2afa7cb3dba5fb26cae689b1c36568ef536fa1bf32c27c481e5939762b64441",
+    "preferential/fast/mixed_churn": "8bf8a5464a872b54f26904c17bc49e2d3ff00b085cf634b16c8f0c1e499d4f86",
+    "preferential/fast/node_churn": "495cc3f46e1eadadeb466cb7e255cefe2641855cb3a3bc6f5e2e588a5fcf3109",
+    "preferential/template/mixed_churn": "68e1ed123b88875a0ff905e2e7d846924946f94ada37f40ead2dec4810de90e5",
+    "preferential/template/node_churn": "3a9fbe0b24ea3611aa7d716762b11c737aeaeb1ba2b64ebdfaab71d1f3012a2d",
+    "sparse/direct-dict/mixed_churn": "b35b592bc7b77b773c5ac77e9b3d6e7eca8e74bbbdc9b540ef4e40406a30b9e8",
+    "sparse/direct-dict/node_churn": "50bc1007a49eebd997abce6cfef61ded0e801e127606f59aa261d20302046c9a",
+    "sparse/direct-fast/mixed_churn": "881db3619641b9674cb7dc99f4b1a01b242f2d972b63c7fb0427e181a9057c95",
+    "sparse/direct-fast/node_churn": "81d4264da3826d9c72f9d87a0741a70d5475665dfd94f72036ae696d8d6ef40a",
+    "sparse/fast-batch4/mixed_churn": "91df064b77b3092b52f254a587493c6c206d87b68dadf1ed9d55688c3a9ba40f",
+    "sparse/fast-batch4/node_churn": "8311c776e4c40e8e769b48a2cf483208589490d2798790076747b1e8c79aefe2",
+    "sparse/fast/mixed_churn": "6b61ac390f4eea866cbe21e46e20cc77682f34662816be60111381b7706bbcff",
+    "sparse/fast/node_churn": "b69e357e89b43cb2b84b284a24b8d16bf7e9a64419bd4f69cf5c2e5758e7b97f",
+    "sparse/template/mixed_churn": "eabdb378d765f39076fd8753bb3298e157835d44a7338bc208d72edd0bbf3065",
+    "sparse/template/node_churn": "bdfdaf573552d91848437a8cdda906dd8d94d47f3481d92bca48ab53a29c7259",
+    "star/direct-dict/mixed_churn": "5644bee500271cbcfa1937d408344ca22804fe2158649693361627e1d50f21d3",
+    "star/direct-dict/node_churn": "d018bdee9651d200ddbc3eb7fb753a0ab7b2e0666c2613c4f621e9c053a31794",
+    "star/direct-fast/mixed_churn": "1faf8c1324cd4058fa0826b135a9fa2c2f8e3239ee9f43f762599258205976e6",
+    "star/direct-fast/node_churn": "b14eb5d8402958bffcc2e044232989ad1e58346105703abf635d2da7a5f7c29c",
+    "star/fast-batch4/mixed_churn": "4aa8efdc35952453c1c64a3fe3292e12d2993f74b8252f9e47914554943a728e",
+    "star/fast-batch4/node_churn": "05271d2d3489b0238019d08aa789d15a3b2802c9f7b39da4d0ca18f77635ae8b",
+    "star/fast/mixed_churn": "7d3ee16b66935845059dc012eb26661eab0a987e37c72daf6274b2ae3b1a1149",
+    "star/fast/node_churn": "ed047e91854f2210a1e715a9865be6c011c7c84d7f1c3bfdbd70a3a42ec4f831",
+    "star/template/mixed_churn": "54a8ee1c51e4058fde6c1087baeb7400349b9af164f9a07593ca21af864df0a2",
+    "star/template/node_churn": "7e15e270b6050f6ed2fabf4e399241f32034aa5cdfc10a672dd772c2defbae50",
+}
+
+_LABELLED_DIGEST = "a078426e8e2e8b677f143e0b3932f7f75b3b587b17b434d8c0263f913835632a"
+
+
+class TestPinnedCheckpointRecords:
+    def test_grid_records_match_the_recorded_digests(self):
+        assert _grid_digests() == _GRID_DIGESTS
+
+    def test_mixed_label_record_matches_the_recorded_digest(self):
+        assert _labelled_engine_digest() == _LABELLED_DIGEST
+
+
+class TestLabelDecoding:
+    """Scalar labels decode as themselves, tuples from their tags, bare lists fail."""
+
+    @pytest.mark.parametrize("runner", ["engine", "network"])
+    def test_mixed_labels_round_trip_through_json(self, runner):
+        graph = _labelled_graph()
+        if runner == "engine":
+            snapshot = FastEngine(seed=3, initial_graph=graph).snapshot()
+        else:
+            network = create_network("direct", network="fast", seed=3, initial_graph=graph)
+            snapshot = network.snapshot()
+        record = json.loads(json.dumps(checkpoint_to_dict(_labelled_checkpoint(snapshot))))
+        assert checkpoint_from_dict(record).snapshot == snapshot
+
+    @pytest.mark.parametrize(
+        "backend, field",
+        [
+            ("fast", "nodes"),
+            ("fast", "edges"),
+            ("fast", "priority_keys"),
+            ("fast", "states"),
+            ("direct-dict", "nodes"),
+            ("direct-dict", "edges"),
+            ("direct-dict", "priority_keys"),
+            ("direct-dict", "states"),
+            ("direct-dict", "knowledge"),
+        ],
+    )
+    def test_bare_list_labels_are_rejected(self, backend, field):
+        session = Session(_grid_spec("path", backend, "mixed_churn"))
+        session.step()
+        record = checkpoint_to_dict(session.checkpoint())
+        rows = record["snapshot"][field]
+        if field == "nodes":
+            rows[0] = [rows[0]]
+        else:
+            rows[0][0] = [rows[0][0]]
+        with pytest.raises(CheckpointFormatError, match="bare lists"):
+            checkpoint_from_dict(record)
+
+
+class TestFastEdgeList:
+    """``FastGraphView.edges()`` equals a dict graph's after random churn."""
+
+    @pytest.mark.parametrize("core", ["engine", "network"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edges_match_a_replayed_dict_graph(self, core, seed):
+        graph = _labelled_graph()
+        changes = mixed_churn_sequence(graph, 80, seed=seed)
+        if core == "engine":
+            runner = DynamicMIS(engine=FastEngine(seed=seed, initial_graph=graph))
+            backend = runner.engine
+        else:
+            runner = create_network("direct", network="fast", seed=seed, initial_graph=graph)
+            backend = runner
+        for count, change in enumerate(changes, start=1):
+            runner.apply(change)
+            if count % 10 == 0:
+                expected = replay_on_graph(graph, changes[:count]).edges()
+                assert backend.graph.edges() == expected
+                assert backend.snapshot().edges == tuple(expected)

@@ -10,17 +10,26 @@ guarantees under test:
   :func:`~repro.testing.protocol_differential.replay_resume_differential`,
   whose checkpoint->JSON->resume path is exactly the spool's);
 * ``save_checkpoint`` fsyncs before its atomic rename, so a crashed daemon
-  can never leave a truncated-but-renamed spool file.
+  can never leave a truncated-but-renamed spool file, and fsyncs the spool
+  directory after it, so the rename itself survives a power loss;
+* a damaged spool file (truncated, or not valid UTF-8) fails its request
+  with the typed ``spec-error``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 
 import pytest
 
-from repro.scenario.checkpoint_io import load_checkpoint, save_checkpoint
+from repro.scenario.checkpoint_io import (
+    CheckpointFormatError,
+    checkpoint_to_dict,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.scenario.session import Session
 from repro.scenario.spec import BackendSpec, GraphSpec, ScenarioSpec, WorkloadSpec
 from repro.service.host import (
@@ -188,6 +197,30 @@ class TestEviction:
             ([node, in_mis] for node, in_mis in reference.states().items()), key=repr
         )
 
+    def test_indented_spool_file_from_earlier_versions_is_adopted(self, tmp_path):
+        """Spool files used to be indented JSON; they still adopt and resume."""
+        spec = _spec(changes=12, engine="fast")
+        session = Session(spec)
+        for _ in range(5):
+            session.step()
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        record = checkpoint_to_dict(session.checkpoint())
+        (spool / "old.ckpt.json").write_text(
+            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+        host = _host(tmp_path)
+        assert host.adopt_spool() == ["old"]
+        status = host.handle("apply", {"session": "old", "steps": 99})
+        assert status["position"] == 12 and status["done"]
+        reference = Session(spec)
+        reference.run()
+        hosted = host.handle("query", {"session": "old", "what": "states"})["states"]
+        assert hosted == sorted(
+            ([node, in_mis] for node, in_mis in reference.states().items()), key=repr
+        )
+
     def test_close_deletes_the_spool_file(self, tmp_path):
         host = _host(tmp_path)
         host.handle("create", {"session": "a", "spec": _spec().to_dict()})
@@ -281,6 +314,38 @@ class TestSaveCheckpointDurability:
         assert kinds.index("fsync") < kinds.index("replace")
         assert load_checkpoint(target).position == session.position
 
+    @pytest.mark.skipif(os.name != "posix", reason="directory fsync is POSIX-only")
+    def test_directory_fsync_follows_rename(self, tmp_path, monkeypatch):
+        """Without it, a power loss can undo the rename of an acknowledged evict."""
+        session = Session(_spec(changes=6))
+        session.step()
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            return real_fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append(("replace", None))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        save_checkpoint(tmp_path / "spool.ckpt.json", session.checkpoint())
+        after = calls[calls.index(("replace", None)) + 1 :]
+        assert ("fsync", True) in after
+
+    def test_checkpoint_file_is_one_line_of_compact_json(self, tmp_path):
+        session = Session(_spec(changes=6))
+        session.step()
+        checkpoint = session.checkpoint()
+        target = tmp_path / "spool.ckpt.json"
+        save_checkpoint(target, checkpoint)
+        text = target.read_text(encoding="utf-8")
+        record = checkpoint_to_dict(checkpoint)
+        assert text == json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+
     def test_failed_rename_leaves_no_temp_and_keeps_target(self, tmp_path, monkeypatch):
         session = Session(_spec(changes=6))
         target = tmp_path / "spool.ckpt.json"
@@ -298,3 +363,34 @@ class TestSaveCheckpointDurability:
         # The old checkpoint survives untouched; the temp file is cleaned up.
         assert target.read_text(encoding="utf-8") == before
         assert [path.name for path in tmp_path.iterdir()] == [target.name]
+
+
+class TestCorruptSpoolFile:
+    """A damaged spool file is a typed ``spec-error``, never ``internal``."""
+
+    @staticmethod
+    def _spooled(tmp_path):
+        host = _host(tmp_path)
+        host.handle("create", {"session": "a", "spec": _spec().to_dict()})
+        host.handle("apply", {"session": "a", "steps": 3})
+        host.handle("evict", {"session": "a"})
+        return host, tmp_path / "spool" / "a.ckpt.json"
+
+    def test_invalid_utf8_fails_to_load_as_a_format_error(self, tmp_path):
+        _, path = self._spooled(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:40] + b"\xff" + data[41:])
+        with pytest.raises(CheckpointFormatError, match="UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["bit-flip", "truncate"])
+    def test_query_on_a_damaged_spool_file_is_a_spec_error(self, tmp_path, damage):
+        host, path = self._spooled(tmp_path)
+        data = path.read_bytes()
+        if damage == "bit-flip":
+            path.write_bytes(data[:40] + b"\xff" + data[41:])
+        else:
+            path.write_bytes(data[: len(data) // 2])
+        response = host.handle_safely("query", {"session": "a"})
+        assert not response["ok"]
+        assert response["kind"] == "spec-error"
