@@ -34,14 +34,6 @@ the cost a scenario session pays each time ``--checkpoint-every`` fires.
 The table reports the amortized per-change overhead at a 1k-change
 checkpoint cadence (roundtrip / 1000).
 
-A5d compares that full-snapshot capture against the journal-backed *delta*
-checkpoint (:mod:`repro.scenario.journal`): a journal-recording session's
-``checkpoint()`` aliases the shared base snapshot and slices the entry
-list, so its cost tracks the touched sets -- O(|delta|) -- instead of
-O(n + m).  The acceptance bar is a >= 5x cheaper capture than the full
-snapshot at n = 20000 (the one-time O(n + m) fold is deferred to restore,
-where it is paid once instead of at every cadence tick).
-
 Results are emitted as a table and as JSON
 (``benchmarks/results/a5_distributed.json``) so the trajectory points are
 recorded in version control and gated by ``benchmarks/report.py``.
@@ -65,9 +57,6 @@ NUM_CHANGES = 40
 PROTOCOL = "buffered"
 MASTER_SEED = 20260731
 TARGET_SPEEDUP_AT_MAX_N = 10.0
-#: A5d acceptance bar: a delta (journal-slice) checkpoint must capture at
-#: least this much cheaper than a full snapshot at the largest sweep size.
-TARGET_DELTA_CHECKPOINT_RATIO = 5.0
 #: Repetitions per sweep point; the fastest is recorded.  A 40-change run on
 #: the fast core finishes in ~1 ms, so single-shot timings are dominated by
 #: scheduler jitter on shared runners -- best-of-N keeps the committed
@@ -127,32 +116,6 @@ def _checkpoint_roundtrip_us(network: str, spec: ScenarioSpec, session) -> float
     return best * 1e6
 
 
-def _delta_checkpoint_run(spec: ScenarioSpec) -> Dict:
-    """A5d: capture cost of a delta checkpoint vs a full snapshot checkpoint.
-
-    One journal-recording session on the fast core, run to the end; both
-    capture paths are then timed on the identical state (best-of-3,
-    capture only -- the fold is a one-time restore cost, not a cadence
-    cost).  Resolving the delta checkpoint must land on the same state.
-    """
-    from repro.scenario import Session
-
-    session = Session(spec.with_backend(network="fast"), record_journal=True)
-    while not session.done:
-        session.step()
-    delta_s = full_s = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        delta = session.checkpoint()
-        delta_s = min(delta_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        session.checkpoint(full=True)
-        full_s = min(full_s, time.perf_counter() - start)
-    resumed = Session.resume(delta)
-    assert resumed.states() == session.states(), "delta resolve diverged from the source"
-    return {"delta_us": delta_s * 1e6, "full_us": full_s * 1e6}
-
-
 def _time_async_network(network: str, spec: ScenarioSpec) -> Dict:
     """Asynchronous sweep point (best-of-reps, like the buffered sweep)."""
     graph, changes = spec.materialize()
@@ -188,7 +151,6 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
     rows: List[List] = []
     async_rows: List[List] = []
     checkpoint_rows: List[List] = []
-    delta_rows: List[List] = []
     series: List[Dict] = []
     async_series: List[Dict] = []
     for n in SIZES:
@@ -205,9 +167,6 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
         checkpoint_rows.append(
             [n, dict_run["checkpoint_us"], fast_run["checkpoint_us"]]
         )
-        delta_run = _delta_checkpoint_run(spec)
-        delta_ratio = delta_run["full_us"] / delta_run["delta_us"]
-        delta_rows.append([n, delta_run["full_us"], delta_run["delta_us"], delta_ratio])
         series.append(
             {
                 "n": n,
@@ -220,9 +179,6 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
                 "checkpoint_speedup": round(
                     dict_run["checkpoint_us"] / fast_run["checkpoint_us"], 3
                 ),
-                "full_checkpoint_us": round(delta_run["full_us"], 3),
-                "delta_checkpoint_us": round(delta_run["delta_us"], 3),
-                "delta_vs_full": round(delta_ratio, 3),
                 "mean_broadcasts": round(fast_run["mean_broadcasts"], 4),
                 "mean_rounds": round(fast_run["mean_rounds"], 4),
                 "final_mis_size": sum(fast_run["final_states"].values()),
@@ -254,12 +210,10 @@ def run_experiment(master_seed: int = MASTER_SEED) -> Dict:
         "rows": rows,
         "async_rows": async_rows,
         "checkpoint_rows": checkpoint_rows,
-        "delta_rows": delta_rows,
         "series": series,
         "async_series": async_series,
         "speedup_at_max_n": rows[-1][3],
         "async_speedup_at_max_n": async_rows[-1][3],
-        "delta_vs_full_at_max_n": delta_rows[-1][3],
         "python": sys.version.split()[0],
         "protocol": PROTOCOL,
         "average_degree": AVERAGE_DEGREE,
@@ -299,15 +253,6 @@ def test_a5_distributed_network_backends(benchmark):
             for n, d, f in results["checkpoint_rows"]
         ],
     )
-    emit_table(
-        "A5d: delta (journal-slice) vs full-snapshot checkpoint capture "
-        "(fast core; the fold is paid once at restore, not per cadence tick)",
-        ["n", "full us/ckpt", "delta us/ckpt", "full/delta"],
-        [
-            [n, f"{full:.0f}", f"{delta:.1f}", f"{ratio:.0f}x"]
-            for n, full, delta, ratio in results["delta_rows"]
-        ],
-    )
     emit(
         "A5: id-interned network core",
         [
@@ -328,14 +273,6 @@ def test_a5_distributed_network_backends(benchmark):
                 else "CHECK",
             },
             {
-                "row": f"delta vs full checkpoint capture at n={SIZES[-1]}",
-                "paper": f">= {TARGET_DELTA_CHECKPOINT_RATIO}x cheaper (acceptance bar)",
-                "measured": f"{results['delta_vs_full_at_max_n']:.0f}x",
-                "verdict": "pass"
-                if results["delta_vs_full_at_max_n"] >= TARGET_DELTA_CHECKPOINT_RATIO
-                else "CHECK",
-            },
-            {
                 "row": "identical outputs / broadcasts / rounds / adjustments per size",
                 "paper": "exact",
                 "measured": "exact (asserted)",
@@ -349,7 +286,6 @@ def test_a5_distributed_network_backends(benchmark):
     # shared CI runner cannot fail the nightly on timing jitter alone.
     assert results["speedup_at_max_n"] >= 5.0
     assert results["async_speedup_at_max_n"] >= 5.0
-    assert results["delta_vs_full_at_max_n"] >= TARGET_DELTA_CHECKPOINT_RATIO
     speedups = [row[3] for row in results["rows"]]
     assert speedups[-1] > speedups[0]
 
@@ -362,6 +298,4 @@ if __name__ == "__main__":
     for row in outcome["async_rows"]:
         print(row)
     for row in outcome["checkpoint_rows"]:
-        print(row)
-    for row in outcome["delta_rows"]:
         print(row)

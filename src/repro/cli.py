@@ -34,12 +34,14 @@ reparameterized or handed to the conformance harness later.
     different change histories.
 
 ``repro-mis bisect``
-    Binary-search a recorded scenario for the first change where two runs
-    diverge -- either two backends (``--networks a,b`` / ``--engines a,b``)
-    or a checkpoint/resume round-trip (``--resume-at N``).  ``--from-dump``
-    seeds the search from a divergence dump written by the conformance
-    harness (the dump embeds the scenario spec).  Exits 1 when a divergence
-    is found, so the command scripts cleanly.
+    Binary-search a scenario for the first change where two runs diverge --
+    either two backends (``--networks a,b`` / ``--engines a,b``) or a
+    checkpoint/resume round-trip (``--resume-at N``).  Every probe
+    re-executes both runs from the spec.  ``--from-dump`` seeds the search
+    from a divergence dump written by the conformance harness (the dump
+    embeds the scenario spec).  Exits 1 when a divergence is found and 2 on
+    an input error (unreadable spec or dump, batched workload, bad backend
+    pair), so the command scripts cleanly.
 
 ``repro-mis families``
     List the available graph families.
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bisect = subparsers.add_parser(
         "bisect",
-        help="binary-search a recorded scenario for the first divergent change",
+        help="binary-search a scenario for the first divergent change",
     )
     bisect.add_argument(
         "--scenario",
@@ -1013,9 +1015,7 @@ def _parse_backend_pair(value: Optional[str], flag: str) -> Optional[Tuple[str, 
         return None
     parts = tuple(part.strip() for part in value.split(",") if part.strip())
     if len(parts) != 2:
-        raise SystemExit(
-            f"{flag} needs exactly two comma-separated backend names, got {value!r}"
-        )
+        raise ValueError(f"{flag} needs exactly two comma-separated backend names, got {value!r}")
     return parts
 
 
@@ -1025,33 +1025,35 @@ def _run_bisect(arguments) -> int:
 
     from repro.scenario import bisect_first_divergence
 
-    if bool(arguments.scenario) == bool(arguments.from_dump):
-        raise SystemExit("pass exactly one of --scenario or --from-dump")
-    networks = _parse_backend_pair(arguments.networks, "--networks")
-    engines = _parse_backend_pair(arguments.engines, "--engines")
-    if arguments.scenario:
-        spec = ScenarioSpec.load(arguments.scenario)
-        source = arguments.scenario
-    else:
-        source = arguments.from_dump
-        try:
-            document = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(f"cannot read divergence dump {source}: {error}") from None
-        record = document.get("scenario") if isinstance(document, dict) else None
-        if record is None:
-            raise SystemExit(
-                f"{source} embeds no scenario spec; only dumps written by "
-                "scenario-driven differentials can seed a bisect"
-            )
-        spec = ScenarioSpec.from_dict(record)
-        if networks is None and engines is None and arguments.resume_at is None:
-            # A cross-backend dump names its (reference, candidate) pair --
-            # reuse it so `repro-mis bisect --from-dump d.json` just works.
-            dumped = tuple(document.get("networks") or ())
-            if len(dumped) == 2 and dumped[0] != dumped[1]:
-                networks = dumped
+    # Every input error -- spec decoding included -- is a ValueError here
+    # (ScenarioSpecError is one), and exits 2; exit 1 means "diverged".
     try:
+        if bool(arguments.scenario) == bool(arguments.from_dump):
+            raise ValueError("pass exactly one of --scenario or --from-dump")
+        networks = _parse_backend_pair(arguments.networks, "--networks")
+        engines = _parse_backend_pair(arguments.engines, "--engines")
+        if arguments.scenario:
+            spec = ScenarioSpec.load(arguments.scenario)
+            source = arguments.scenario
+        else:
+            source = arguments.from_dump
+            try:
+                document = json.loads(Path(source).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as error:
+                raise ValueError(f"cannot read divergence dump {source}: {error}") from None
+            record = document.get("scenario") if isinstance(document, dict) else None
+            if record is None:
+                raise ValueError(
+                    f"{source} embeds no scenario spec; only dumps written by "
+                    "scenario-driven differentials can seed a bisect"
+                )
+            spec = ScenarioSpec.from_dict(record)
+            if networks is None and engines is None and arguments.resume_at is None:
+                # A cross-backend dump names its (reference, candidate) pair --
+                # reuse it so `repro-mis bisect --from-dump d.json` just works.
+                dumped = tuple(document.get("networks") or ())
+                if len(dumped) == 2 and dumped[0] != dumped[1]:
+                    networks = dumped
         result = bisect_first_divergence(
             spec,
             networks=networks,
@@ -1059,8 +1061,9 @@ def _run_bisect(arguments) -> int:
             resume_at=arguments.resume_at,
             through_json=not arguments.no_json,
         )
-    except (ScenarioSpecError, ValueError) as error:
-        raise SystemExit(str(error)) from None
+    except ValueError as error:
+        print(f"repro-mis bisect: {error}", file=sys.stderr)
+        return 2
     comparison = []
     if networks is not None:
         comparison.append(f"networks {networks[0]} vs {networks[1]}")

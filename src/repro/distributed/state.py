@@ -155,37 +155,6 @@ def copy_metric_records(records) -> Tuple[ChangeMetrics, ...]:
     return tuple(copy.deepcopy(record) for record in records)
 
 
-def quiescent_knowledge(
-    edges, states: Dict[Node, str]
-) -> Dict[Tuple[Node, Node], KnowledgeEntry]:
-    """Derive the directed knowledge map a quiescent network must have.
-
-    At stability every node knows every neighbor's key and *current* output:
-    ``knowledge[(u, v)] == (states[v], True)`` for both directions of every
-    edge.  The conformance suite asserts this invariant on live simulators
-    (``check_interning_invariants(expect_stable=True)``), which is what lets
-    the delta journal fold topology + states into a full snapshot without
-    recording per-edge knowledge deltas.
-    """
-    knowledge: Dict[Tuple[Node, Node], KnowledgeEntry] = {}
-    for u, v in edges:
-        knowledge[(u, v)] = (states[v], True)
-        knowledge[(v, u)] = (states[u], True)
-    return knowledge
-
-
-def scheduler_cursor_of(simulator) -> int:
-    """Current event-sequence cursor of a simulator (0 for synchronous ones)."""
-    sequence = getattr(simulator, "_sequence", None)
-    return 0 if sequence is None else sequence.value
-
-
-def scheduler_state_of(simulator) -> Optional[Tuple]:
-    """Current resumable scheduler state of a simulator (``None`` if stateless)."""
-    scheduler = getattr(simulator, "_scheduler", None)
-    return None if scheduler is None else scheduler.getstate()
-
-
 # ----------------------------------------------------------------------
 # Shared plumbing of the dict/set simulators
 # ----------------------------------------------------------------------

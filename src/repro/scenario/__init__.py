@@ -19,13 +19,7 @@ from repro.scenario.checkpoint_io import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.scenario.journal import (
-    BisectResult,
-    DeltaJournal,
-    JournalEntry,
-    JournalError,
-    bisect_first_divergence,
-)
+from repro.scenario.bisect import BisectResult, bisect_first_divergence
 from repro.scenario.session import (
     ScenarioResult,
     Session,
@@ -72,9 +66,6 @@ __all__ = [
     "checkpoint_from_dict",
     "save_checkpoint",
     "load_checkpoint",
-    "DeltaJournal",
-    "JournalEntry",
-    "JournalError",
     "BisectResult",
     "bisect_first_divergence",
     "ScenarioObserver",

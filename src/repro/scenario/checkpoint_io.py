@@ -23,15 +23,21 @@ writes one line of compact JSON; whitespace is insignificant to the
 decoder, so indented files written by earlier versions load unchanged.
 
 Two record versions exist.  ``repro-checkpoint-v2`` (what this module
-writes) adds the asynchronous scheduler's resumable RNG state and the
-optional :class:`~repro.scenario.journal.DeltaJournal` of delta
-checkpoints; ``repro-checkpoint-v1`` files (written before those fields
-existed) still decode -- the missing fields default to ``None``, which the
-restore paths accept as "no scheduler state / full checkpoint".
+writes) adds the asynchronous scheduler's resumable RNG state and a
+``journal`` key, always ``null`` in the records written now;
+``repro-checkpoint-v1`` files (written before those fields existed) still
+decode -- a missing scheduler state defaults to ``None``, which the restore
+paths accept as "fresh stream".  Older v2 files may be *delta* checkpoints:
+their snapshot fields hold the state at the journal's ``base_position``,
+and the journal entries lead on to ``position``.  A session's state is a
+pure function of ``(spec, position)``, so such a record decodes by
+re-executing the spec from that base to ``position``; the entries are not
+read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import uuid
@@ -41,8 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.engine_api import EngineSnapshot
 from repro.distributed.metrics import ChangeMetrics
 from repro.distributed.state import NetworkSnapshot
-from repro.scenario.journal import DeltaJournal, JournalEntry
-from repro.scenario.session import SessionCheckpoint
+from repro.scenario.session import SessionCheckpoint, _replayed_checkpoint
 from repro.scenario.spec import ScenarioSpec
 from repro.workloads.trace import decode_node, encode_node
 
@@ -231,8 +236,6 @@ def _decode_network_snapshot(record) -> NetworkSnapshot:
 def _encode_statistics(statistics) -> Optional[Dict[str, Any]]:
     if statistics is None:
         return None
-    import dataclasses
-
     return {name: list(values) for name, values in dataclasses.asdict(statistics).items()}
 
 
@@ -262,84 +265,6 @@ def _decode_workload_state(record) -> Optional[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# Delta journals (v2)
-# ----------------------------------------------------------------------
-def _encode_journal_entry(entry: JournalEntry) -> Dict[str, Any]:
-    return {
-        "position": entry.position,
-        "change_kind": entry.change_kind,
-        "nodes_added": [
-            [encode_node(node), _encode_key(key)] for node, key in entry.nodes_added
-        ],
-        "nodes_removed": [encode_node(node) for node in entry.nodes_removed],
-        "edges_added": [
-            [encode_node(u), encode_node(v)] for u, v in entry.edges_added
-        ],
-        "edges_removed": [
-            [encode_node(u), encode_node(v)] for u, v in entry.edges_removed
-        ],
-        "states": [[encode_node(node), value] for node, value in entry.states],
-        "metric": (
-            _encode_metric_record(entry.metric) if entry.metric is not None else None
-        ),
-        "stats_row": list(entry.stats_row) if entry.stats_row is not None else None,
-        "scheduler_cursor": entry.scheduler_cursor,
-        "scheduler_state": _encode_state_tree(entry.scheduler_state),
-        "workload_state": _encode_workload_state(entry.workload_state),
-        "elapsed_s": entry.elapsed_s,
-    }
-
-
-def _decode_journal_entry(record) -> JournalEntry:
-    metric = record.get("metric")
-    stats_row = record.get("stats_row")
-    return JournalEntry(
-        position=int(record["position"]),
-        change_kind=record["change_kind"],
-        nodes_added=tuple(
-            (decode_node(node), _decode_key(key)) for node, key in record["nodes_added"]
-        ),
-        nodes_removed=tuple(decode_node(node) for node in record["nodes_removed"]),
-        edges_added=tuple(
-            (decode_node(u), decode_node(v)) for u, v in record["edges_added"]
-        ),
-        edges_removed=tuple(
-            (decode_node(u), decode_node(v)) for u, v in record["edges_removed"]
-        ),
-        states=tuple((decode_node(node), value) for node, value in record["states"]),
-        metric=_decode_metric_record(metric) if metric is not None else None,
-        stats_row=tuple(stats_row) if stats_row is not None else None,
-        scheduler_cursor=int(record["scheduler_cursor"]),
-        scheduler_state=_decode_state_tree(record.get("scheduler_state")),
-        workload_state=_decode_workload_state(record.get("workload_state")),
-        elapsed_s=float(record.get("elapsed_s", 0.0)),
-    )
-
-
-def _encode_journal(journal: DeltaJournal) -> Dict[str, Any]:
-    # The journal base rides in the checkpoint's own snapshot / statistics /
-    # workload_state / elapsed_s fields (that is what a delta checkpoint
-    # stores there), so only the entry list and base position go here.
-    return {
-        "base_position": journal.base_position,
-        "entries": [_encode_journal_entry(entry) for entry in journal.entries],
-    }
-
-
-def _decode_journal(
-    record, snapshot, statistics, workload_state, elapsed_s
-) -> DeltaJournal:
-    return DeltaJournal(
-        snapshot,
-        base_position=int(record["base_position"]),
-        base_statistics=statistics,
-        base_workload_state=workload_state,
-        base_elapsed_s=elapsed_s,
-        entries=[_decode_journal_entry(entry) for entry in record["entries"]],
-    )
-
-
-# ----------------------------------------------------------------------
 # Whole checkpoints
 # ----------------------------------------------------------------------
 def checkpoint_to_dict(checkpoint: SessionCheckpoint) -> Dict[str, Any]:
@@ -360,11 +285,7 @@ def checkpoint_to_dict(checkpoint: SessionCheckpoint) -> Dict[str, Any]:
         "statistics": _encode_statistics(checkpoint.statistics),
         "workload_state": _encode_workload_state(checkpoint.workload_state),
         "elapsed_s": checkpoint.elapsed_s,
-        "journal": (
-            _encode_journal(checkpoint.journal)
-            if checkpoint.journal is not None
-            else None
-        ),
+        "journal": None,
     }
 
 
@@ -373,6 +294,8 @@ def checkpoint_from_dict(record: Dict[str, Any]) -> SessionCheckpoint:
 
     Accepts every version in :data:`SUPPORTED_FORMATS`: v1 records simply
     lack the scheduler-state and journal fields, which decode as ``None``.
+    A legacy delta record (non-null ``journal``) re-executes its spec from
+    the stored base to its position (see the module docstring).
     """
     if not isinstance(record, dict) or record.get("format") not in SUPPORTED_FORMATS:
         raise CheckpointFormatError(
@@ -395,24 +318,25 @@ def checkpoint_from_dict(record: Dict[str, Any]) -> SessionCheckpoint:
             snapshot = _decode_engine_snapshot(snapshot_record)
         else:
             raise CheckpointFormatError(f"unknown snapshot kind {kind!r}")
-        statistics = _decode_statistics(record.get("statistics"))
-        workload_state = _decode_workload_state(record.get("workload_state"))
-        elapsed_s = float(record.get("elapsed_s", 0.0))
-        journal_record = record.get("journal")
-        journal = (
-            _decode_journal(journal_record, snapshot, statistics, workload_state, elapsed_s)
-            if journal_record is not None
-            else None
-        )
-        return SessionCheckpoint(
+        checkpoint = SessionCheckpoint(
             spec=spec,
             position=int(record["position"]),
             snapshot=snapshot,
-            statistics=statistics,
-            workload_state=workload_state,
-            elapsed_s=elapsed_s,
-            journal=journal,
+            statistics=_decode_statistics(record.get("statistics")),
+            workload_state=_decode_workload_state(record.get("workload_state")),
+            elapsed_s=float(record.get("elapsed_s", 0.0)),
         )
+        journal = record.get("journal")
+        if journal is None:
+            return checkpoint
+        base_position = journal.get("base_position") if isinstance(journal, dict) else None
+        if type(base_position) is not int or not 0 <= base_position <= checkpoint.position:
+            raise CheckpointFormatError(
+                f"legacy delta checkpoint needs a journal base_position in "
+                f"[0, {checkpoint.position}], got {base_position!r}"
+            )
+        base = dataclasses.replace(checkpoint, position=base_position)
+        return _replayed_checkpoint(spec, checkpoint.position, start=base)
     except (KeyError, TypeError, ValueError) as error:
         if isinstance(error, CheckpointFormatError):
             raise

@@ -47,12 +47,11 @@ fresh one.  Dynamic workloads (``workload.kind == "adaptive_adversary"``) are
 generated against the live backend one change at a time; their checkpoint
 carries the adversary's RNG state, so even an adaptive run resumes exactly.
 
-Sessions created with ``record_journal=True`` additionally keep a
-:class:`~repro.scenario.journal.DeltaJournal`: :meth:`Session.checkpoint`
-then returns cheap delta checkpoints (O(|touched|) instead of a full
-O(n + m) snapshot) and :meth:`Session.replay_to` rewinds the recorded run
-to any position -- the record/replay-to/bisect workflow of the
-``repro-mis bisect`` command.
+Because history independence and per-node priorities make a session's state
+a pure function of ``(spec, position)``, any past state is rebuilt by
+re-executing the spec: :meth:`Session.replay_to` rewinds a session that way,
+and :func:`repro.scenario.bisect.bisect_first_divergence` (the
+``repro-mis bisect`` command) re-executes both runs at every probe.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ from repro.core.state_api import Checkpointable
 from repro.distributed.network_api import create_network
 from repro.distributed.state import NetworkSnapshot
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.scenario.journal import DeltaJournal, JournalError
 from repro.scenario.sinks import ScenarioObserver, create_sink
 from repro.scenario.spec import ScenarioSpec
 from repro.workloads.adversary import AdaptiveAdversary
@@ -121,30 +119,6 @@ class SessionCheckpoint:
     #: resumed session continues the clock, so its result's ``per_change_us``
     #: averages over the whole run, not just the resumed stretch.
     elapsed_s: float = 0.0
-    #: Delta checkpoints (sessions recording a journal) carry the journal
-    #: slice here; ``snapshot`` / ``statistics`` / ``workload_state`` /
-    #: ``elapsed_s`` then describe the journal *base*, and :meth:`resolve`
-    #: folds everything forward to ``position``.
-    journal: Optional[DeltaJournal] = None
-
-    def resolve(self) -> "SessionCheckpoint":
-        """Fold a delta checkpoint into a plain (journal-free) one.
-
-        A no-op for full checkpoints.  This is where the O(n + m) cost a
-        delta checkpoint deferred is finally paid -- once, at restore time,
-        instead of at every capture.
-        """
-        if self.journal is None:
-            return self
-        folded = self.journal.fold(self.position)
-        return dataclasses.replace(
-            self,
-            snapshot=folded.snapshot,
-            statistics=folded.statistics,
-            workload_state=folded.workload_state,
-            elapsed_s=folded.elapsed_s,
-            journal=None,
-        )
 
     @property
     def runner(self) -> str:
@@ -215,12 +189,6 @@ class Session:
     observers:
         Extra :class:`~repro.scenario.sinks.ScenarioObserver` instances, on
         top of the sinks named in ``spec.sinks``.
-    record_journal:
-        Keep a :class:`~repro.scenario.journal.DeltaJournal` of every
-        applied change.  Enables delta checkpoints
-        (:meth:`checkpoint`) and :meth:`replay_to`; requires an unbatched
-        workload and a :class:`~repro.core.state_api.Checkpointable`
-        backend.
 
     Use :meth:`Session.resume` (not the constructor) to continue from a
     :class:`SessionCheckpoint`.
@@ -231,12 +199,8 @@ class Session:
         spec: ScenarioSpec,
         observers: Iterable[ScenarioObserver] = (),
         _checkpoint: Optional[SessionCheckpoint] = None,
-        record_journal: bool = False,
     ) -> None:
         spec.validate()
-        if _checkpoint is not None and _checkpoint.journal is not None:
-            # Delta checkpoints fold to a plain one exactly once, here.
-            _checkpoint = _checkpoint.resolve()
         self._spec = spec
         self._observers: List[ScenarioObserver] = [
             create_sink(name) for name in spec.sinks
@@ -308,9 +272,6 @@ class Session:
                     spec.backend.protocol, network=spec.backend.network, **kwargs
                 )
                 self._network.restore(_checkpoint.snapshot)
-        self._journal: Optional[DeltaJournal] = None
-        if record_journal:
-            self._journal = self._create_journal()
 
     # ------------------------------------------------------------------
     # Read access
@@ -449,9 +410,6 @@ class Session:
         unit = self._next_unit()
         if not unit:
             return None
-        removed_edges = None
-        if self._journal is not None:
-            removed_edges = self._journal.pre_change(self._runner, unit[0])
         start = time.perf_counter()
         if self._spec.batch_size and self._maintainer is not None:
             record = self._maintainer.apply_batch(unit)
@@ -460,15 +418,6 @@ class Session:
         else:
             record = self._network.apply(unit[0])
         self._elapsed += time.perf_counter() - start
-        if self._journal is not None:
-            self._journal.record_change(
-                self._runner,
-                unit[0],
-                record,
-                removed_edges=removed_edges,
-                workload_state=self._workload_state(),
-                elapsed_s=self._elapsed,
-            )
         if self._spec.batch_size:
             for observer in self._observers:
                 observer.on_batch(self._position // self._spec.batch_size, unit, record)
@@ -523,28 +472,13 @@ class Session:
         built-ins do; a third-party backend without a snapshot/restore pair
         raises :class:`TypeError` here.
 
-        Journal-recording sessions return a *delta* checkpoint by default:
-        the shared journal base plus the entry slice up to the current
-        position -- O(|touched|) to take instead of a full O(n + m)
-        snapshot (bench A5d).  Restoring folds the entries forward
-        (:meth:`SessionCheckpoint.resolve`), landing on the identical
-        state.  ``full=True`` forces the classic full snapshot.
+        Every checkpoint is a full snapshot; ``full`` changes nothing and is
+        accepted only so existing callers keep working.
         """
-        backend = self._checkpoint_backend()
-        if self._journal is not None and not full:
-            return SessionCheckpoint(
-                spec=self._spec,
-                position=self._position,
-                snapshot=self._journal.base_snapshot,
-                statistics=self._journal.base_statistics,
-                workload_state=self._journal.base_workload_state,
-                elapsed_s=self._journal.base_elapsed_s,
-                journal=self._journal.slice(self._position),
-            )
         return SessionCheckpoint(
             spec=self._spec,
             position=self._position,
-            snapshot=backend.snapshot(),
+            snapshot=self._checkpoint_backend().snapshot(),
             statistics=(
                 copy.deepcopy(self._maintainer.statistics)
                 if self._maintainer is not None
@@ -554,42 +488,26 @@ class Session:
             elapsed_s=self._elapsed,
         )
 
-    @property
-    def journal(self) -> Optional[DeltaJournal]:
-        """The recorded delta journal (``None`` unless ``record_journal``)."""
-        return self._journal
-
-    def replay_to(
-        self,
-        position: int,
-        observers: Iterable[ScenarioObserver] = (),
-        record_journal: bool = False,
-    ) -> "Session":
+    def replay_to(self, position: int, observers: Iterable[ScenarioObserver] = ()) -> "Session":
         """Time travel: a fresh session positioned at ``position`` of this run.
 
-        Folds the recorded journal up to ``position`` (any point between the
-        journal base and the current position) and resumes from it, so the
-        returned session continues from exactly that state -- same outputs,
-        statistics, scheduler stream and adversary stream as the original
-        run had there.  Requires ``record_journal=True`` at creation.
+        Re-executes the spec from the start to ``position`` (any point from 0
+        to the current position; a unit boundary for batched specs) with the
+        sinks detached, then resumes there, so the returned session continues
+        from exactly that state -- same outputs, statistics, scheduler
+        stream and adversary stream as this run had there.  Its own sinks
+        see only the changes after ``position``.
         """
-        if self._journal is None:
-            raise JournalError(
-                "replay_to needs a recorded journal; create the session with "
-                "record_journal=True"
+        if not 0 <= position <= self._position:
+            raise ValueError(
+                f"position {position} is outside this session's range [0, {self._position}]"
             )
-        checkpoint = SessionCheckpoint(
-            spec=self._spec,
-            position=position,
-            snapshot=self._journal.base_snapshot,
-            statistics=self._journal.base_statistics,
-            workload_state=self._journal.base_workload_state,
-            elapsed_s=self._journal.base_elapsed_s,
-            journal=self._journal.slice(position),
-        )
-        return Session.resume(
-            checkpoint, observers=observers, record_journal=record_journal
-        )
+        if position % (self._spec.batch_size or 1) and position != self._position:
+            raise ValueError(
+                f"position {position} does not align with the batch boundaries "
+                f"of batch_size={self._spec.batch_size}"
+            )
+        return Session.resume(_replayed_checkpoint(self._spec, position), observers=observers)
 
     @classmethod
     def resume(
@@ -598,7 +516,6 @@ class Session:
         observers: Iterable[ScenarioObserver] = (),
         engine: Optional[str] = None,
         network: Optional[str] = None,
-        record_journal: bool = False,
     ) -> "Session":
         """Continue a checkpointed scenario in a fresh session.
 
@@ -618,12 +535,7 @@ class Session:
             checkpoint = dataclasses.replace(
                 checkpoint, spec=checkpoint.spec.with_backend(**overrides)
             )
-        return cls(
-            checkpoint.spec,
-            observers=observers,
-            _checkpoint=checkpoint,
-            record_journal=record_journal,
-        )
+        return cls(checkpoint.spec, observers=observers, _checkpoint=checkpoint)
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -636,25 +548,6 @@ class Session:
                 "pair (see repro.core.state_api.Checkpointable)"
             )
         return backend
-
-    def _create_journal(self) -> DeltaJournal:
-        if self._spec.batch_size:
-            raise JournalError(
-                "journal recording needs an unbatched workload (batch_size=0); "
-                "a batched repair wave has no per-change touched sets"
-            )
-        backend = self._checkpoint_backend()
-        return DeltaJournal(
-            backend.snapshot(),
-            base_position=self._position,
-            base_statistics=(
-                copy.deepcopy(self._maintainer.statistics)
-                if self._maintainer is not None
-                else None
-            ),
-            base_workload_state=self._workload_state(),
-            base_elapsed_s=self._elapsed,
-        )
 
     def _notify_start(self) -> None:
         if not self._started:
@@ -681,6 +574,38 @@ class Session:
             verified=verified,
             summary=summary,
         )
+
+
+def _replayed_checkpoint(
+    spec: ScenarioSpec,
+    position: Optional[int] = None,
+    start: Optional[SessionCheckpoint] = None,
+    observers: Iterable[ScenarioObserver] = (),
+) -> SessionCheckpoint:
+    """Re-execute ``spec`` to ``position`` and return the full checkpoint there.
+
+    Runs from the start, or resumes ``start`` (a checkpoint of the same spec
+    at or before ``position``); ``position=None`` runs to the end of the
+    workload.  The spec's sinks are detached, so a re-execution never
+    touches a sink file; ``observers`` still see every change it applies.
+    The returned checkpoint carries ``spec`` itself, sinks included.
+    Raises :class:`ValueError` if the run cannot stop exactly at
+    ``position``.
+    """
+    detached = dataclasses.replace(spec, sinks=())
+    if start is None:
+        session = Session(detached, observers=observers)
+    else:
+        session = Session.resume(dataclasses.replace(start, spec=detached), observers=observers)
+    target = session.num_changes if position is None else position
+    while session.position < target and session.step() is not None:
+        pass
+    if position is not None and session.position != position:
+        raise ValueError(
+            f"re-executing scenario {spec.name!r} stopped at position "
+            f"{session.position}, not {position}"
+        )
+    return dataclasses.replace(session.checkpoint(), spec=spec)
 
 
 def run_scenario(

@@ -396,7 +396,7 @@ class SessionHost:
         return entry
 
     def _rehydrate(self, session_id: str) -> Session:
-        checkpoint = load_checkpoint(self._spool_path(session_id)).resolve()
+        checkpoint = load_checkpoint(self._spool_path(session_id))
         overrides: Dict[str, Any] = {}
         if checkpoint.runner == "sequential" and self._config.engine:
             overrides["engine"] = self._config.engine

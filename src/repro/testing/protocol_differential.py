@@ -37,19 +37,16 @@ by default (or the scenario's ``backend.scheduler``, when one is declared).
 checkpointable-state pair (:mod:`repro.distributed.state`): checkpoint a
 run mid-way on one backend, resume it on another, and assert the remaining
 run is observably identical to an uninterrupted one -- per-change metrics,
-round traces, outputs and the accumulated record list.  The uninterrupted
-run records a :class:`~repro.scenario.journal.DeltaJournal`, so every
-resume test exercises the delta-checkpoint path (journal slice -> JSON
-codec -> fold at restore) rather than only full snapshots.  Since the
+round traces, outputs and the accumulated record list.  Since the
 ``"random"`` scheduler's RNG stream rides in the snapshot, *same-backend*
 resumes (``networks=("fast", "fast")``) are exact for every scheduler kind
 including the default random one; only cross-backend resumes still require
 a channel-deterministic scheduler (the two cores enumerate receivers in
 different orders, so sequence-dependent delays legitimately diverge).
 Failed resumes dump through the same artifact mechanism
-(``resume_divergence_*.json``) together with a sibling
-``*_journal.json`` delta checkpoint of the reference run -- enough to
-``repro bisect --from-dump`` the divergence offline.
+(``resume_divergence_*.json``).  The dump embeds the scenario spec, which is
+enough to ``repro-mis bisect --from-dump`` the divergence offline: the
+bisect re-executes the spec, so no recorded run needs to travel with it.
 """
 
 from __future__ import annotations
@@ -344,9 +341,6 @@ def replay_resume_differential(
     * identical *accumulated* metric records (the pre-checkpoint records
       ride along in the snapshot) and a passing ``verify()`` on both sides.
 
-    The checkpoint taken at ``p`` is a *delta* checkpoint (the
-    uninterrupted session records a journal), so the JSON round-trip
-    exercises the journal codec and the fold-at-restore path on every run.
     Same-backend pairs (``source == target``) accept any scheduler kind --
     including an absent/``"random"`` one, whose RNG stream rides in the
     snapshot; cross-backend pairs still require a declared
@@ -358,8 +352,7 @@ def replay_resume_differential(
     divergence a JSON dump is written next to the protocol-differential
     dumps (``resume_divergence_*.json``; same
     ``REPRO_PROTOCOL_DIFF_DUMP_DIR`` artifact mechanism), embedding the
-    scenario spec and accompanied by a ``*_journal.json`` delta checkpoint
-    of the reference run, before
+    scenario spec, before
     :class:`~repro.testing.differential.ConformanceMismatch` is raised.
     """
     from repro.scenario.checkpoint_io import checkpoint_from_dict, checkpoint_to_dict
@@ -386,7 +379,7 @@ def replay_resume_differential(
     num_changes = 0
     final_mis_size = 0
     for position in positions:
-        uninterrupted = Session(scenario.with_backend(network=source), record_journal=True)
+        uninterrupted = Session(scenario.with_backend(network=source))
         if trace_enabled:
             uninterrupted.network.enable_round_logging(True)
         for _ in range(position):
@@ -414,7 +407,6 @@ def replay_resume_differential(
                 trace_enabled,
                 tag=f"resume_divergence_pos{position}",
                 scenario=scenario,
-                journal_checkpoint=uninterrupted.checkpoint(),
             )
             return ConformanceMismatch(step, change, detail)
 
@@ -525,17 +517,14 @@ def _write_divergence_dump(
     trace_enabled: bool,
     tag: str = "divergence",
     scenario=None,
-    journal_checkpoint=None,
 ) -> Optional[Path]:
     """Write one JSON dump describing a divergent replay step (best effort).
 
     ``tag`` prefixes the file name; the resume differential uses
     ``resume_divergence_pos<p>`` so checkpoint failures are distinguishable
     in the uploaded CI artifacts.  When the caller ran from a scenario spec
-    the dump embeds ``scenario.to_dict()`` (so ``repro bisect --from-dump``
-    can rebuild the run), and when it recorded a journal a sibling
-    ``<stem>_journal.json`` delta checkpoint of the reference run is written
-    next to the dump.
+    the dump embeds ``scenario.to_dict()`` (so ``repro-mis bisect
+    --from-dump`` can rebuild the run).
     """
     if dump_dir is None:
         from_env = os.environ.get(DUMP_DIR_ENV)
@@ -559,14 +548,7 @@ def _write_divergence_dump(
         }
         if scenario is not None:
             document["scenario"] = scenario.to_dict()
-        stem = f"{tag}_{protocol}_seed{seed}_step{step}"
-        if journal_checkpoint is not None:
-            from repro.scenario.checkpoint_io import save_checkpoint
-
-            journal_path = dump_dir / f"{stem}_journal.json"
-            save_checkpoint(journal_path, journal_checkpoint)
-            document["journal_checkpoint"] = journal_path.name
-        path = dump_dir / f"{stem}.json"
+        path = dump_dir / f"{tag}_{protocol}_seed{seed}_step{step}.json"
         path.write_text(json.dumps(document, indent=2, sort_keys=True, default=repr) + "\n")
         return path
     except OSError:  # pragma: no cover - never fail the assertion over a dump

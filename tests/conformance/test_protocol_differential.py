@@ -236,8 +236,7 @@ def test_same_backend_async_resume_with_random_scheduler(network: str) -> None:
     """The headline fix of the exact-resume tentpole: the random scheduler's
     RNG stream rides in the snapshot, so a same-backend resume is exact for
     *every* scheduler kind -- checked at several checkpoint positions,
-    through the JSON codec, via delta checkpoints (the uninterrupted run
-    records a journal)."""
+    through the JSON codec."""
     scenario = _resume_scenario("async-direct", seed=35).with_backend(
         scheduler={"kind": "random", "seed": 2}
     )
@@ -318,24 +317,16 @@ def test_resume_divergence_dump_is_written(
         replay_resume_differential(
             _resume_scenario("buffered", seed=31), positions=(7,), dump_dir=tmp_path
         )
-    dumps = [
-        path
-        for path in tmp_path.glob("resume_divergence_pos7_buffered_*.json")
-        if not path.name.endswith("_journal.json")
-    ]
-    assert dumps, "no resume divergence dump written"
+    dumps = list(tmp_path.glob("resume_divergence_pos7_buffered_*.json"))
+    assert len(dumps) == 1, "expected exactly one resume divergence dump"
+    assert not list(tmp_path.glob("*_journal.json"))
     document = json.loads(dumps[0].read_text())
     assert document["networks"] == ["dict", "fast"]
     assert set(document["backends"]) == {"dict", "fast"}
-    # The dump embeds the scenario spec and points at a sibling delta
-    # checkpoint of the reference run -- `repro-mis bisect --from-dump`
-    # rebuilds the whole investigation from these two files.
+    # The dump embeds the scenario spec -- `repro-mis bisect --from-dump`
+    # rebuilds the whole investigation from it by re-execution.
+    assert "journal_checkpoint" not in document
     assert ScenarioSpec.from_dict(document["scenario"]).backend.protocol == "buffered"
-    journal_path = tmp_path / document["journal_checkpoint"]
-    assert journal_path.exists()
-    from repro.scenario import load_checkpoint
-
-    assert load_checkpoint(journal_path).journal is not None
 
 
 def test_divergence_dump_dir_from_environment(

@@ -15,12 +15,23 @@ Two parts of a record are normalized before hashing: the wall-clock
 ``elapsed_s``, and the row order of a network snapshot's ``knowledge``
 (dict-network rows follow ``set`` order, which moves with
 ``PYTHONHASHSEED`` for string labels).
+
+The same digests pin the legacy *delta* checkpoint files under
+``tests/data/legacy_delta_checkpoints/``: each was written by a session that
+recorded a delta journal from a resumed base, and each must decode to the
+full checkpoint that run had at the same position.  The record-format
+checks (v1 decode, unknown formats, the recursive key codecs, the atomic
+``save_checkpoint``) close the file.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -30,9 +41,16 @@ from repro.distributed.network_api import create_network
 from repro.graph import generators
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.scenario.checkpoint_io import (
+    FORMAT_V1,
     CheckpointFormatError,
+    _decode_key,
+    _decode_state_tree,
+    _encode_key,
+    _encode_state_tree,
     checkpoint_from_dict,
     checkpoint_to_dict,
+    load_checkpoint,
+    save_checkpoint,
 )
 from repro.scenario.session import Session, SessionCheckpoint
 from repro.scenario.spec import BackendSpec, GraphSpec, ScenarioSpec, WorkloadSpec
@@ -270,3 +288,174 @@ class TestFastEdgeList:
                 expected = replay_on_graph(graph, changes[:count]).edges()
                 assert backend.graph.edges() == expected
                 assert backend.snapshot().edges == tuple(expected)
+
+
+# ----------------------------------------------------------------------
+# Legacy delta checkpoints decode to the full checkpoint at their position
+# ----------------------------------------------------------------------
+_LEGACY_DIR = pathlib.Path(__file__).parent / "data" / "legacy_delta_checkpoints"
+
+#: Digest of ``checkpoint(full=True)`` at each file's position, taken by the
+#: run that wrote the file.  The three backends are the ``fast`` engine,
+#: ``direct`` on ``fast`` and ``async-direct`` on ``dict`` with a ``random``
+#: scheduler; every journal starts at base position 5.
+_LEGACY_DELTA_DIGESTS = {
+    "async-dict-random-adaptive.json": "9a0c310dc1e901e236d9693ebc931fe18973b0cab09796653f049cf86beb209d",
+    "async-dict-random-mixed_churn.json": "abc9089fd9aacfa387ab3aebee013290891d158803c8e36b39c6e875d9378710",
+    "direct-fast-adaptive.json": "12f9323200b31cabef0d7c79f99f4b34712bba1fe1d27676c1c5fe663902bf7c",
+    "direct-fast-mixed_churn.json": "594c3ad562260d74110483d4a08d819acbe87361e45b1f27baf7954edef6bad5",
+    "fast-adaptive.json": "f859414ed38aa335df3603d6487034bdf78c9fdd900e55cf53ef312cf167db82",
+    "fast-mixed_churn.json": "903e1a0c628502b5f0acfecaa49adada12b921dd39391a570e74c82897761b51",
+}
+
+
+class TestLegacyDeltaCheckpoints:
+    @pytest.mark.parametrize("name", sorted(_LEGACY_DELTA_DIGESTS))
+    def test_files_load_to_the_full_checkpoint_digest(self, name):
+        record = json.loads((_LEGACY_DIR / name).read_text())
+        assert record["journal"]["base_position"] == 5 < record["position"]
+        checkpoint = load_checkpoint(_LEGACY_DIR / name)
+        assert checkpoint.position == record["position"]
+        assert _record_digest(checkpoint) == _LEGACY_DELTA_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "base_position", [None, -1, 18, "5"], ids=["missing", "negative", "above", "string"]
+    )
+    def test_bad_base_positions_are_rejected(self, base_position):
+        record = json.loads((_LEGACY_DIR / "fast-mixed_churn.json").read_text())
+        if base_position is None:
+            del record["journal"]["base_position"]
+        else:
+            record["journal"]["base_position"] = base_position
+        with pytest.raises(CheckpointFormatError, match="base_position"):
+            checkpoint_from_dict(record)
+
+
+# ----------------------------------------------------------------------
+# Record formats and codecs
+# ----------------------------------------------------------------------
+def _network_spec(num_changes: int = 40, seed: int = 11) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="records-buffered-fast",
+        seed=seed,
+        graph=GraphSpec(family="erdos_renyi", nodes=24, seed=seed + 1),
+        workload=WorkloadSpec(kind="mixed_churn", num_changes=num_changes, seed=seed + 2),
+        backend=BackendSpec(runner="protocol", network="fast", protocol="buffered"),
+    )
+
+
+def _engine_spec(num_changes: int = 40, seed: int = 11) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="records-fast",
+        seed=seed,
+        graph=GraphSpec(family="erdos_renyi", nodes=24, seed=seed + 1),
+        workload=WorkloadSpec(kind="mixed_churn", num_changes=num_changes, seed=seed + 2),
+        backend=BackendSpec(runner="sequential", engine="fast"),
+    )
+
+
+class TestCheckpointFormats:
+    def test_v1_records_still_decode(self):
+        """A pre-journal checkpoint file (v1 format, no scheduler_state, no
+        journal key) must keep loading -- the new fields default to None."""
+        session = Session(_network_spec(num_changes=20))
+        for _ in range(6):
+            session.step()
+        record = checkpoint_to_dict(session.checkpoint())
+        v1 = copy.deepcopy(record)
+        v1["format"] = FORMAT_V1
+        v1.pop("journal", None)
+        v1["snapshot"].pop("scheduler_state", None)
+        checkpoint = checkpoint_from_dict(v1)
+        assert checkpoint.snapshot.scheduler_state is None
+        resumed = Session.resume(checkpoint)
+        assert resumed.states() == session.states()
+
+    def test_unsupported_formats_are_rejected(self):
+        record = checkpoint_to_dict(Session(_engine_spec(num_changes=5)).checkpoint())
+        record["format"] = "repro-checkpoint-v99"
+        with pytest.raises(CheckpointFormatError, match="supported"):
+            checkpoint_from_dict(record)
+
+
+class TestRecursiveCodecs:
+    def test_nested_keys_round_trip(self):
+        # Reduction labels nest tuples inside priority keys; the codec must
+        # rebuild the exact tuple tree, not just the top level.
+        keys = [
+            (0.25, 3),
+            (("line", ("a", "b")), 0.5, 7),
+            ((("deep", (1, ("deeper", 2))), 0.125), 4),
+        ]
+        for key in keys:
+            assert _decode_key(_encode_key(key)) == key
+
+    def test_state_trees_round_trip(self):
+        state = ("uniform-rng", (3, tuple(range(10)), None))
+        assert _decode_state_tree(_encode_state_tree(state)) == state
+        assert _encode_state_tree(None) is None
+        assert _decode_state_tree(None) is None
+
+    def test_nested_reduction_labels_survive_a_checkpoint(self):
+        """End-to-end: a snapshot with tuple-structured node labels and keys
+        round-trips the JSON codec exactly (the v1 codec flattened these)."""
+        session = Session(_engine_spec(num_changes=8))
+        for _ in range(4):
+            session.step()
+        checkpoint = session.checkpoint()
+        nodes = tuple(checkpoint.snapshot.nodes) + (("line", ("u", ("v", 2))),)
+        keys = dict(checkpoint.snapshot.priority_keys)
+        keys[("line", ("u", ("v", 2)))] = (("nested", (1, 2)), 0.5)
+        states = dict(checkpoint.snapshot.states)
+        states[("line", ("u", ("v", 2)))] = False
+        snapshot = dataclasses.replace(
+            checkpoint.snapshot, nodes=nodes, priority_keys=keys, states=states
+        )
+        checkpoint = dataclasses.replace(checkpoint, snapshot=snapshot)
+        decoded = checkpoint_from_dict(
+            json.loads(json.dumps(checkpoint_to_dict(checkpoint)))
+        )
+        assert decoded.snapshot.nodes == snapshot.nodes
+        assert decoded.snapshot.priority_keys == snapshot.priority_keys
+
+
+class TestSaveCheckpoint:
+    def test_atomic_write_and_load(self, tmp_path):
+        session = Session(_engine_spec(num_changes=10))
+        for _ in range(4):
+            session.step()
+        target = tmp_path / "checkpoint.json"
+        save_checkpoint(target, session.checkpoint())
+        loaded = load_checkpoint(target)
+        assert loaded.position == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+    def test_failed_replace_cleans_up_the_temp_file(self, tmp_path, monkeypatch):
+        session = Session(_engine_spec(num_changes=10))
+        session.step()
+        target = tmp_path / "checkpoint.json"
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(target, session.checkpoint())
+        assert list(tmp_path.iterdir()) == []  # no orphaned .tmp sibling
+
+    def test_concurrent_writers_use_distinct_temp_names(self, tmp_path, monkeypatch):
+        session = Session(_engine_spec(num_changes=10))
+        session.step()
+        checkpoint = session.checkpoint()
+        seen = []
+        original = os.replace
+
+        def spying_replace(src, dst):
+            seen.append(pathlib.Path(src).name)
+            return original(src, dst)
+
+        monkeypatch.setattr(os, "replace", spying_replace)
+        target = tmp_path / "checkpoint.json"
+        save_checkpoint(target, checkpoint)
+        save_checkpoint(target, checkpoint)
+        assert len(seen) == 2 and seen[0] != seen[1]
