@@ -125,34 +125,60 @@ class FastEngine(MISEngine):
         initial_graph: Optional[DynamicGraph] = None,
     ) -> None:
         self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
-        # id-indexed parallel arrays (grow together in _new_slot).
-        self._labels: List[Optional[Node]] = []  # id -> label (None = free slot)
-        self._adj: List[array] = []  # id -> array('q') of neighbor ids
-        self._prio: List[float] = []  # id -> float part of the priority key
-        self._keys: List[Optional[Tuple]] = []  # id -> full priority key
-        self._state = bytearray()  # id -> 1 iff in MIS
-        self._alive = bytearray()  # id -> 1 iff node currently exists
-        # Per-change scratch stamps (avoid clearing O(n) state every change).
-        self._snap_stamp: List[int] = []  # id -> epoch of the old-state snapshot
-        self._snap_state = bytearray()  # id -> state at snapshot time
-        self._infl_stamp: List[int] = []  # id -> epoch when first counted influenced
-        self._epoch = 0
-        # Label interning.
-        self._id_of: Dict[Node, int] = {}
-        self._free: List[int] = []
-        self._num_edges = 0
-        # Incremental float64 mirror of _prio (indexed by id, physical length
-        # grows by doubling) -- the batched wave indexes priorities through
-        # numpy without re-copying the python list every batch.
-        self._prio_np = _np.zeros(0, dtype=_np.float64) if _np is not None else None
+        self._build((), ())
         if initial_graph is not None:
             self._bootstrap(initial_graph)
 
     # ------------------------------------------------------------------
-    # Bootstrap
+    # Build / bootstrap
     # ------------------------------------------------------------------
+    def _build(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]]) -> None:
+        """(Re)build the interned storage for ``nodes`` and ``edges`` at once.
+
+        The labels get ids ``0..n-1`` in the given order with an empty free
+        list -- the layout that interning them one by one into empty storage
+        would give -- but every id-indexed array is built in one pass, not
+        one :meth:`_intern` at a time.  Shared by :meth:`_bootstrap`
+        (followed by the greedy pass) and :meth:`restore` (followed by
+        installing the snapshot states), so the engine has a single build
+        path; :meth:`_intern` serves later insertions.
+        """
+        labels = list(nodes)
+        assign = self._priorities.assign
+        keys = [tuple(assign(label)) for label in labels]
+        count = len(labels)
+        # id-indexed parallel arrays (grown together by _new_slot).
+        self._labels: List[Optional[Node]] = list(labels)  # id -> label (None = free slot)
+        self._prio: List[float] = [float(key[0]) for key in keys]  # id -> float part of the key
+        self._keys: List[Optional[Tuple]] = list(keys)  # id -> full priority key
+        self._state = bytearray(count)  # id -> 1 iff in MIS
+        self._alive = bytearray(b"\x01") * count  # id -> 1 iff node currently exists
+        # Per-change scratch stamps (avoid clearing O(n) state every change).
+        self._snap_stamp: List[int] = [0] * count  # id -> epoch of the old-state snapshot
+        self._snap_state = bytearray(count)  # id -> state at snapshot time
+        self._infl_stamp: List[int] = [0] * count  # id -> epoch when first counted influenced
+        self._epoch = 0
+        # Label interning.
+        self._id_of: Dict[Node, int] = {label: nid for nid, label in enumerate(labels)}
+        self._free: List[int] = []
+        # Incremental float64 mirror of _prio (indexed by id, physical length
+        # grows by doubling) -- the batched wave indexes priorities through
+        # numpy without re-copying the python list every batch.
+        self._prio_np = _np.array(self._prio, dtype=_np.float64) if _np is not None else None
+        # Adjacency: one array('q') of neighbor ids per node, filled in edge order.
+        rows: List[List[int]] = [[] for _ in range(count)]
+        id_of = self._id_of
+        num_edges = 0
+        for u, v in edges:
+            iu, iv = id_of[u], id_of[v]
+            rows[iu].append(iv)
+            rows[iv].append(iu)
+            num_edges += 1
+        self._adj: List[array] = [array("q", row) for row in rows]
+        self._num_edges = num_edges
+
     def _bootstrap(self, graph: DynamicGraph) -> None:
-        self._load_topology(graph.nodes(), graph.edges())
+        self._build(graph.nodes(), graph.edges())
         # Greedy pass in increasing pi: any MIS neighbor was processed earlier,
         # unprocessed (hence later) neighbors still read as state 0.
         state = self._state
@@ -160,22 +186,6 @@ class FastEngine(MISEngine):
         for nid in order:
             if not any(state[m] for m in self._adj[nid]):
                 state[nid] = 1
-
-    def _load_topology(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]]) -> None:
-        """Intern ``nodes`` and load ``edges`` into the adjacency arrays.
-
-        Shared by :meth:`_bootstrap` (followed by the greedy pass) and
-        :meth:`restore` (followed by installing the snapshot states), so the
-        interning scheme has a single build path.
-        """
-        for label in nodes:
-            self._intern(label)
-        id_of = self._id_of
-        for u, v in edges:
-            iu, iv = id_of[u], id_of[v]
-            self._adj[iu].append(iv)
-            self._adj[iv].append(iu)
-            self._num_edges += 1
 
     # ------------------------------------------------------------------
     # Interning / slot management
@@ -368,22 +378,8 @@ class FastEngine(MISEngine):
         priority keys, and therefore all future reports) is, which is all the
         :class:`~repro.core.engine_api.MISEngine` contract promises.
         """
-        self._labels = []
-        self._adj = []
-        self._prio = []
-        self._keys = []
-        self._state = bytearray()
-        self._alive = bytearray()
-        self._snap_stamp = []
-        self._snap_state = bytearray()
-        self._infl_stamp = []
-        self._epoch = 0
-        self._id_of = {}
-        self._free = []
-        self._num_edges = 0
-        self._prio_np = _np.zeros(0, dtype=_np.float64) if _np is not None else None
         self._priorities.restore_keys(dict(snapshot.priority_keys))
-        self._load_topology(snapshot.nodes, snapshot.edges)
+        self._build(snapshot.nodes, snapshot.edges)
         id_of = self._id_of
         for label, in_mis in snapshot.states.items():
             self._state[id_of[label]] = 1 if in_mis else 0

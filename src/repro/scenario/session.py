@@ -139,8 +139,7 @@ class SessionCheckpoint:
         """
         if self.spec.workload.is_dynamic:
             return self.spec.workload.num_changes
-        _, changes = self.spec.materialize()
-        return len(changes)
+        return len(self.spec._changes())
 
 
 @dataclass
@@ -214,8 +213,12 @@ class Session:
         # in how it is built, resumed and has its state read.
         self._changes: List[TopologyChange] = []  # pulled from the iterator so far
         self._workload: Iterator[TopologyChange]
+        # Only a fresh backend is built from the starting graph; the session
+        # drops it once the backend is built (see initial_graph).
+        initial_graph: Optional[DynamicGraph] = None
         if spec.workload.is_dynamic:
-            self._initial_graph = spec.graph.build()
+            if _checkpoint is None:
+                initial_graph = spec.graph.build()
             self._num_changes = spec.workload.num_changes
             adversary = AdaptiveAdversary(
                 self.mis, self._num_changes - self._position, rng_seed=spec.workload.seed
@@ -224,7 +227,10 @@ class Session:
                 adversary.setstate(_checkpoint.workload_state)
             self._workload = adversary
         else:
-            self._initial_graph, changes = spec.materialize()
+            if _checkpoint is None:
+                initial_graph, changes = spec.materialize()
+            else:
+                changes = spec._changes()
             self._num_changes = len(changes)
             self._workload = iter(changes)
             self._changes.extend(itertools.islice(self._workload, self._position))
@@ -241,7 +247,7 @@ class Session:
             engine = spec.backend.engine
             if _checkpoint is None:
                 self._maintainer = DynamicMIS(
-                    seed=spec.seed, initial_graph=self._initial_graph, engine=engine
+                    seed=spec.seed, initial_graph=initial_graph, engine=engine
                 )
             else:
                 # Rebuild the engine empty, then restore the label-level
@@ -260,7 +266,7 @@ class Session:
                 self._network = create_network(
                     spec.backend.protocol,
                     network=spec.backend.network,
-                    initial_graph=self._initial_graph,
+                    initial_graph=initial_graph,
                     **kwargs,
                 )
             else:
@@ -283,8 +289,14 @@ class Session:
 
     @property
     def initial_graph(self) -> DynamicGraph:
-        """The materialized starting graph (do not mutate)."""
-        return self._initial_graph
+        """The materialized starting graph (do not mutate).
+
+        Rebuilt from the spec when read, without generating the workload: a
+        live session holds only its backend's graph, and a resumed one never
+        built a starting graph.  Fresh or resumed, it equals
+        ``spec.materialize()[0]``.
+        """
+        return self._spec._starting_graph()
 
     @property
     def changes(self) -> List[TopologyChange]:

@@ -587,18 +587,16 @@ class ScenarioSpec:
                 "repro.scenario.Session (which also checkpoints it)"
             )
         if workload.kind == "trace":
-            return self._materialize_trace()
+            return self._load_trace(graph=True)
+        graph = self._starting_graph()
         if workload.kind == "sliding_window":
-            num_nodes = workload.params["num_nodes"]
             changes = sliding_window_sequence(
-                num_nodes,
+                workload.params["num_nodes"],
                 workload.params["window_size"],
                 workload.num_changes,
                 seed=workload.seed,
             )
-            return DynamicGraph(nodes=range(num_nodes)), changes
-        graph = self.graph.build()
-        if workload.kind == "mixed_churn":
+        elif workload.kind == "mixed_churn":
             changes = mixed_churn_sequence(
                 graph, workload.num_changes, seed=workload.seed, **workload.params
             )
@@ -611,32 +609,60 @@ class ScenarioSpec:
                 graph, workload.num_changes, seed=workload.seed, **workload.params
             )
         elif workload.kind == "build":
-            changes = build_sequence(graph, seed=workload.seed, **workload.params)
-            return DynamicGraph(), changes
+            # The graph spec is the build's target; the run starts empty.
+            changes = build_sequence(self.graph.build(), seed=workload.seed, **workload.params)
         elif workload.kind == "teardown":
             changes = teardown_sequence(graph, seed=workload.seed, **workload.params)
         else:  # pragma: no cover - kinds are validated upfront
             raise AssertionError(workload.kind)
         return graph, changes
 
-    def _materialize_trace(self) -> Tuple[DynamicGraph, List[TopologyChange]]:
-        from repro.workloads.trace import TraceFormatError, load_trace
+    def _changes(self) -> List[TopologyChange]:
+        """The changes of :meth:`materialize` alone (what a resumed session needs).
+
+        A trace decodes only its changes; a generated workload still builds
+        its graph, as generator input, and drops it.
+        """
+        if self.workload.kind == "trace":
+            self.validate()
+            return self._load_trace(graph=False)[1]
+        return self.materialize()[1]
+
+    def _starting_graph(self) -> DynamicGraph:
+        """The starting graph of :meth:`materialize`, without generating the workload.
+
+        Adaptive workloads, which cannot be materialized, start from the
+        graph spec too.
+        """
+        workload = self.workload
+        if workload.kind == "trace":
+            return self._load_trace(graph=True)[0]
+        if workload.kind == "sliding_window":
+            return DynamicGraph(nodes=range(workload.params["num_nodes"]))
+        if workload.kind == "build":
+            return DynamicGraph()
+        return self.graph.build()
+
+    def _load_trace(self, graph: bool) -> Tuple[Optional[DynamicGraph], List[TopologyChange]]:
+        """The trace file's ``(starting graph, changes)``; the graph is ``None``
+        unless ``graph`` is set."""
+        from repro.workloads.trace import TraceFormatError, _load_trace
 
         try:
-            loaded = load_trace(self.workload.path)
+            loaded = _load_trace(self.workload.path, graph=graph)
         except (OSError, TraceFormatError, json.JSONDecodeError) as error:
             raise ScenarioSpecError(
                 f"cannot load trace {self.workload.path!r}: {error}"
             ) from None
-        graph = loaded["initial_graph"]
-        if graph is None:
+        starting = loaded["initial_graph"]
+        if graph and starting is None:
             if self.graph is None:
                 raise ScenarioSpecError(
                     f"trace {self.workload.path!r} has no initial graph and the "
                     "scenario has no graph spec"
                 )
-            graph = self.graph.build()
-        return graph, loaded["changes"]
+            starting = self.graph.build()
+        return starting, loaded["changes"]
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

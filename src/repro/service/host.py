@@ -19,6 +19,16 @@ id, dispatches the service ops (``create`` / ``apply`` / ``apply_batch`` /
   host -- pointed at the same spool via :meth:`adopt_spool` -- resumes all of
   them with outputs identical to never-interrupted runs.
 
+A spool phase costs what its own session costs, however many others are
+live: the host holds CPython's cyclic collector off while it writes a
+session's checkpoint and while it loads and resumes one.  Those phases
+allocate a session's worth of containers, and a collection they trigger
+would walk every live session's objects too; their temporaries die by
+reference count instead.  The previous :func:`gc.isenabled` state comes
+back afterwards, also when the phase fails.  Library code (the checkpoint
+codec, :class:`~repro.scenario.session.Session`, the engines) never touches
+the process-global collector.
+
 The host is deliberately single-threaded: a shard worker serializes its
 requests, and concurrency comes from running many shards
 (:mod:`repro.service.daemon`).  Everything it returns is plain JSON-ready
@@ -28,10 +38,12 @@ results to the wire untouched.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.scenario.checkpoint_io import (
     CheckpointFormatError,
@@ -113,10 +125,18 @@ class _Entry:
     last_used: int = 0
     #: Whether a spool checkpoint exists on disk for this session.
     spooled: bool = False
-    #: Lifetime counters, for ``stats``.
-    applied: int = 0
-    evictions: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
+
+
+@contextlib.contextmanager
+def _collector_held() -> Iterator[None]:
+    """Hold the cyclic garbage collector off for one spool phase."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SessionHost:
@@ -130,7 +150,10 @@ class SessionHost:
             raise ValueError("max_live must be at least 1")
         self._entries: Dict[str, _Entry] = {}
         self._clock = 0
+        # Host lifetime counters, for ``stats`` (they outlive closed sessions).
         self._ops = 0
+        self._applied = 0
+        self._evictions = 0
         self._rehydrations = 0
 
     # ------------------------------------------------------------------
@@ -217,7 +240,7 @@ class SessionHost:
             if entry.session.step() is None:
                 break
             applied += 1
-        entry.applied += applied
+        self._applied += applied
         self._enforce_capacity(keep=entry.session_id)
         status = self._status(entry)
         status["applied"] = applied
@@ -321,8 +344,8 @@ class SessionHost:
             "live": live,
             "evicted": len(self._entries) - live,
             "ops": self._ops,
-            "applied": sum(entry.applied for entry in self._entries.values()),
-            "evictions": sum(entry.evictions for entry in self._entries.values()),
+            "applied": self._applied,
+            "evictions": self._evictions,
             "rehydrations": self._rehydrations,
             "max_live": self._config.max_live,
         }
@@ -396,24 +419,26 @@ class SessionHost:
         return entry
 
     def _rehydrate(self, session_id: str) -> Session:
-        checkpoint = load_checkpoint(self._spool_path(session_id))
-        overrides: Dict[str, Any] = {}
-        if checkpoint.runner == "sequential" and self._config.engine:
-            overrides["engine"] = self._config.engine
-        if checkpoint.runner == "protocol" and self._config.network:
-            overrides["network"] = self._config.network
-        return Session.resume(checkpoint, **overrides)
+        with _collector_held():
+            checkpoint = load_checkpoint(self._spool_path(session_id))
+            overrides: Dict[str, Any] = {}
+            if checkpoint.runner == "sequential" and self._config.engine:
+                overrides["engine"] = self._config.engine
+            if checkpoint.runner == "protocol" and self._config.network:
+                overrides["network"] = self._config.network
+            return Session.resume(checkpoint, **overrides)
 
     def _write_spool(self, entry: _Entry) -> Path:
         path = self._spool_path(entry.session_id)
-        save_checkpoint(path, entry.session.checkpoint())
+        with _collector_held():
+            save_checkpoint(path, entry.session.checkpoint())
         entry.spooled = True
         return path
 
     def _evict(self, entry: _Entry) -> None:
         self._write_spool(entry)
         entry.session = None
-        entry.evictions += 1
+        self._evictions += 1
 
     def _enforce_capacity(self, keep: str) -> None:
         """Evict LRU live sessions past ``max_live`` (never the one in use)."""

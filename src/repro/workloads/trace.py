@@ -196,5 +196,13 @@ def save_trace(
 
 def load_trace(path) -> Dict[str, Any]:
     """Read a workload from a JSON file written by :func:`save_trace`."""
+    return _load_trace(path, graph=True)
+
+
+def _load_trace(path, graph: bool) -> Dict[str, Any]:
+    """:func:`load_trace`; without ``graph`` the starting graph is not decoded (``None``)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return decode_trace(json.load(handle))
+        record = json.load(handle)
+    if not graph and isinstance(record, dict):
+        record.pop("initial_graph", None)
+    return decode_trace(record)

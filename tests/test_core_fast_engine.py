@@ -54,6 +54,35 @@ def test_free_list_reuses_slots() -> None:
     engine.verify()
 
 
+def test_restore_after_freed_slots_builds_a_dense_layout() -> None:
+    """A restore interns the snapshot's labels as ids 0..n-1: no free slots."""
+    engine = FastEngine(seed=1, initial_graph=erdos_renyi_graph(12, 0.3, seed=4))
+    for label in (2, 5, 7):
+        engine.delete_node(label)
+    assert engine.free_slots() == 3 and engine.capacity() == 12
+    engine.restore(engine.snapshot())
+    assert engine.capacity() == engine.num_nodes() == 9
+    assert engine.free_slots() == 0
+    engine.check_interning_invariants()
+    engine.verify()
+
+
+@pytest.mark.parametrize("numpy", ["present", "absent"])
+def test_interning_is_sound_right_after_a_bootstrap(
+    numpy: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    if numpy == "absent":
+        monkeypatch.setattr(fast_engine, "_np", None)
+    elif fast_engine._np is None:
+        pytest.skip("numpy not available")
+    engine = FastEngine(seed=3, initial_graph=erdos_renyi_graph(30, 0.15, seed=8))
+    engine.check_interning_invariants()
+    assert engine.capacity() == engine.num_nodes() == 30
+    assert engine.free_slots() == 0
+    assert (engine._prio_np is None) == (numpy == "absent")
+    engine.verify()
+
+
 def test_delete_then_reinsert_same_label_restores_priority() -> None:
     priorities = RandomPriorityAssigner(7)
     engine = FastEngine(priorities=priorities)

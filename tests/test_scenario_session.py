@@ -34,6 +34,7 @@ from repro.scenario import (
     run_scenario_grid,
     save_checkpoint,
 )
+from repro.workloads import trace
 
 
 def _metric_dicts(network):
@@ -594,6 +595,91 @@ class TestDynamicWorkloads:
         )
         assert protocol.num_changes == 40
         assert protocol.verified
+
+
+class TestInitialGraph:
+    """A session keeps no starting graph: it is rebuilt from the spec when read."""
+
+    @staticmethod
+    def _trace_specs(tmp_path):
+        """A trace that embeds its starting graph and one that does not."""
+        graph, changes = small_spec(
+            workload=WorkloadSpec(kind="mixed_churn", num_changes=12, seed=2)
+        ).materialize()
+        embedded = tmp_path / "embedded.trace.json"
+        trace.save_trace(embedded, changes, initial_graph=graph)
+        bare = tmp_path / "bare.trace.json"
+        trace.save_trace(bare, changes)
+        return {
+            "trace-embedded": small_spec(
+                graph=None, workload=WorkloadSpec(kind="trace", path=str(embedded))
+            ),
+            "trace-bare": small_spec(workload=WorkloadSpec(kind="trace", path=str(bare))),
+        }
+
+    @classmethod
+    def _spec(cls, kind, tmp_path):
+        if kind.startswith("trace"):
+            return cls._trace_specs(tmp_path)[kind]
+        if kind == "sliding_window":
+            params = {"num_nodes": 16, "window_size": 6}
+            workload = WorkloadSpec(kind="sliding_window", num_changes=12, seed=9, params=params)
+            return small_spec(graph=None, workload=workload)
+        if kind == "build":
+            return small_spec(workload=WorkloadSpec(kind="build", seed=3))
+        return small_spec(workload=WorkloadSpec(kind=kind, num_changes=12, seed=3))
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "trace-embedded",
+            "trace-bare",
+            "mixed_churn",
+            "build",
+            "sliding_window",
+            "adaptive_adversary",
+        ],
+    )
+    def test_fresh_and_resumed_sessions_read_the_materialized_graph(self, kind, tmp_path):
+        spec = self._spec(kind, tmp_path)
+        # Adaptive workloads cannot be materialized; they start from the graph spec.
+        expected = spec.graph.build() if spec.workload.is_dynamic else spec.materialize()[0]
+        session = Session(spec)
+        assert session.initial_graph == expected
+        for _ in range(4):
+            session.step()
+        assert session.initial_graph == expected  # not the backend's current graph
+        path = tmp_path / "resume.json"
+        save_checkpoint(path, session.checkpoint())
+        resumed = Session.resume(load_checkpoint(path))
+        assert resumed.position == 4
+        assert resumed.initial_graph == expected
+        assert resumed.states() == session.states()
+
+    @pytest.mark.parametrize("kind", ["trace-embedded", "trace-bare"])
+    def test_resuming_a_trace_session_builds_no_graph(self, kind, tmp_path, monkeypatch):
+        """Neither ``GraphSpec.build`` nor the trace's graph decoder runs."""
+        spec = self._spec(kind, tmp_path)
+        session = Session(spec)
+        for _ in range(5):
+            session.step()
+        checkpoint = session.checkpoint()
+        built = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(GraphSpec, "build", counted("build", GraphSpec.build))
+        monkeypatch.setattr(trace, "decode_graph", counted("decode_graph", trace.decode_graph))
+        resumed = Session.resume(checkpoint)
+        assert built == []
+        resumed.run()
+        session.run()
+        assert resumed.states() == session.states()
 
 
 class TestObservers:

@@ -13,11 +13,17 @@ guarantees under test:
   can never leave a truncated-but-renamed spool file, and fsyncs the spool
   directory after it, so the rename itself survives a power loss;
 * a damaged spool file (truncated, or not valid UTF-8) fails its request
-  with the typed ``spec-error``.
+  with the typed ``spec-error``;
+* the cyclic collector is held off inside the spool phases (checkpoint and
+  save on evict, load and resume on rehydrate) and comes back in the state
+  the caller left it in, also when a rehydrate fails;
+* ``stats`` counts applies and evictions over the host's lifetime, closed
+  sessions included.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import stat
@@ -32,6 +38,7 @@ from repro.scenario.checkpoint_io import (
 )
 from repro.scenario.session import Session
 from repro.scenario.spec import BackendSpec, GraphSpec, ScenarioSpec, WorkloadSpec
+from repro.service import host as service_host
 from repro.service.host import (
     BadRequestError,
     HostConfig,
@@ -228,6 +235,112 @@ class TestEviction:
         assert (tmp_path / "spool" / "a.ckpt.json").exists()
         host.handle("close", {"session": "a"})
         assert not (tmp_path / "spool" / "a.ckpt.json").exists()
+
+
+class TestLifetimeCounters:
+    def test_stats_keeps_the_counts_of_closed_sessions(self, tmp_path):
+        host = _host(tmp_path)
+        host.handle("create", {"session": "a", "spec": _spec().to_dict()})
+        host.handle("apply", {"session": "a", "steps": 5})
+        host.handle("evict", {"session": "a"})
+        host.handle("query", {"session": "a"})
+        host.handle("close", {"session": "a"})
+        stats = host.handle("stats", {})
+        assert stats["sessions"] == 0
+        assert (stats["applied"], stats["evictions"], stats["rehydrations"]) == (5, 1, 1)
+
+
+class TestCollectorContract:
+    """No cyclic collection inside a spool phase; the caller's GC state survives."""
+
+    #: The calls of the two spool phases: evict, then rehydrate.
+    PHASE_CALLS = ("checkpoint", "save_checkpoint", "load_checkpoint", "resume")
+
+    @staticmethod
+    def _watch_spool_calls(monkeypatch):
+        """Wrap the four spool-phase calls the host makes.
+
+        Each wrapped call records whether the collector was enabled inside
+        it and how many collections started while it ran.
+        """
+        started = []
+        calls = []
+
+        def on_collection(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        def watched(name, function):
+            def wrapper(*args, **kwargs):
+                before = len(started)
+                enabled = gc.isenabled()
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    calls.append((name, enabled, len(started) - before))
+
+            return wrapper
+
+        for name in ("save_checkpoint", "load_checkpoint"):
+            monkeypatch.setattr(service_host, name, watched(name, getattr(service_host, name)))
+        monkeypatch.setattr(Session, "checkpoint", watched("checkpoint", Session.checkpoint))
+        monkeypatch.setattr(Session, "resume", staticmethod(watched("resume", Session.resume)))
+        return calls, on_collection
+
+    def test_no_collection_starts_inside_a_spool_phase(self, tmp_path, monkeypatch):
+        host = _host(tmp_path)
+        host.handle("create", {"session": "a", "spec": _spec().to_dict()})
+        host.handle("apply", {"session": "a", "steps": 4})
+        calls, on_collection = self._watch_spool_calls(monkeypatch)
+        enabled, thresholds = gc.isenabled(), gc.get_threshold()
+        gc.enable()
+        # A tiny young-generation threshold: any enabled stretch that
+        # allocates containers would start collections.
+        gc.set_threshold(10, 1000, 1000)
+        gc.callbacks.append(on_collection)
+        try:
+            host.handle("evict", {"session": "a"})
+            assert gc.isenabled()
+            status = host.handle("query", {"session": "a"})
+            assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(on_collection)
+            gc.set_threshold(*thresholds)
+            (gc.enable if enabled else gc.disable)()
+        assert status["live"] and status["position"] == 4
+        assert [name for name, _, _ in calls] == list(self.PHASE_CALLS)
+        assert all(not inside for _, inside, _ in calls), calls
+        assert all(collections == 0 for _, _, collections in calls), calls
+
+    def test_a_failed_rehydrate_re_enables_the_collector(self, tmp_path):
+        host = _host(tmp_path)
+        host.handle("create", {"session": "a", "spec": _spec().to_dict()})
+        host.handle("apply", {"session": "a", "steps": 3})
+        host.handle("evict", {"session": "a"})
+        path = tmp_path / "spool" / "a.ckpt.json"
+        path.write_bytes(path.read_bytes()[:-40])
+        enabled = gc.isenabled()
+        gc.enable()
+        try:
+            response = host.handle_safely("query", {"session": "a"})
+            assert gc.isenabled()
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert not response["ok"] and response["kind"] == "spec-error"
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self, tmp_path):
+        host = _host(tmp_path)
+        host.handle("create", {"session": "a", "spec": _spec().to_dict()})
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            host.handle("apply", {"session": "a", "steps": 2})
+            host.handle("evict", {"session": "a"})
+            assert not gc.isenabled()
+            assert host.handle("query", {"session": "a"})["position"] == 2
+            assert not gc.isenabled()
+        finally:
+            (gc.enable if enabled else gc.disable)()
 
 
 class TestEvictRehydrateDifferential:
