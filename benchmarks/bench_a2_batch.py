@@ -9,9 +9,10 @@ and meter the mean wall-clock cost per batch.
 The template pays O(n) per batch regardless of the influenced set (it copies
 the full state dict per propagation level and rescans all nodes for
 adjustments); the fast engine applies the graph deltas to its flat arrays and
-runs one mask-based repair wave over the dirty ids, so its cost tracks the
-influenced neighborhood.  Acceptance bar: >= 5x at the largest size, with
-identical MIS outputs (asserted -- a free conformance check every run).
+runs its single-change repair walk from all the dirty ids at once, so its
+cost tracks the influenced neighborhood.  Acceptance bar: >= 5x at the
+largest size, with identical MIS outputs (asserted -- a free conformance
+check every run).
 
 Results are emitted as a table and as JSON (``benchmarks/results/``) so the
 performance trajectory is recorded in version control and diffed per commit
@@ -41,7 +42,7 @@ TARGET_SPEEDUP_AT_MAX_N = 5.0
 def _time_batched(engine: str, graph, batches, seed: int, repetitions: int = 3) -> Dict:
     # Best-of-N: replays are bit-identical (asserted by the callers' output
     # checks), so the min discards scheduler jitter and one-time costs
-    # (lazy numpy imports) without changing any measured semantics.
+    # (cold caches, lazy imports) without changing any measured semantics.
     elapsed = float("inf")
     for _ in range(repetitions):
         maintainer = DynamicMIS(seed=seed, initial_graph=graph, engine=engine)
@@ -119,7 +120,7 @@ def test_a2_batched_backends(benchmark):
         [[n, f"{t:.1f}", f"{f:.1f}", f"{s:.1f}x"] for n, t, f, s in results["rows"]],
     )
     emit(
-        "A2b: native vectorized batch apply",
+        "A2b: native batch apply",
         [
             {
                 "row": f"fast-engine batched speedup at n={SIZES[-1]}",

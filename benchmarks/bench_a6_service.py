@@ -4,7 +4,7 @@ The service tentpole's claim is operational, not algorithmic: a sharded
 ``repro-mis serve`` daemon turns the per-session O(1)-adjustments guarantee
 into aggregate ingestion throughput that scales with worker processes,
 because each shard owns its sessions outright (no cross-shard coordination)
-and the unit of work on the wire is the vectorized ``apply_batch`` path.
+and the unit of work on the wire is the batched ``apply_batch`` path.
 
 Reproduction: one in-process daemon per shard count, real shard worker
 processes and a real localhost socket.  A fixed fleet of sessions -- all on
@@ -79,8 +79,8 @@ def _fleet_spec(name: str, graph_seed: int, workload_seed: int) -> ScenarioSpec:
 def _drive_slice(address: str, names: List[str], failures: List[BaseException]) -> None:
     """One client thread: its own connection, its slice of the fleet.
 
-    Round-robins ``apply_batch`` over its sessions (one vectorized batch per
-    request) until every workload is exhausted -- the per-request shape a
+    Round-robins ``apply_batch`` over its sessions (one batch per request)
+    until every workload is exhausted -- the per-request shape a
     change-stream ingester would produce.
     """
     try:

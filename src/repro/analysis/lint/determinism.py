@@ -22,10 +22,9 @@ family while the report stays precise:
   ``prio*``, ``priority*``, ``pm``/``pf``) outside a sanctioned *tie-escape
   site*.  Escapes are recognized structurally: an equality whose enclosing
   boolean expression also compares the full key tuple (``prio[m] == p and
-  keys[m] < key``), a tie *mask* assigned to a ``tie``-named variable and
-  resolved against keys downstream, or an ``assert`` invariant.  A bare
-  ``if prio[a] == prio[b]:`` that branches without consulting the key is
-  the hazard.
+  keys[m] < key``), or an ``assert`` invariant.  A bare ``if prio[a] ==
+  prio[b]:`` that branches without consulting the key is the hazard, and
+  so is a float compare stored in a variable for later use.
 
 Suppress an accepted site with ``# repro-lint: determinism -- reason``.
 """
@@ -97,9 +96,6 @@ _PRIORITY_NAME_RE = re.compile(r"(^|_)(pi|prio|priorities|priority|pm|pf|pkey)($
 
 #: Names that mark the full-key side of a sanctioned tie escape.
 _KEY_NAME_RE = re.compile(r"key", re.IGNORECASE)
-
-#: Assignment targets that mark a tie *mask* (resolved against keys later).
-_TIE_NAME_RE = re.compile(r"tie", re.IGNORECASE)
 
 
 def _is_set_like(node: ast.AST) -> bool:
@@ -246,9 +242,7 @@ def _sanctioned_tie_escape(node: ast.Compare, parents) -> bool:
     Climbing from the compare to its statement: a sibling operand of an
     enclosing ``BoolOp`` that consults the key tuple sanctions the compare
     (``prio[m] == p and keys[m] < key`` -- the tie escapes to the full
-    key); so does assignment to a ``tie``-named mask (the vectorized form:
-    ``ties = prio[a] == prio[b]`` then keyed tie-breaking on the masked
-    lanes), and an ``assert`` (an invariant check cannot steer replayed
+    key); so does an ``assert`` (an invariant check cannot steer replayed
     control flow -- it can only abort).
     """
     child: ast.AST = node
@@ -260,11 +254,6 @@ def _sanctioned_tie_escape(node: ast.Compare, parents) -> bool:
         ):
             return True
         if isinstance(current, ast.Assert):
-            return True
-        if isinstance(current, ast.Assign) and any(
-            isinstance(target, ast.Name) and _TIE_NAME_RE.search(target.id)
-            for target in current.targets
-        ):
             return True
         if isinstance(current, ast.stmt):
             break

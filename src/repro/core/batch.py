@@ -21,7 +21,7 @@ Batch apply is a first-class method of the
 :class:`~repro.core.engine_api.MISEngine` contract: every backend implements
 :meth:`~repro.core.engine_api.MISEngine.apply_batch` natively (the template
 engine as one dict/set propagation, the fast engine as array deltas followed
-by a vectorized repair wave) and returns a
+by its single-change repair walk seeded from every touched node) and returns a
 :class:`~repro.core.engine_api.BatchUpdateReport`.  This module remains as
 the historical entry point: :func:`apply_batch` simply delegates to the
 engine's own method, and :class:`BatchUpdateReport` is re-exported here for

@@ -20,7 +20,10 @@ invariant against a snapshot of the states, then all flips commit together.
 Because flips only commit between levels, the per-level evaluation order is
 irrelevant and both engines produce identical level sets, influenced sets,
 adjustment counts and work counters -- this is machine-checked by the
-differential conformance suite in ``tests/conformance/``.
+differential conformance suite in ``tests/conformance/``.  A batch
+(:meth:`FastEngine.apply_batch`) runs the same walk, seeded with every node
+its changes touched; the engine has one level loop and needs nothing but the
+standard library.
 
 Unlike the template engine -- which copies the full state dict on every
 change and rescans all nodes to count adjustments (O(n) per change) -- the
@@ -51,19 +54,9 @@ from repro.core.invariant import InvariantViolation
 from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
 from repro.graph.dynamic_graph import DynamicGraph, GraphError, canonical_edge
 
-try:  # numpy accelerates the batched repair wave; plain python fallback below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI and the image
-    _np = None
-
 Node = Hashable
 
 _NO_ID = -1
-_EMPTY_IDS = _np.empty(0, dtype=_np.int64) if _np is not None else None
-#: Flipped-set size from which the batched repair wave switches to the
-#: vectorized (numpy-mask) frontier; below it, per-call numpy overhead
-#: exceeds the plain walk over such small adjacency slices.
-_VECTOR_LEVEL_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -161,10 +154,6 @@ class FastEngine(MISEngine):
         # Label interning.
         self._id_of: Dict[Node, int] = {label: nid for nid, label in enumerate(labels)}
         self._free: List[int] = []
-        # Incremental float64 mirror of _prio (indexed by id, physical length
-        # grows by doubling) -- the batched wave indexes priorities through
-        # numpy without re-copying the python list every batch.
-        self._prio_np = _np.array(self._prio, dtype=_np.float64) if _np is not None else None
         # Adjacency: one array('q') of neighbor ids per node, filled in edge order.
         rows: List[List[int]] = [[] for _ in range(count)]
         id_of = self._id_of
@@ -201,11 +190,6 @@ class FastEngine(MISEngine):
         self._snap_stamp.append(0)
         self._snap_state.append(0)
         self._infl_stamp.append(0)
-        prio_np = self._prio_np
-        if prio_np is not None and len(prio_np) <= nid:
-            grown = _np.zeros(max(16, 2 * len(prio_np), nid + 1), dtype=_np.float64)
-            grown[: len(prio_np)] = prio_np
-            self._prio_np = grown
         return nid
 
     def _intern(self, label: Node) -> int:
@@ -218,8 +202,6 @@ class FastEngine(MISEngine):
         self._state[nid] = 0
         self._alive[nid] = 1
         del self._adj[nid][:]
-        if self._prio_np is not None:
-            self._prio_np[nid] = self._prio[nid]
         self._id_of[label] = nid
         return nid
 
@@ -361,11 +343,6 @@ class FastEngine(MISEngine):
             assert self._labels[nid] is None and self._keys[nid] is None
             assert len(self._adj[nid]) == 0, "free id kept adjacency"
         assert half_edges == 2 * self._num_edges, "edge counter out of sync"
-        if self._prio_np is not None:
-            assert len(self._prio_np) >= capacity, "priority mirror too short"
-            assert self._prio_np[:capacity].tolist() == self._prio, (
-                "incremental priority mirror diverged from _prio"
-            )
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -479,15 +456,12 @@ class FastEngine(MISEngine):
     def apply_batch(self, changes: Sequence) -> BatchUpdateReport:
         """Apply ``changes`` atomically: array deltas first, one repair wave after.
 
-        Native vectorized batch apply (the ROADMAP open item): every change
-        is validated against the *evolving* topology and applied directly to
-        the flat arrays -- no invariant repair in between -- while collecting
-        the dirty seed set (later endpoints of edge changes, inserted nodes,
-        former later-neighbors of deleted MIS nodes).  A single level-
-        synchronous repair wave then restores the invariant over the dirty
-        ids; with numpy available the wave commits each level's flips and
-        deduplicates the next frontier through vectorized masks over the id
-        space (see :meth:`_batch_frontier`).
+        Every change is validated against the *evolving* topology and
+        applied directly to the flat arrays -- no invariant repair in
+        between -- while collecting the dirty seed set (later endpoints of
+        edge changes, inserted nodes, former later-neighbors of deleted MIS
+        nodes).  The single-change walk :meth:`_propagate`, started with no
+        source from all the seeds at once, then restores the invariant.
 
         Matches :meth:`repro.core.template.TemplateEngine.apply_batch`
         report-for-report (influenced sets, adjustment counts, level/work
@@ -567,8 +541,23 @@ class FastEngine(MISEngine):
             applied.append(change)
 
         seed_nodes = {label for label in dirty_labels if label in id_of}
-        report = self._batch_repair_wave(
-            [id_of[label] for label in seed_nodes], applied, seed_nodes
+        walk = self._propagate(
+            "batch",
+            None,
+            None,
+            source_changes=False,
+            extra_dirty=[id_of[label] for label in seed_nodes],
+        )
+        report = BatchUpdateReport(
+            changes=applied,
+            seed_nodes=seed_nodes,
+            influenced_labels=walk.influenced_labels,
+            influenced_size=walk.influenced_size,
+            num_adjustments=walk.num_adjustments,
+            num_levels=walk.num_levels,
+            state_flips=walk.state_flips,
+            update_work=walk.update_work,
+            evaluations=walk.evaluations,
         )
         for label in deleted_labels:
             self._priorities.forget(label)
@@ -582,13 +571,17 @@ class FastEngine(MISEngine):
     def _propagate(
         self,
         change_type: str,
-        source: int,
+        source: Optional[int],
         v_star_star: Optional[Node],
         source_changes: bool,
         source_alive: bool = True,
         extra_dirty: Iterable[int] = (),
     ) -> FastUpdateReport:
-        """Iterative influenced-set walk; mirrors ``propagate_influence``."""
+        """Iterative influenced-set walk; mirrors ``propagate_influence``.
+
+        A batch passes ``source=None``: the walk then starts from the
+        ``extra_dirty`` seeds alone, with no changed node of its own.
+        """
         state, adj, prio, keys = self._state, self._adj, self._prio, self._keys
         alive, labels = self._alive, self._labels
         self._epoch += 1
@@ -606,6 +599,7 @@ class FastEngine(MISEngine):
 
         dirty: Set[int] = set()
         if source_changes:
+            assert source is not None
             num_levels += 1
             state_flips += 1
             influenced += 1
@@ -668,7 +662,7 @@ class FastEngine(MISEngine):
         )
         return FastUpdateReport(
             change_type=change_type,
-            v_star=labels[source] if alive[source] else v_star_star,
+            v_star=labels[source] if source is not None and alive[source] else v_star_star,
             v_star_star=v_star_star,
             influenced_size=influenced,
             num_adjustments=adjustments,
@@ -678,130 +672,6 @@ class FastEngine(MISEngine):
             evaluations=evaluations,
             influenced_labels=frozenset(influenced_labels),
         )
-
-    def _batch_repair_wave(
-        self, dirty_ids: List[int], applied: List, seed_nodes: Set[Node]
-    ) -> BatchUpdateReport:
-        """Level-synchronous repair wave over the batch's dirty ids.
-
-        Same fixed-point iteration as :meth:`_propagate` but with no single
-        source node: every dirty id re-evaluates the invariant against the
-        level's state snapshot, all flips of a level commit together, and the
-        next frontier is the later-in-``pi`` neighborhood of the flipped set.
-        With numpy available, levels whose flipped set is large commit their
-        flips and deduplicate the next frontier through vectorized masks
-        (:meth:`_batch_frontier`); small levels use the same plain-python
-        walk as the single-change path (the numpy call overhead would
-        dominate there).  Counters are identical either way.
-        """
-        state, adj, labels = self._state, self._adj, self._labels
-        self._epoch += 1
-        epoch = self._epoch
-        snap_stamp, snap_state = self._snap_stamp, self._snap_state
-        infl_stamp = self._infl_stamp
-
-        num_levels = 0
-        state_flips = 0
-        influenced = 0
-        evaluations = 0
-        work = 0
-        touched: List[int] = []
-        influenced_labels: List[Node] = []
-
-        dirty: Iterable[int] = sorted(set(dirty_ids))
-        cap = 2 * len(self._id_of) + 5
-        level = 0
-        while True:
-            frontier = list(dirty)
-            if not frontier:
-                break
-            level += 1
-            if level > cap:
-                raise RuntimeError(
-                    "batch repair wave did not converge; the starting states "
-                    "probably violated the MIS invariant before the batch"
-                )
-            flipped: List[int] = []
-            for nid in frontier:
-                evaluations += 1
-                work += len(adj[nid])
-                if self._desired(nid) != state[nid]:
-                    flipped.append(nid)
-            if not flipped:
-                break
-            for nid in flipped:
-                if snap_stamp[nid] != epoch:
-                    snap_stamp[nid] = epoch
-                    snap_state[nid] = state[nid]
-                    touched.append(nid)
-                if infl_stamp[nid] != epoch:
-                    infl_stamp[nid] = epoch
-                    influenced += 1
-                    influenced_labels.append(labels[nid])
-            state_flips += len(flipped)
-            num_levels += 1
-            if self._prio_np is not None and len(flipped) >= _VECTOR_LEVEL_THRESHOLD:
-                flipped_arr = _np.asarray(flipped, dtype=_np.int64)
-                _np.frombuffer(state, dtype=_np.uint8)[flipped_arr] ^= 1
-                dirty = self._batch_frontier(flipped_arr, self._prio_np)
-            else:
-                for nid in flipped:
-                    state[nid] ^= 1
-                next_dirty: Set[int] = set()
-                prio, keys = self._prio, self._keys
-                for nid in flipped:
-                    np_, nk = prio[nid], keys[nid]
-                    for m in adj[nid]:
-                        if prio[m] > np_ or (prio[m] == np_ and keys[m] > nk):
-                            next_dirty.add(m)
-                dirty = next_dirty
-
-        alive = self._alive
-        adjustments = sum(
-            1 for nid in touched if alive[nid] and state[nid] != snap_state[nid]
-        )
-        return BatchUpdateReport(
-            changes=applied,
-            seed_nodes=seed_nodes,
-            influenced_labels=frozenset(influenced_labels),
-            influenced_size=influenced,
-            num_adjustments=adjustments,
-            num_levels=num_levels,
-            state_flips=state_flips,
-            update_work=work,
-            evaluations=evaluations,
-        )
-
-    def _batch_frontier(self, flipped_arr, prio_np):
-        """Vectorized next-frontier: later-in-``pi`` neighbors of the flipped set.
-
-        Concatenates the flipped nodes' adjacency rows (zero-copy views over
-        the ``array('q')`` buffers), keeps entries whose priority float
-        exceeds their source's (ties -- astronomically unlikely under the
-        random order but possible under deterministic assigners -- fall back
-        to the full-key comparison), and deduplicates with ``np.unique``.
-        """
-        adj, keys = self._adj, self._keys
-        rows = [
-            _np.frombuffer(adj[int(nid)], dtype=_np.int64) if len(adj[int(nid)]) else _EMPTY_IDS
-            for nid in flipped_arr
-        ]
-        if not rows:
-            return []
-        neighbors = _np.concatenate(rows)
-        if neighbors.size == 0:
-            return []
-        sources = _np.repeat(flipped_arr, [row.size for row in rows])
-        later = prio_np[neighbors] > prio_np[sources]
-        ties = prio_np[neighbors] == prio_np[sources]
-        if ties.any():
-            tie_breaks = [
-                keys[int(m)] > keys[int(s)]
-                for m, s in zip(neighbors[ties], sources[ties])
-            ]
-            later = later.copy()
-            later[_np.flatnonzero(ties)] = tie_breaks
-        return [int(nid) for nid in _np.unique(neighbors[later])]
 
     # ------------------------------------------------------------------
     # Internal helpers

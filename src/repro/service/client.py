@@ -151,7 +151,7 @@ class ServiceClient:
         return self.request("apply", session=session, steps=steps)
 
     def apply_batch(self, session: str, steps: int) -> Dict[str, Any]:
-        """Multi-unit ingestion (the service's vectorized hot path)."""
+        """Multi-unit ingestion (the service's batched hot path)."""
         return self.request("apply_batch", session=session, steps=steps)
 
     def query(self, session: str, what: str = "status") -> Dict[str, Any]:

@@ -228,7 +228,7 @@ class SessionHost:
         """``apply``: advance the session by ``steps`` workload units (default 1).
 
         A *unit* is whatever the spec declares: one change, or -- when the
-        spec sets ``batch_size`` -- one vectorized
+        spec sets ``batch_size`` -- one
         :meth:`~repro.core.dynamic_mis.DynamicMIS.apply_batch` chunk.
         """
         steps = params.get("steps", 1)

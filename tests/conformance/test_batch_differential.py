@@ -1,11 +1,12 @@
 """Batched differential conformance: fast-engine batches must equal template batches.
 
 The fast engine's native :meth:`~repro.core.fast_engine.FastEngine.apply_batch`
-(flat-array graph deltas + one vectorized repair wave) re-implements the
-batched Section 6 extension from scratch, so -- exactly like the single-change
-path -- it is only acceptable if it is report-for-report identical to the
-template's batch apply.  :func:`repro.testing.differential.replay_batch_differential`
-checks per batch: every cost counter of
+(flat-array graph deltas, then the single-change walk seeded with every node
+the batch touched) re-implements the batched Section 6 extension from
+scratch, so -- exactly like the single-change path -- it is only acceptable
+if it is report-for-report identical to the template's batch apply.
+:func:`repro.testing.differential.replay_batch_differential` checks per
+batch: every cost counter of
 :data:`~repro.core.engine_api.BATCH_REPORT_FIELDS`, influenced-set and
 seed-node membership, MIS sets, clustering views, and (via engine
 ``snapshot()``/``restore()``) that batched application agrees with
@@ -19,7 +20,8 @@ backends need zero edits to ``dynamic_mis.py`` or any other core module.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence, Set
+import random
+from typing import Dict, Hashable, List, Sequence, Set
 
 import pytest
 
@@ -37,7 +39,14 @@ from repro.core.priorities import DeterministicPriorityAssigner
 from repro.core.rng import spawn_seeds
 from repro.core.template import TemplateEngine
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import disjoint_paths_graph, erdos_renyi_graph, star_graph
+from repro.graph.generators import (
+    bipartite_sides,
+    complete_bipartite_graph,
+    disjoint_paths_graph,
+    erdos_renyi_graph,
+    preferential_attachment_graph,
+    star_graph,
+)
 from repro.testing.differential import (
     REPORT_FIELDS,
     ConformanceMismatch,
@@ -89,32 +98,6 @@ def test_split_into_batches_partitions_the_sequence() -> None:
     assert all(1 <= len(batch) <= 5 for batch in batches)
 
 
-def _counting_frontier(monkeypatch: pytest.MonkeyPatch):
-    """Wrap the fast engine's vectorized frontier with a call counter."""
-    from repro.core.fast_engine import FastEngine
-
-    calls = {"count": 0, "sizes": []}
-    original = FastEngine._batch_frontier
-
-    def counted(self, flipped_arr, prio_np):
-        calls["count"] += 1
-        calls["sizes"].append(len(flipped_arr))
-        return original(self, flipped_arr, prio_np)
-
-    monkeypatch.setattr(FastEngine, "_batch_frontier", counted)
-    return calls
-
-
-def _force_vector_wave(monkeypatch: pytest.MonkeyPatch, threshold: int = 1):
-    """Skip without numpy; else set the vector threshold and count frontier calls."""
-    from repro.core import fast_engine
-
-    if fast_engine._np is None:
-        pytest.skip("numpy not available")
-    monkeypatch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", threshold)
-    return _counting_frontier(monkeypatch)
-
-
 def _earliest_newcomer_seed(leaves) -> int:
     """A seed under which node ``"x"`` comes before every leaf in ``pi``."""
     from repro.core.priorities import RandomPriorityAssigner
@@ -127,49 +110,13 @@ def _earliest_newcomer_seed(leaves) -> int:
     raise AssertionError("no seed makes 'x' earliest; widen the search")
 
 
-def test_batched_replay_forced_through_vectorized_frontier(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """Full batched replay with the numpy-mask frontier forced on every level.
-
-    The production threshold only engages the vectorized path on levels with
-    >= 64 flips, which conformance-scale workloads never reach; dropping the
-    threshold to 1 sends *every* level through `_batch_frontier`, so the
-    whole replay (counters, influenced sets, MIS, clustering) machine-checks
-    the vectorized path against the template.
-    """
-    calls = _force_vector_wave(monkeypatch)
-    graph, changes = conformance_workload(77, num_changes=60, start_nodes=20)
-    replay_batch_differential(graph, changes, seed=77, max_batch=8)
-    assert calls["count"] > 0, "the vectorized frontier never ran"
-
-
-@pytest.mark.parametrize("seed", BATCH_SUITE_SEEDS)
-def test_forced_vector_wave_batched_replay(seed: int, monkeypatch: pytest.MonkeyPatch) -> None:
-    """The 25-seed tier-1 bar again, with every level on the numpy mask.
-
-    The mask is the only accelerator left in the batched wave, so it is held
-    to the same bar as the python walk: the same seeded sequences, report
-    for report against the template.
-    """
-    calls = _force_vector_wave(monkeypatch)
-    graph, changes = conformance_workload(seed, num_changes=40, start_nodes=18)
-    result = replay_batch_differential(graph, changes, seed=seed, max_batch=8)
-    assert result.engines == ("template", "fast")
-    assert calls["count"] > 0, "the vectorized frontier never ran"
-
-
 @pytest.mark.parametrize("seed", BATCH_SUITE_SEEDS[:5])
-def test_forced_vector_wave_interleaved_with_single_changes(
-    seed: int, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    """Single changes between batches keep the mirror the mask wave reads.
+def test_batches_interleaved_with_single_changes_match_the_template(seed: int) -> None:
+    """Batches and single changes share one engine state, report for report.
 
     Batches alternate with runs of single-change ``apply`` calls, whose
-    interning (fresh slots, free-list reuse) must keep ``_prio_np`` exact:
-    a stale entry would misorder the next forced batch's frontier.
+    interning (fresh slots, free-list reuse) the next batch's walk reads.
     """
-    calls = _force_vector_wave(monkeypatch)
     graph, changes = conformance_workload(seed, num_changes=60, start_nodes=18)
     template, fast = (
         DynamicMIS(seed=seed, initial_graph=graph, engine=name) for name in ("template", "fast")
@@ -192,138 +139,148 @@ def test_forced_vector_wave_interleaved_with_single_changes(
         assert fast.clustering() == template.clustering()
     template.verify()
     fast.verify()
-    assert calls["count"] > 0, "the vectorized frontier never ran"
 
 
-def test_forced_vector_wave_replay_with_node_churn(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Label deletion and re-interning onto recycled ids, mask wave forced on."""
-    calls = _force_vector_wave(monkeypatch)
-    graph = star_graph(6)
-    changes = node_churn_sequence(graph, 60, seed=4, insert_probability=0.5)
-    replay_batch_differential(graph, changes, seed=4, max_batch=6)
-    assert calls["count"] > 0, "the vectorized frontier never ran"
-
-
-@pytest.mark.parametrize("threshold", [2, 4, 6])
-def test_mixed_level_sizes_split_between_mask_and_walk(
-    threshold: int, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    """Levels at or above the threshold take the mask, smaller ones the walk.
-
-    The flipped set changes size as a wave spreads, so one wave can switch
-    paths from level to level.  This workload's levels flip 1 to 7 nodes,
-    so every threshold here sends some levels each way.
-    """
-    from repro.core.fast_engine import FastEngine
-
-    calls = _force_vector_wave(monkeypatch, threshold)
-    levels = {"count": 0}
-    original_wave = FastEngine._batch_repair_wave
-
-    def counted_wave(self, dirty_ids, applied, seed_nodes):
-        report = original_wave(self, dirty_ids, applied, seed_nodes)
-        levels["count"] += report.num_levels
-        return report
-
-    monkeypatch.setattr(FastEngine, "_batch_repair_wave", counted_wave)
-    graph, changes = conformance_workload(11, num_changes=160, start_nodes=32)
-    replay_batch_differential(graph, changes, seed=11, max_batch=12)
-    assert calls["count"] > 0, "no level reached the mask"
-    # The workload has a level of exactly each threshold's size: it takes the mask.
-    assert min(calls["sizes"]) == threshold
-    assert calls["count"] < levels["count"], "no level stayed on the walk"
-
-
-def test_below_threshold_levels_never_touch_the_vector_mask(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """A threshold one above the workload's largest level keeps every level
-    on the python walk (the first replay measures the largest level)."""
-    graph, changes = conformance_workload(13, num_changes=40, start_nodes=16)
-    calls = _force_vector_wave(monkeypatch)
-    replay_batch_differential(graph, changes, seed=13, max_batch=8)
-    calls = _force_vector_wave(monkeypatch, threshold=max(calls["sizes"]) + 1)
-    replay_batch_differential(graph, changes, seed=13, max_batch=8)
-    assert calls["count"] == 0, "levels below the threshold must stay on the walk"
-
-
-def test_natural_large_wave_uses_vectorized_frontier(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """A 100-flip repair level crosses the threshold organically.
+def test_100_flip_levels_match_the_template() -> None:
+    """A 100-flip repair level, in an insert batch and in a delete batch.
 
     100 isolated nodes are all in the MIS; inserting a node adjacent to all
     of them under a seed where the newcomer is *earliest* makes it join and
-    evicts every neighbor in one level -- well above the 64-flip threshold.
-    """
-    from repro.core import fast_engine
-    from repro.workloads.changes import NodeInsertion
-
-    leaves = list(range(100))
-    found = _earliest_newcomer_seed(leaves)
-    graph = DynamicGraph(nodes=leaves)
-    batch = [NodeInsertion("x", tuple(leaves))]
-    template = DynamicMIS(seed=found, initial_graph=graph, engine="template")
-    fast = DynamicMIS(seed=found, initial_graph=graph, engine="fast")
-    calls = _counting_frontier(monkeypatch)
-    report_t = template.apply_batch(batch)
-    report_f = fast.apply_batch(batch)
-    if fast_engine._np is not None:
-        assert calls["count"] > 0, "100-flip level should vectorize"
-    # x joins the MIS and evicts all 100 leaves, in both engines.
-    assert template.mis() == fast.mis() == {"x"}
-    assert report_t.num_adjustments == report_f.num_adjustments == 101
-    assert report_t.num_levels == report_f.num_levels == 2
-    assert report_t.influenced_set == report_f.influenced_set
-    assert report_t.update_work == report_f.update_work
-    template.verify()
-    fast.verify()
-
-
-def test_huge_threshold_keeps_large_levels_on_the_python_walk(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """The 100-flip levels of the test above, with the mask switched off.
-
-    Inserting ``x`` evicts all 100 leaves in one level; deleting it again
-    brings them all back in one level.  Both stay on the walk and still
-    match the template.
+    evicts every neighbor in one level; deleting it again brings them all
+    back in one level.
     """
     from repro.workloads.changes import NodeDeletion, NodeInsertion
 
-    calls = _force_vector_wave(monkeypatch, threshold=10**9)
     leaves = list(range(100))
     found = _earliest_newcomer_seed(leaves)
     graph = DynamicGraph(nodes=leaves)
     template = DynamicMIS(seed=found, initial_graph=graph, engine="template")
     fast = DynamicMIS(seed=found, initial_graph=graph, engine="fast")
-    for batch in ([NodeInsertion("x", tuple(leaves))], [NodeDeletion("x")]):
+    insert, delete = [NodeInsertion("x", tuple(leaves))], [NodeDeletion("x")]
+    for batch in (insert, delete):
         expected, actual = template.apply_batch(batch), fast.apply_batch(batch)
         for field in BATCH_REPORT_FIELDS:
             assert getattr(actual, field) == getattr(expected, field), field
         assert actual.influenced_set == expected.influenced_set
         assert actual.num_adjustments >= 100
         assert fast.mis() == template.mis()
+        if batch is insert:
+            # x joins the MIS and evicts all 100 leaves, in both engines.
+            assert fast.mis() == {"x"}
+            assert expected.num_adjustments == actual.num_adjustments == 101
+            assert expected.num_levels == actual.num_levels == 2
+        template.verify()
+        fast.verify()
     assert fast.mis() == set(leaves)
+
+
+def _batch_on_both(template: DynamicMIS, fast: DynamicMIS, batch) -> BatchUpdateReport:
+    """Apply ``batch`` to both engines, assert they agree report for report,
+    and return the template's report (its ``propagation`` holds the levels)."""
+    expected, actual = template.apply_batch(batch), fast.apply_batch(batch)
+    for field in BATCH_REPORT_FIELDS:
+        assert getattr(actual, field) == getattr(expected, field), field
+    assert actual.influenced_set == expected.influenced_set
+    assert actual.seed_nodes == expected.seed_nodes
+    assert fast.mis() == template.mis()
+    assert fast.clustering() == template.clustering()
+    return expected
+
+
+@pytest.mark.parametrize("seed", BATCH_SUITE_SEEDS)
+def test_whole_side_swaps_match_the_template(seed: int) -> None:
+    """The 25-seed bar on 66-flip repair levels, which seeded churn never reaches.
+
+    In ``K_{66,66}`` the MIS is the whole side that holds the earliest node.
+    Deleting that side in one batch makes every node of the other side a
+    seed, and all 66 join in one level.  A fresh side of new labels (so new
+    priorities) is then inserted against the survivors in one batch, and
+    takes the MIS over whenever it holds the new earliest node.
+    """
+    from repro.workloads.changes import NodeDeletion, NodeInsertion
+
+    side = 66
+    graph = complete_bipartite_graph(side, side)
+    template, fast = (
+        DynamicMIS(seed=seed, initial_graph=graph, engine=name) for name in ("template", "fast")
+    )
+    sides = [set(part) for part in bipartite_sides(side, side)]
+    for round_ in range(1, 4):
+        winners = template.mis()
+        assert winners in sides
+        (survivors,) = [part for part in sides if part != winners]
+        report = _batch_on_both(template, fast, [NodeDeletion(node) for node in winners])
+        assert report.seed_nodes == survivors
+        assert report.propagation.levels == [survivors]
+        assert fast.mis() == survivors
+        fresh = {round_ * 1000 + index for index in range(side)}
+        neighbors = tuple(sorted(survivors))
+        _batch_on_both(template, fast, [NodeInsertion(node, neighbors) for node in sorted(fresh)])
+        sides = [survivors, fresh]
+        fast.engine.check_interning_invariants()
+        template.verify()
+        fast.verify()
+
+
+def _cascade_bursts(graph: DynamicGraph, bursts: int, burst_size: int, seed: int):
+    """Delete/re-insert bursts in the shape of the ``cascade`` benchmark.
+
+    Each burst is two batches: one deletes ``burst_size`` distinct nodes,
+    alternately drawn uniformly and by degree (an endpoint of a random
+    edge, so hubs are hit), and the next brings them back in reverse order
+    with the neighbors each had when it went.  Every burst restores the
+    starting graph exactly.
+    """
+    from repro.workloads.changes import NodeDeletion, NodeInsertion
+
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes())
+    edges = sorted(graph.edges())
+    batches = []
+    for _ in range(bursts):
+        victims: List[Node] = []
+        while len(victims) < burst_size:
+            node = rng.choice(rng.choice(edges)) if len(victims) % 2 else rng.choice(nodes)
+            if node not in victims:
+                victims.append(node)
+        work = graph.copy()
+        lost = {}
+        for node in victims:
+            lost[node] = tuple(sorted(work.remove_node(node)))
+        batches.append([NodeDeletion(node) for node in victims])
+        batches.append([NodeInsertion(node, lost[node]) for node in reversed(victims)])
+    return batches
+
+
+@pytest.mark.parametrize("seed", BATCH_SUITE_SEEDS[:10])
+def test_cascade_bursts_match_the_template(seed: int) -> None:
+    """Whole-burst delete and re-insert batches on a hub-heavy graph.
+
+    Every burst puts the graph back as it was, so history independence
+    also pins the MIS after each burst to the starting one.
+    """
+    graph = preferential_attachment_graph(120, 3, seed=seed)
+    template, fast = (
+        DynamicMIS(seed=seed, initial_graph=graph, engine=name) for name in ("template", "fast")
+    )
+    start = fast.mis()
+    batches = _cascade_bursts(graph, bursts=3, burst_size=16, seed=seed)
+    for index, batch in enumerate(batches):
+        _batch_on_both(template, fast, batch)
+        if index % 2:
+            assert fast.mis() == start
+    assert fast.graph.copy() == graph
+    fast.engine.check_interning_invariants()
+    template.verify()
     fast.verify()
-    assert calls["count"] == 0, "the mask ran above a huge threshold"
 
 
-def test_numpy_absent_batched_replay_uses_the_python_wave(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """Without numpy the fast engine keeps no mirror and never vectorizes."""
-    from repro.core import fast_engine
-    from repro.core.fast_engine import FastEngine
-
-    monkeypatch.setattr(fast_engine, "_np", None)
-    monkeypatch.setattr(fast_engine, "_EMPTY_IDS", None)
-    monkeypatch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", 1)
-    calls = _counting_frontier(monkeypatch)
-    graph, changes = conformance_workload(15, num_changes=30, start_nodes=14)
-    replay_batch_differential(graph, changes, seed=15, max_batch=8)
-    assert FastEngine()._prio_np is None
-    assert calls["count"] == 0, "the numpy frontier ran without numpy"
+@pytest.mark.parametrize("max_batch", [16, 32, 64])
+def test_long_replays_in_large_batches_match_the_template(max_batch: int) -> None:
+    """Batches of up to ``max_batch`` changes start one walk from many seeds."""
+    graph, changes = conformance_workload(11, num_changes=160, start_nodes=32)
+    result = replay_batch_differential(graph, changes, seed=11, max_batch=max_batch)
+    assert result.num_changes == 160
 
 
 def _string_labelled(graph: DynamicGraph) -> DynamicGraph:
@@ -336,38 +293,30 @@ def _string_labelled(graph: DynamicGraph) -> DynamicGraph:
     )
 
 
+def _float_ties_at(maintainer: DynamicMIS, nodes) -> int:
+    """Edges at the live ``nodes`` whose endpoints' float priority parts tie."""
+    graph, key = maintainer.graph, maintainer.priorities.key
+    return sum(
+        1
+        for node in nodes
+        if graph.has_node(node)
+        for other in graph.iter_neighbors(node)
+        if key(other)[0] == key(node)[0]
+    )
+
+
 @pytest.mark.parametrize("labels", ["mixed", "strings"])
 @pytest.mark.parametrize("seed", BATCH_SUITE_SEEDS[:3])
-def test_vectorized_frontier_breaks_exact_priority_ties(
-    seed: int, labels: str, monkeypatch: pytest.MonkeyPatch
-) -> None:
+def test_batched_replay_breaks_exact_priority_ties_with_full_keys(seed: int, labels: str) -> None:
     """Batched replay under an order whose float parts tie, report for report.
 
     :class:`DeterministicPriorityAssigner` gives every non-numeric label the
     float part 0.0, so adjacent string-labelled nodes tie exactly on the
-    numpy priority mirror and only the full key tuples order them.  With
-    the threshold forced to 1, every level goes through the tie branch of
-    ``_batch_frontier``.  The ``mixed`` workload keeps the integer labels
-    (distinct float parts next to the tied ones); ``strings`` relabels the
-    starting graph so that every compare is a tie.
+    float priorities and only the full key tuples order them.  The
+    ``mixed`` workload keeps the integer labels (distinct float parts next
+    to the tied ones); ``strings`` relabels the starting graph so that
+    every compare is a tie.
     """
-    from repro.core import fast_engine
-    from repro.core.fast_engine import FastEngine
-
-    if fast_engine._np is None:
-        pytest.skip("numpy not available")
-    monkeypatch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", 1)
-    ties = {"count": 0}
-    original = FastEngine._batch_frontier
-
-    def tie_counting(self, flipped_arr, prio_np):
-        if any(
-            prio_np[m] == prio_np[int(nid)] for nid in flipped_arr for m in self._adj[int(nid)]
-        ):
-            ties["count"] += 1
-        return original(self, flipped_arr, prio_np)
-
-    monkeypatch.setattr(FastEngine, "_batch_frontier", tie_counting)
     if labels == "mixed":
         graph, changes = conformance_workload(seed, num_changes=80, start_nodes=18)
     else:
@@ -378,6 +327,7 @@ def test_vectorized_frontier_breaks_exact_priority_ties(
         for name in ("template", "fast")
     )
     assert fast.mis() == template.mis()
+    ties = 0
     for batch in split_into_batches(changes, seed=seed, max_batch=8):
         expected = template.apply_batch(batch)
         actual = fast.apply_batch(batch)
@@ -387,9 +337,10 @@ def test_vectorized_frontier_breaks_exact_priority_ties(
         assert actual.seed_nodes == expected.seed_nodes
         assert fast.mis() == template.mis()
         assert fast.clustering() == template.clustering()
+        ties += _float_ties_at(fast, actual.influenced_set)
     template.verify()
     fast.verify()
-    assert ties["count"] > 0, "no level reached the exact-tie branch"
+    assert ties > 0, "no influenced node has a neighbor with a tied float part"
 
 
 def test_batched_harness_detects_a_lying_engine(monkeypatch: pytest.MonkeyPatch) -> None:

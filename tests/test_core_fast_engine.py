@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import fast_engine
 from repro.core.dynamic_mis import DynamicMIS
 from repro.core.fast_engine import FastEngine, fast_greedy_mis
 from repro.core.greedy import greedy_mis
@@ -67,19 +66,11 @@ def test_restore_after_freed_slots_builds_a_dense_layout() -> None:
     engine.verify()
 
 
-@pytest.mark.parametrize("numpy", ["present", "absent"])
-def test_interning_is_sound_right_after_a_bootstrap(
-    numpy: str, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    if numpy == "absent":
-        monkeypatch.setattr(fast_engine, "_np", None)
-    elif fast_engine._np is None:
-        pytest.skip("numpy not available")
+def test_interning_is_sound_right_after_a_bootstrap() -> None:
     engine = FastEngine(seed=3, initial_graph=erdos_renyi_graph(30, 0.15, seed=8))
     engine.check_interning_invariants()
     assert engine.capacity() == engine.num_nodes() == 30
     assert engine.free_slots() == 0
-    assert (engine._prio_np is None) == (numpy == "absent")
     engine.verify()
 
 
@@ -210,60 +201,12 @@ def test_distributed_verify_accepts_fast_reference() -> None:
         network.verify(reference_engine="turbo")
 
 
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
-def test_priority_mirror_survives_restore() -> None:
-    from repro.workloads.changes import NodeDeletion, NodeInsertion
-
-    maintainer = DynamicMIS(seed=9, engine="fast")
-    engine = maintainer.engine
-    maintainer.apply(NodeInsertion("a", ()))
-    maintainer.apply(NodeInsertion("b", ("a",)))
-    rewind = engine.snapshot()
-    maintainer.apply(NodeDeletion("b"))
-    engine.restore(rewind)
-    capacity = engine.capacity()
-    assert engine._prio_np[:capacity].tolist() == engine._prio
-
-
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
-def test_batch_frontier_breaks_exact_ties_with_full_keys() -> None:
-    """Every string label has float part 0.0, so only full keys order them."""
-    from repro.core.priorities import DeterministicPriorityAssigner
-
-    np = fast_engine._np
-    center, leaves = "c", ("a", "b", "d", "e")
-    graph = DynamicGraph(nodes=(center, *leaves), edges=[(center, leaf) for leaf in leaves])
-    engine = FastEngine(priorities=DeterministicPriorityAssigner(), initial_graph=graph)
-    id_of = engine._id_of
-    assert len({engine._prio[nid] for nid in id_of.values()}) == 1
-
-    def frontier(labels):
-        flipped = np.asarray([id_of[label] for label in labels], dtype=np.int64)
-        return engine._batch_frontier(flipped, engine._prio_np)
-
-    assert frontier([center]) == sorted(id_of[label] for label in ("d", "e"))
-    assert frontier(["a", "e"]) == [id_of[center]]  # later than "a", earlier than "e"
-
-
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
-def test_batch_frontier_without_neighbors_is_empty() -> None:
-    np = fast_engine._np
-    engine = FastEngine(seed=3, initial_graph=DynamicGraph(nodes=range(4)))
-    isolated = np.arange(4, dtype=np.int64)
-    assert engine._batch_frontier(isolated, engine._prio_np) == []
-    assert engine._batch_frontier(isolated[:0], engine._prio_np) == []
-
-
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
-def test_forced_vector_wave_replays_identically_after_restore(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """``restore`` re-interns densely and rebuilds the priority mirror; the
-    mask wave then replays the same batches to the same reports and states."""
+def test_batches_replay_identically_after_restore() -> None:
+    """``restore`` re-interns densely; the same batches then replay to the
+    same reports and states."""
     from repro.core.engine_api import BATCH_REPORT_FIELDS
     from repro.testing.differential import conformance_workload, split_into_batches
 
-    monkeypatch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", 1)
     graph, changes = conformance_workload(5, num_changes=48, start_nodes=18)
     engine = FastEngine(seed=5, initial_graph=graph)
     batches = split_into_batches(changes, seed=5, max_batch=8)

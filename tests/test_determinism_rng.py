@@ -11,6 +11,10 @@ the hot path fails loudly.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +105,52 @@ def test_priority_assigner_accepts_generator() -> None:
     assigner_b = RandomPriorityAssigner(np.random.default_rng(5))
     assert assigner_a.seed == assigner_b.seed
     assert assigner_a.assign("node") == assigner_b.assign("node")
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+
+import repro
+import repro.cli
+import repro.scenario
+import repro.service
+from repro.scenario import BackendSpec, GraphSpec, ScenarioSpec, Session, WorkloadSpec
+
+
+def run(backend, batch_size=0):
+    spec = ScenarioSpec(
+        name="no-numpy",
+        seed=5,
+        graph=GraphSpec(family="erdos_renyi", nodes=24, seed=1),
+        workload=WorkloadSpec(kind="mixed_churn", num_changes=40, seed=2),
+        backend=backend,
+        batch_size=batch_size,
+    )
+    session = Session(spec)
+    assert session.run().verified
+    return session
+
+
+batched = run(BackendSpec(runner="sequential", engine="fast"), batch_size=8)
+assert batched.maintainer.statistics.num_batches == 5
+run(BackendSpec(runner="protocol", protocol="direct", network="fast", engine="fast"))
+assert "numpy" not in sys.modules, "an int-seeded run imported numpy"
+"""
+
+
+def test_int_seeded_sessions_import_no_numpy() -> None:
+    """numpy is optional: only a numpy seed (see ``normalize_seed``) imports it.
+
+    A fresh interpreter imports the package surfaces and runs a batched
+    ``fast`` session and a ``direct`` protocol session on int seeds.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

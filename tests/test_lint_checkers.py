@@ -161,16 +161,35 @@ class TestDeterminism:
                         return u
                     return v
 
-                def mask(prio_np, a, b):
-                    ties = prio_np[a] == prio_np[b]
-                    return ties
-
                 def invariant(self, nid):
                     assert self._prio[nid] == self._keys[nid][0]
                 """
             },
         )
         assert findings_for(tmp_path, "determinism") == []
+
+    def test_float_eq_stored_in_a_variable_is_flagged_whatever_its_name(self, tmp_path):
+        # A stored float compare never consults the key, so no target name
+        # (``ties``, or ``priorities``, which merely contains "tie") sanctions it.
+        make_project(
+            tmp_path,
+            {
+                "src/repro/core/ties.py": """
+                def mask(prio_np, a, b):
+                    ties = prio_np[a] == prio_np[b]
+                    return ties
+
+                def branch(prio, u, v):
+                    priorities = prio[u] == prio[v]
+                    if priorities:
+                        return u
+                    return v
+                """
+            },
+        )
+        found = findings_for(tmp_path, "determinism")
+        assert sorted(finding.symbol for finding in found) == ["branch", "mask"]
+        assert all("[float-eq]" in finding.message for finding in found)
 
 
 class TestCheckpointParity:

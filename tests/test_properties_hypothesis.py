@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import fast_engine
 from repro.core.dynamic_mis import DynamicMIS
 from repro.core.engine_api import BATCH_REPORT_FIELDS
 from repro.core.greedy import greedy_mis
-from repro.core.priorities import DeterministicPriorityAssigner, RandomPriorityAssigner
+from repro.core.priorities import RandomPriorityAssigner
 from repro.distributed.protocol_direct import DirectMISNetwork
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.line_graph import LineGraphView, line_graph_of
@@ -304,67 +302,23 @@ def test_fast_engine_invariants_after_every_change(script_case):
         assert engine.capacity() == engine.num_nodes() + engine.free_slots()
 
 
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
-@COMMON_SETTINGS
-@given(interleaved_churn_scripts())
-def test_priority_mirror_tracks_prio_incrementally(script_case):
-    """The float64 ``_prio_np`` mirror equals ``_prio`` after every change."""
-    seed, script = script_case
-    maintainer = DynamicMIS(seed=seed, engine="fast")
-    engine = maintainer.engine
-    for change in script:
-        maintainer.apply(change)
-        capacity = engine.capacity()
-        assert len(engine._prio_np) >= capacity
-        assert engine._prio_np[:capacity].tolist() == engine._prio
-
-
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
-@COMMON_SETTINGS
-@given(graphs_with_seed(), st.booleans(), st.data())
-def test_batch_frontier_equals_the_python_walk_frontier(graph_and_seed, tied, data):
-    """The numpy frontier is the python walk's: the later-in-``pi`` neighbors
-    of the flipped set, deduplicated and sorted.  With ``tied``, string labels
-    under the deterministic order give every node the float part 0.0, so
-    only the full keys order them."""
-    graph, seed = graph_and_seed
-    if tied:
-        graph = DynamicGraph(
-            nodes=[f"v{node}" for node in graph.nodes()],
-            edges=[(f"v{u}", f"v{v}") for u, v in graph.edges()],
-        )
-        priorities = DeterministicPriorityAssigner()
-    else:
-        priorities = RandomPriorityAssigner(seed)
-    engine = fast_engine.FastEngine(priorities=priorities, initial_graph=graph)
-    ids = sorted(engine._id_of.values())
-    flipped = data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
-    expected = sorted({m for nid in flipped for m in engine._adj[nid] if engine._earlier(nid, m)})
-    np = fast_engine._np
-    actual = engine._batch_frontier(np.asarray(flipped, dtype=np.int64), engine._prio_np)
-    assert actual == expected
-
-
-@pytest.mark.skipif(fast_engine._np is None, reason="numpy not available")
 @COMMON_SETTINGS
 @given(interleaved_churn_scripts(), st.integers(min_value=1, max_value=6))
-def test_forced_vector_wave_batches_equal_template(script_case, batch_size):
-    """With every level on the numpy mask, fixed-size batches of a churn
-    script report exactly what the template reports."""
+def test_fixed_size_batches_equal_template(script_case, batch_size):
+    """Fixed-size batches of a churn script report exactly what the
+    template reports."""
     seed, script = script_case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", 1)
-        fast = DynamicMIS(seed=seed, engine="fast")
-        template = DynamicMIS(seed=seed, engine="template")
-        for start in range(0, len(script), batch_size):
-            batch = script[start : start + batch_size]
-            expected, actual = template.apply_batch(batch), fast.apply_batch(batch)
-            for field in BATCH_REPORT_FIELDS:
-                assert getattr(actual, field) == getattr(expected, field), field
-            assert actual.influenced_set == expected.influenced_set
-            assert fast.mis() == template.mis()
-        fast.engine.check_interning_invariants()
-        fast.verify()
+    fast = DynamicMIS(seed=seed, engine="fast")
+    template = DynamicMIS(seed=seed, engine="template")
+    for start in range(0, len(script), batch_size):
+        batch = script[start : start + batch_size]
+        expected, actual = template.apply_batch(batch), fast.apply_batch(batch)
+        for field in BATCH_REPORT_FIELDS:
+            assert getattr(actual, field) == getattr(expected, field), field
+        assert actual.influenced_set == expected.influenced_set
+        assert fast.mis() == template.mis()
+    fast.engine.check_interning_invariants()
+    fast.verify()
 
 
 @COMMON_SETTINGS

@@ -96,14 +96,7 @@ class TestSequentialSession:
             session.maintainer.statistics.batch_sizes == maintainer.statistics.batch_sizes
         )
 
-    def test_batched_session_on_the_vector_wave_matches_the_template(self, monkeypatch):
-        # Every repair level of the fast engine's batches on the numpy mask,
-        # driven end to end through a batched session.
-        from repro.core import fast_engine
-
-        if fast_engine._np is None:
-            pytest.skip("numpy not available")
-        monkeypatch.setattr(fast_engine, "_VECTOR_LEVEL_THRESHOLD", 1)
+    def test_batched_fast_session_matches_the_template_batch_for_batch(self):
         spec = small_spec(
             graph=GraphSpec(family="erdos_renyi", nodes=48, seed=3),
             workload=WorkloadSpec(kind="mixed_churn", num_changes=96, seed=5),

@@ -95,7 +95,7 @@ class TestLifecycle:
         assert status["applied"] == 6 and status["done"]
 
     def test_batched_spec_applies_batch_units(self, tmp_path):
-        """With ``batch_size`` set, one unit is one vectorized batch."""
+        """With ``batch_size`` set, one unit is one ``apply_batch`` batch."""
         host = _host(tmp_path)
         spec = _spec(changes=12, batch_size=4).to_dict()
         host.handle("create", {"session": "b", "spec": spec})
