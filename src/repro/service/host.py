@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
@@ -121,8 +122,6 @@ class _Entry:
 
     session_id: str
     session: Optional[Session] = None
-    #: Monotonic op counter value of the last touch (LRU key).
-    last_used: int = 0
     #: Whether a spool checkpoint exists on disk for this session.
     spooled: bool = False
 
@@ -149,7 +148,8 @@ class SessionHost:
         if config.max_live < 1:
             raise ValueError("max_live must be at least 1")
         self._entries: Dict[str, _Entry] = {}
-        self._clock = 0
+        #: The entries with a live session, least recently used first.
+        self._live: OrderedDict[str, _Entry] = OrderedDict()
         # Host lifetime counters, for ``stats`` (they outlive closed sessions).
         self._ops = 0
         self._applied = 0
@@ -303,6 +303,7 @@ class SessionHost:
         """``close``: forget the session and delete its spool checkpoint."""
         session_id = self._session_id_param(params)
         entry = self._entries.pop(session_id, None)
+        self._live.pop(session_id, None)
         spool = self._spool_path(session_id)
         existed = entry is not None or spool.exists()
         if not existed:
@@ -338,11 +339,10 @@ class SessionHost:
 
     def op_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """``stats``: host-level counters (the daemon aggregates across shards)."""
-        live = sum(1 for entry in self._entries.values() if entry.session is not None)
         return {
             "sessions": len(self._entries),
-            "live": live,
-            "evicted": len(self._entries) - live,
+            "live": len(self._live),
+            "evicted": len(self._entries) - len(self._live),
             "ops": self._ops,
             "applied": self._applied,
             "evictions": self._evictions,
@@ -353,10 +353,9 @@ class SessionHost:
     def op_drain(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """``drain``: evict every live session (the graceful-shutdown path)."""
         drained = []
-        for entry in list(self._entries.values()):
-            if entry.session is not None:
-                self._evict(entry)
-                drained.append(entry.session_id)
+        for entry in list(self._live.values()):
+            self._evict(entry)
+            drained.append(entry.session_id)
         return {"drained": sorted(drained), "sessions": len(self._entries)}
 
     # ------------------------------------------------------------------
@@ -399,8 +398,8 @@ class SessionHost:
         return self._spool / f"{session_id}{SPOOL_SUFFIX}"
 
     def _touch(self, entry: _Entry) -> None:
-        self._clock += 1
-        entry.last_used = self._clock
+        self._live[entry.session_id] = entry
+        self._live.move_to_end(entry.session_id)
 
     def _live_entry(self, session_id: str) -> _Entry:
         """The entry with a live session, rehydrating from the spool if needed."""
@@ -438,20 +437,13 @@ class SessionHost:
     def _evict(self, entry: _Entry) -> None:
         self._write_spool(entry)
         entry.session = None
+        del self._live[entry.session_id]
         self._evictions += 1
 
     def _enforce_capacity(self, keep: str) -> None:
         """Evict LRU live sessions past ``max_live`` (never the one in use)."""
-        while True:
-            live = [
-                entry
-                for entry in self._entries.values()
-                if entry.session is not None and entry.session_id != keep
-            ]
-            # keep is excluded from candidates, so capacity counts it too.
-            if len(live) + 1 <= self._config.max_live or not live:
-                return
-            victim = min(live, key=lambda entry: entry.last_used)
+        while len(self._live) > self._config.max_live:
+            victim = next(entry for entry in self._live.values() if entry.session_id != keep)
             self._evict(victim)
 
     def _status(self, entry: _Entry) -> Dict[str, Any]:

@@ -14,9 +14,10 @@ private copy of the starting graph; they never mutate the caller's graph.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import random
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.workloads.changes import (
@@ -169,13 +170,13 @@ def sliding_window_sequence(
     """
     rng = random.Random(seed)
     working = DynamicGraph(nodes=range(num_nodes))
-    live: List[Tuple] = []
+    live: Deque[Tuple] = collections.deque()
     changes: List[TopologyChange] = []
     attempts = 0
     while len(changes) < num_changes and attempts < 50 * num_changes:
         attempts += 1
         if len(live) >= window_size:
-            u, v = live.pop(0)
+            u, v = live.popleft()
             if working.has_edge(u, v):
                 change = EdgeDeletion(u, v, graceful=bool(rng.getrandbits(1)))
                 apply_change_to_graph(working, change)
@@ -241,19 +242,23 @@ def alternative_histories(
 class _ChurnGraph:
     """The evolving private copy of the topology a churn generator draws from.
 
-    The node and edge indexes stay sorted by ``repr`` -- the orders of
-    ``sorted(graph.nodes(), key=repr)`` and :meth:`DynamicGraph.edges` --
-    through ``bisect`` updates, O(degree) list operations per change instead
-    of a full re-sort.  ``rng.choice`` indexes these lists, so the draws are
-    the ones a re-sort before every change would give.  The edge index is
-    built at the first draw of a present edge, which node churn never makes.
+    The node list and the edge index stay sorted by ``repr`` -- the orders
+    of ``sorted(graph.nodes(), key=repr)`` and :meth:`DynamicGraph.edges` --
+    instead of being re-sorted before every change.  ``rng.choice`` indexes
+    both, so the draws are the ones a re-sort before every change would
+    give.  The node list is a plain list updated by ``bisect``: it has only
+    n entries.  The edge index is a :class:`_ReprIndex`, whose updates cost
+    O(log m) comparisons plus list edits of at most ``2 * _BLOCK`` entries
+    each, so a node insertion with d neighbours costs O(d log m), not
+    O(d m).  It is built at the first draw of a present edge, which node
+    churn never makes.
     """
 
     def __init__(self, graph: DynamicGraph, seed: int, label_prefix: str = "") -> None:
         self.rng = random.Random(seed)
         self.graph = graph.copy()
         self.nodes = sorted(self.graph.nodes(), key=repr)
-        self._edges: Optional[List[Tuple]] = None
+        self._edges: Optional[_ReprIndex] = None
         self._fresh_labels = (f"{label_prefix}{k}" for k in itertools.count(1))
 
     def run(
@@ -306,25 +311,111 @@ class _ChurnGraph:
 
     def _present_edge(self) -> Optional[EdgeDeletion]:
         if self._edges is None:
-            self._edges = self.graph.edges()
+            self._edges = _ReprIndex(self.graph.edges())
         if not self._edges:
             return None
         u, v = self.rng.choice(self._edges)
         return EdgeDeletion(u, v, graceful=bool(self.rng.getrandbits(1)))
 
 
-def _index_edges(edges: List[Tuple], graph: DynamicGraph, change: TopologyChange) -> None:
+#: Half the largest block of a :class:`_ReprIndex`.  Larger blocks make
+#: every insert and remove move more entries, smaller ones make every
+#: indexed read walk more blocks.  Generating the ``lifecycle`` benchmark
+#: spec's workload on a 2-CPU container, values from 32 to 512 measured
+#: within noise of each other and 2048 about 20% slower.
+_BLOCK = 512
+
+
+class _ReprIndex:
+    """A sequence kept sorted by ``repr``, in blocks of at most ``2 * _BLOCK``.
+
+    It holds the items a list sorted with ``key=repr`` would hold, in the
+    same order, ties included: :meth:`insert` goes after equal keys, as
+    ``bisect.insort`` does, and :meth:`remove` deletes the first ``==`` item
+    from the first key not below its own on, as :func:`_remove_sorted`
+    does.  Each block keeps a parallel list of its items' ``repr`` keys,
+    and ``_maxes`` holds each block's last key, so an update computes one
+    ``repr`` and bisects in C over strings.  ``index[k]`` walks the block
+    lengths to the global k-th item, which is all ``random.choice`` needs.
+    """
+
+    def __init__(self, items: List) -> None:
+        """Index ``items``, which must already be sorted by ``repr``."""
+        keys = [repr(item) for item in items]
+        starts = range(0, len(items), _BLOCK)
+        self._blocks = [items[start : start + _BLOCK] for start in starts]
+        self._keys = [keys[start : start + _BLOCK] for start in starts]
+        self._maxes = [block_keys[-1] for block_keys in self._keys]
+        self._len = len(items)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int):
+        for block in self._blocks:
+            if index < len(block):
+                return block[index]
+            index -= len(block)
+        raise IndexError("index out of range")
+
+    def insert(self, item) -> None:
+        """Insert ``item`` after every item whose key is at most its own."""
+        key = repr(item)
+        maxes = self._maxes
+        self._len += 1
+        if not maxes:
+            self._blocks.append([item])
+            self._keys.append([key])
+            maxes.append(key)
+            return
+        i = bisect.bisect_right(maxes, key)
+        if i == len(maxes):
+            i -= 1
+            maxes[i] = key
+        block, keys = self._blocks[i], self._keys[i]
+        position = bisect.bisect_right(keys, key)
+        block.insert(position, item)
+        keys.insert(position, key)
+        if len(block) > 2 * _BLOCK:
+            self._blocks[i : i + 1] = block[:_BLOCK], block[_BLOCK:]
+            self._keys[i : i + 1] = keys[:_BLOCK], keys[_BLOCK:]
+            maxes.insert(i, keys[_BLOCK - 1])
+
+    def remove(self, item) -> None:
+        """Delete the first item ``== item`` from the first key not below its own on."""
+        key = repr(item)
+        start = bisect.bisect_left(self._maxes, key)
+        position = bisect.bisect_left(self._keys[start], key) if start < len(self._maxes) else 0
+        for i in range(start, len(self._blocks)):
+            block = self._blocks[i]
+            try:
+                position = block.index(item, position)
+            except ValueError:
+                position = 0
+                continue
+            keys = self._keys[i]
+            del block[position], keys[position]
+            self._len -= 1
+            if block:
+                self._maxes[i] = keys[-1]
+            else:
+                del self._blocks[i], self._keys[i], self._maxes[i]
+            return
+        raise ValueError(f"{item!r} is not in the index")
+
+
+def _index_edges(edges: _ReprIndex, graph: DynamicGraph, change: TopologyChange) -> None:
     """Update ``edges`` for ``change`` before it is applied to ``graph``."""
     if isinstance(change, EdgeInsertion):
-        bisect.insort(edges, canonical_edge(change.u, change.v), key=repr)
+        edges.insert(canonical_edge(change.u, change.v))
     elif isinstance(change, EdgeDeletion):
-        _remove_sorted(edges, canonical_edge(change.u, change.v))
+        edges.remove(canonical_edge(change.u, change.v))
     elif isinstance(change, NodeInsertion):
         for v in change.neighbors:
-            bisect.insort(edges, canonical_edge(change.node, v), key=repr)
+            edges.insert(canonical_edge(change.node, v))
     elif isinstance(change, NodeDeletion):
         for v in graph.neighbors(change.node):
-            _remove_sorted(edges, canonical_edge(change.node, v))
+            edges.remove(canonical_edge(change.node, v))
 
 
 def _remove_sorted(items: List, item) -> None:

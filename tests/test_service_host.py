@@ -26,6 +26,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import stat
 
 import pytest
@@ -145,6 +146,49 @@ class TestEviction:
         host.handle("create", {"session": "d", "spec": spec})
         rows = {row["session"]: row for row in host.handle("list", {})}
         assert rows["b"]["live"] and not rows["c"]["live"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_live_sessions_follow_a_reference_lru(self, tmp_path, seed):
+        """A scripted op mix over ``max_live + 3`` sessions against a list model."""
+        max_live = 3
+        host = _host(tmp_path, max_live=max_live)
+        spec = _spec(nodes=8, changes=40).to_dict()
+        names = [f"s{k}" for k in range(max_live + 3)]
+        ops = ("apply", "apply", "query", "query", "evict", "close")
+        rng = random.Random(seed)
+        model = []  # live session ids, least recently used first
+        known = set()
+
+        def use(name):
+            if name in model:
+                model.remove(name)
+            model.append(name)
+            del model[:-max_live]
+
+        for _ in range(120):
+            name = rng.choice(names)
+            op = rng.choice(ops) if name in known else "create"
+            if op == "create":
+                host.handle("create", {"session": name, "spec": spec})
+                known.add(name)
+            elif op == "apply":
+                host.handle("apply", {"session": name, "steps": 1})
+            elif op == "query":
+                host.handle("query", {"session": name, "what": "mis"})
+            else:
+                host.handle(op, {"session": name})
+            if op in ("evict", "close"):
+                if name in model:
+                    model.remove(name)
+                if op == "close":
+                    known.discard(name)
+            else:
+                use(name)
+            live = {row["session"] for row in host.handle("list", {}) if row["live"]}
+            assert live == set(model)
+            assert host.handle("stats", {})["live"] == len(model)
+        stats = host.handle("stats", {})
+        assert stats["evictions"] > 0 and stats["rehydrations"] > 0
 
     def test_rehydration_is_transparent(self, tmp_path):
         host = _host(tmp_path, max_live=1)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from repro.graph import generators
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
+from repro.workloads import sequences
 from repro.workloads.changes import EdgeInsertion, NodeInsertion
 from repro.workloads.sequences import (
     alternative_histories,
@@ -354,6 +358,15 @@ _PINNED_DIGESTS = {
     "mixed/empty-3/2": "f163c53b318331b4163c8e99c338163bb2a7118b2c8b9ce7c06fde28b9c72d1c",
 }
 
+#: ``(num_nodes, window_size, num_changes, seed)`` -> digest: a window that
+#: fills, one that never fills and runs out of attempts, and a large window.
+#: Recorded while the generator's FIFO was still a list popped at index 0.
+_SLIDING_WINDOW_DIGESTS = {
+    (30, 10, 300, 8): "e090940d3228b164a27f85cca342cf63e8f122e0864e1336e30e15d503637ed4",
+    (6, 40, 200, 9): "be9a975db5a74b5db95ccea4ad60ac241277a1fba4db0cc62efe9f31bbd02d08",
+    (2000, 5000, 12000, 10): "11d4aa80da186b8e85bc374751033e62ced865311e11cf61af7a0a553487b9ef",
+}
+
 _LIFECYCLE_DIGESTS = {
     "edge": "497c9ae961d40188b485cc05481e6062dd26fa00446ab0efd45f069543aeab1e",
     "mixed": "de96385b8c26521c3ca1e9a40964d33752d792977566e35d41f0fdd1963862cf",
@@ -388,3 +401,70 @@ class TestPinnedChurnStreams:
         changes = _CHURN_GENERATORS[kind](graph, 200, seed=4)
         assert len(changes) == 200
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("params", sorted(_SLIDING_WINDOW_DIGESTS))
+    def test_sliding_window_streams_match_the_recorded_digests(self, params):
+        num_nodes, window_size, num_changes, seed = params
+        changes = sliding_window_sequence(num_nodes, window_size, num_changes, seed=seed)
+        assert _stream_digest(changes) == _SLIDING_WINDOW_DIGESTS[params]
+
+
+# ----------------------------------------------------------------------
+# The churn generators' edge index
+# ----------------------------------------------------------------------
+class _Twin:
+    """Distinct objects that compare unequal but share one ``repr``."""
+
+    def __repr__(self) -> str:
+        return "twin"
+
+
+def _index_contents(index) -> list:
+    return [index[k] for k in range(len(index))]
+
+
+def _check_blocks(index) -> None:
+    assert all(0 < len(block) <= 2 * sequences._BLOCK for block in index._blocks)
+    assert index._keys == [[repr(item) for item in block] for block in index._blocks]
+    assert index._maxes == [keys[-1] for keys in index._keys]
+
+
+class TestReprIndex:
+    """``_ReprIndex`` against a list kept with ``insort(key=repr)`` and ``_remove_sorted``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_repr_sorted_list(self, seed, monkeypatch):
+        # Blocks of at most 8 entries, so the run splits and empties blocks.
+        monkeypatch.setattr(sequences, "_BLOCK", 4)
+        rng = random.Random(seed)
+        nodes = list(_labelled_graph().nodes()) + [_Twin(), _Twin()]
+        pool = [canonical_edge(u, v) for u, v in itertools.combinations(nodes, 2)]
+        present = rng.sample(pool, rng.randrange(len(pool) // 2))
+        reference = sorted(present, key=repr)
+        index = sequences._ReprIndex(list(reference))
+        for step in range(1500):
+            # Phases of mostly inserts and mostly removes fill and drain it.
+            fill = (step // 150) % 2 == 0
+            missing = [edge for edge in pool if edge not in present]
+            if missing and (not present or rng.random() < (0.8 if fill else 0.2)):
+                edge = rng.choice(missing)
+                present.append(edge)
+                bisect.insort(reference, edge, key=repr)
+                index.insert(edge)
+            elif present:
+                edge = present.pop(rng.randrange(len(present)))
+                sequences._remove_sorted(reference, edge)
+                index.remove(edge)
+            assert len(index) == len(reference)
+            assert _index_contents(index) == reference
+            _check_blocks(index)
+            if reference:
+                draw = rng.getrandbits(32)
+                chosen = random.Random(draw).choice(index)
+                assert chosen is random.Random(draw).choice(reference)
+        # The repr of a pool edge, but equal to no item: both scan on and raise.
+        stranger = (_Twin(), _Twin())
+        with pytest.raises(ValueError):
+            sequences._remove_sorted(reference, stranger)
+        with pytest.raises(ValueError):
+            index.remove(stranger)
