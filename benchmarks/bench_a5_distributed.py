@@ -28,9 +28,10 @@ fast cores' stays flat, with the buffered gap at n >= 20000 far beyond the
 per size -- a free conformance check on every benchmark run.
 
 Additionally measures the checkpoint overhead of the network
-snapshot/restore pair (:mod:`repro.distributed.state`): one knowledge-level
-``snapshot()`` plus a ``restore()`` into a fresh simulator, per backend --
-the cost a scenario session pays each time ``--checkpoint-every`` fires.
+snapshot/restore pair (:mod:`repro.distributed.state`): one ``snapshot()``
+of topology, states and keys plus a ``restore()`` into a fresh simulator,
+which derives each node's knowledge from the states, per backend -- the
+cost a scenario session pays each time ``--checkpoint-every`` fires.
 The table reports the amortized per-change overhead at a 1k-change
 checkpoint cadence (roundtrip / 1000).
 
@@ -104,7 +105,7 @@ def _time_network(network: str, spec: ScenarioSpec) -> Dict:
 
 
 def _checkpoint_roundtrip_us(network: str, spec: ScenarioSpec, session) -> float:
-    """Best-of-3 cost of one knowledge-level snapshot + restore roundtrip."""
+    """Best-of-3 cost of one snapshot + restore roundtrip."""
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()

@@ -12,7 +12,7 @@ reparameterized or handed to the conformance harness later.
     on any registered engine/network backend and print the cost summary.
     ``--checkpoint-every N --checkpoint-path p.json`` writes a resumable
     JSON checkpoint every N changes (both runners -- protocol sessions
-    checkpoint through the simulators' knowledge-level snapshots);
+    checkpoint through the simulators' label-keyed snapshots);
     ``--resume-from p.json`` continues one, optionally on a different
     backend via ``--engine`` / ``--network``.
 

@@ -5,11 +5,13 @@ engine backends (:class:`~repro.core.engine_api.MISEngine`, whose
 label-level :class:`~repro.core.engine_api.EngineSnapshot` the differential
 harness and :class:`~repro.scenario.session.Session` already use) and -- as
 of this module -- the six distributed network simulators, whose
-knowledge-level :class:`~repro.distributed.state.NetworkSnapshot` captures
-topology, per-edge knowledge, node states, metrics, the asynchronous
-scheduler cursor and the scheduler's own resumable state (the RNG stream
-position of the ``"random"`` delay scheduler), so resume is exact for every
-scheduler kind.
+:class:`~repro.distributed.state.NetworkSnapshot` captures topology, node
+states, priority keys, metrics, the asynchronous scheduler cursor and the
+scheduler's own resumable state (the RNG stream position of the
+``"random"`` delay scheduler), so resume is exact for every scheduler kind.
+Each node's local knowledge is not captured: between changes it is every
+neighbor's key and current output, which restore derives as bootstrap
+does.
 
 :class:`Checkpointable` is the structural protocol both families satisfy:
 ``snapshot()`` returns a frozen, *label-keyed* value object and
@@ -23,8 +25,9 @@ The contract, shared by both snapshot flavors:
 
 * ``restore(snap)`` leaves the object observably equal to its state at
   ``snapshot()`` time: same graph, same outputs, same priority keys, same
-  local knowledge (networks) -- so applying the identical remaining workload
-  reproduces an uninterrupted run change for change.
+  local knowledge (networks, where restore derives it) -- so applying the
+  identical remaining workload reproduces an uninterrupted run change for
+  change.
 * Snapshots are values: mutating the object after ``snapshot()`` never
   mutates an already-captured snapshot.
 * Snapshots are only captured *between* changes (engines and simulators only

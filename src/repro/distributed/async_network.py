@@ -42,8 +42,8 @@ from repro.distributed.state import (
     NetworkSnapshot,
     check_restorable,
     copy_metric_records,
-    runtimes_from_snapshot,
     snapshot_from_runtimes,
+    stable_runtimes,
 )
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.workloads.changes import (
@@ -129,22 +129,10 @@ class AsyncDirectMISNetwork:
     # ------------------------------------------------------------------
     def _bootstrap(self, graph: DynamicGraph) -> None:
         self._graph = graph.copy()
-        for node in self._graph.nodes():
-            self._priorities.assign(node)
-        states = greedy_mis_states(self._graph, self._priorities)
-        for node in self._graph.nodes():
-            runtime = NodeRuntime(
-                node_id=node,
-                key=self._priorities.key(node),
-                state=NodeState.M if states[node] else NodeState.M_BAR,
-                neighbors=set(self._graph.neighbors(node)),
-            )
-            self._runtimes[node] = runtime
-        for node, runtime in self._runtimes.items():
-            for other in runtime.neighbors:
-                runtime.learn_neighbor(
-                    other, self._runtimes[other].key, self._runtimes[other].state
-                )
+        keys = {node: self._priorities.assign(node) for node in self._graph.nodes()}
+        self._runtimes = stable_runtimes(
+            self._graph, keys, greedy_mis_states(self._graph, self._priorities)
+        )
 
     @property
     def graph(self) -> DynamicGraph:
@@ -191,7 +179,7 @@ class AsyncDirectMISNetwork:
     # Snapshot / restore (the Checkpointable pair)
     # ------------------------------------------------------------------
     def snapshot(self) -> NetworkSnapshot:
-        """Capture the simulator's knowledge-level state between changes.
+        """Capture the simulator's state between changes.
 
         Additionally records the event-sequence cursor and the scheduler's
         resumable state (the RNG stream position for the ``"random"`` kind,
@@ -213,10 +201,11 @@ class AsyncDirectMISNetwork:
     def restore(self, snapshot: NetworkSnapshot) -> None:
         """Reset the simulator to a previously captured :class:`NetworkSnapshot`."""
         check_restorable(snapshot, type(self).PROTOCOL)
-        self._priorities.restore_keys(
-            {node: tuple(key) for node, key in snapshot.priority_keys.items()}
-        )
-        self._graph, self._runtimes = runtimes_from_snapshot(snapshot)
+        keys = {node: tuple(key) for node, key in snapshot.priority_keys.items()}
+        self._priorities.restore_keys(keys)
+        self._graph = DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges)
+        outputs = {node: value == NodeState.M.value for node, value in snapshot.states.items()}
+        self._runtimes = stable_runtimes(self._graph, keys, outputs)
         self._aggregator = MetricsAggregator(records=list(copy_metric_records(snapshot.metrics)))
         self._sequence = EventSequence(snapshot.scheduler_cursor)
         self._scheduler.setstate(copy.deepcopy(snapshot.scheduler_state))

@@ -115,7 +115,7 @@ class FastNetworkCore:
         self._aggregator = MetricsAggregator()
         self._init_storage()
         if initial_graph is not None:
-            self._bootstrap(initial_graph)
+            self._install(initial_graph.nodes(), initial_graph.edges())
 
     def _init_storage(self) -> None:
         """(Re)initialize the interned storage to the empty network.
@@ -125,9 +125,9 @@ class FastNetworkCore:
         """
         # id-indexed parallel arrays (grown together by _new_slot).
         self._labels: List[Optional[Node]] = []  # id -> label (None = free slot)
-        self._adj: List[array] = []  # id -> array('q') of neighbor ids
-        self._nstate: List[bytearray] = []  # id -> known state per adjacency slot
-        self._nkey: List[bytearray] = []  # id -> 1 iff that neighbor's key is known
+        self._adj: List[array] = []  # repro-lint: transient -- id -> neighbor ids; captured as the edge list through graph.edges()
+        self._nstate: List[bytearray] = []  # repro-lint: transient -- id -> known state per adjacency slot; restore derives it from the outputs
+        self._nkey: List[bytearray] = []  # repro-lint: transient -- id -> 1 iff that neighbor's key is known; restore derives it from the outputs
         self._prio: List[float] = []  # repro-lint: transient -- cache of _keys[nid][0], rebuilt on restore
         self._keys: List[Optional[Tuple]] = []  # id -> full priority key
         self._state = bytearray()  # id -> protocol state code
@@ -145,33 +145,43 @@ class FastNetworkCore:
         self._num_edges = 0  # repro-lint: transient -- derived count; the snapshot stores the edge list
 
     # ------------------------------------------------------------------
-    # Bootstrap
+    # Bootstrap and restore
     # ------------------------------------------------------------------
-    def _bootstrap(self, graph: DynamicGraph) -> None:
-        for node in graph.nodes():
+    def _install(
+        self,
+        nodes: Iterable[Node],
+        edges: Sequence[Tuple[Node, Node]],
+        states: Optional[Dict[Node, str]] = None,
+    ) -> None:
+        """Build a stable configuration into the freshly initialized storage.
+
+        Labels intern in ``nodes`` order.  Without ``states`` (bootstrap) the
+        outputs are the greedy MIS in increasing ``pi``; with them (restore)
+        each node takes its snapshot state.  Either way the system is then
+        stable: every node knows every neighbor's random ID and current
+        output, the configuration each change's repair ends in.
+        """
+        for node in nodes:
             self._intern(node, snapshot=False)
-        id_of = self._id_of
-        for u, v in graph.edges():
+        id_of, adj = self._id_of, self._adj
+        for u, v in edges:
             iu, iv = id_of[u], id_of[v]
-            self._add_half_edge(iu, iv)
-            self._add_half_edge(iv, iu)
-            self._num_edges += 1
-        # Greedy pass in increasing pi: any MIS neighbor was processed
-        # earlier, unprocessed (hence later) neighbors still read as non-MIS.
+            adj[iu].append(iv)
+            adj[iv].append(iu)
+        self._num_edges = len(edges)
         state = self._state
-        order = sorted(range(len(self._labels)), key=lambda i: self._keys[i])
-        for nid in order:
-            if not any(state[m] == CODE_M for m in self._adj[nid]):
-                state[nid] = CODE_M
-        # The system starts stable: every node knows every neighbor's random
-        # ID and current output (exactly as the dict bootstrap installs).
-        for nid in order:
-            row = self._adj[nid]
-            nstate = self._nstate[nid]
-            nkey = self._nkey[nid]
-            for position, m in enumerate(row):
-                nstate[position] = state[m]
-                nkey[position] = 1
+        if states is None:
+            # Greedy pass in increasing pi: any MIS neighbor was processed
+            # earlier, unprocessed (hence later) neighbors still read as non-MIS.
+            for nid in sorted(range(len(self._labels)), key=self._keys.__getitem__):
+                if not any(state[m] == CODE_M for m in adj[nid]):
+                    state[nid] = CODE_M
+        else:
+            for node, nid in id_of.items():
+                state[nid] = NodeState(states[node]).code
+        for nid, row in enumerate(adj):
+            self._nstate[nid][:] = bytes(map(state.__getitem__, row))
+            self._nkey[nid][:] = b"\x01" * len(row)
 
     # ------------------------------------------------------------------
     # Interning / slot management
@@ -484,7 +494,7 @@ class FastNetworkCore:
         return None
 
     def snapshot(self) -> NetworkSnapshot:
-        """Capture the simulator's knowledge-level state between changes.
+        """Capture the simulator's state between changes.
 
         The snapshot is label-keyed -- dense ids, free lists and array
         layouts never leak into it -- so it restores into any registered
@@ -504,28 +514,13 @@ class FastNetworkCore:
                     f"node {labels[nid]!r} is mid-repair; snapshots are only "
                     "valid between changes"
                 )
-        states: Dict[Node, str] = {}
-        priority_keys: Dict[Node, Tuple] = {}
-        knowledge: Dict[Tuple[Node, Node], Tuple[Optional[str], bool]] = {}
-        for label, nid in self._id_of.items():
-            states[label] = _STATE_VALUES[state[nid]]
-            priority_keys[label] = self._keys[nid]
-            row = self._adj[nid]
-            nstate = self._nstate[nid]
-            nkey = self._nkey[nid]
-            for position, m in enumerate(row):
-                heard = nstate[position]
-                knowledge[(label, labels[m])] = (
-                    None if heard == CODE_UNKNOWN else _STATE_VALUES[heard],
-                    bool(nkey[position]),
-                )
+        keys = self._keys
         return NetworkSnapshot(
             protocol=protocol,
             nodes=tuple(self._id_of),
             edges=tuple(self.graph.edges()),
-            states=states,
-            priority_keys=priority_keys,
-            knowledge=knowledge,
+            states={label: _STATE_VALUES[state[nid]] for label, nid in self._id_of.items()},
+            priority_keys={label: keys[nid] for label, nid in self._id_of.items()},
             scheduler_cursor=self._scheduler_cursor(),
             metrics=copy_metric_records(self._aggregator.records),
             scheduler_state=self._scheduler_state(),
@@ -534,31 +529,19 @@ class FastNetworkCore:
     def restore(self, snapshot: NetworkSnapshot) -> None:
         """Reset the simulator to a previously captured :class:`NetworkSnapshot`.
 
-        The interned storage is rebuilt from scratch: labels re-intern in
-        snapshot order, edges and the aligned knowledge rows are installed
-        verbatim, and the accumulated metrics records are restored, so a
-        resumed run is observably identical to an uninterrupted one.
+        The interned storage is rebuilt from scratch through the bootstrap's
+        build path, :meth:`_install`: labels re-intern in snapshot order,
+        nodes take their snapshot states instead of the greedy pass, and the
+        knowledge rows are derived from those states.  With the accumulated
+        metrics records restored too, a resumed run is observably identical
+        to an uninterrupted one.
         """
         check_restorable(snapshot, getattr(type(self), "PROTOCOL", None))
         self._priorities.restore_keys(
             {node: tuple(key) for node, key in snapshot.priority_keys.items()}
         )
         self._init_storage()
-        for node in snapshot.nodes:
-            nid = self._intern(node, snapshot=False)
-            self._state[nid] = NodeState(snapshot.states[node]).code
-        knowledge = snapshot.knowledge
-        for u, v in snapshot.edges:
-            iu, iv = self._require(u), self._require(v)
-            for nid, label, other, oid in ((iu, u, v, iv), (iv, v, u, iu)):
-                heard, key_known = knowledge.get((label, other), (None, False))
-                self._add_half_edge(
-                    nid,
-                    oid,
-                    known_state=CODE_UNKNOWN if heard is None else NodeState(heard).code,
-                    known_key=1 if key_known else 0,
-                )
-            self._num_edges += 1
+        self._install(snapshot.nodes, snapshot.edges, snapshot.states)
         self._aggregator = MetricsAggregator(records=list(copy_metric_records(snapshot.metrics)))
 
     def check_interning_invariants(self, expect_stable: bool = True) -> None:

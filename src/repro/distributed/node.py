@@ -158,17 +158,6 @@ class NodeRuntime:
         """Model-level notification: ``other`` is now a neighbor."""
         self.neighbors.add(other)
 
-    def export_knowledge(self):
-        """The node's directed per-neighbor knowledge, for network snapshots.
-
-        Yields one ``(neighbor, last state value heard or None, key known?)``
-        triple per current neighbor -- the exact local knowledge a
-        :class:`~repro.distributed.state.NetworkSnapshot` records.
-        """
-        for other in self.neighbors:
-            state = self.neighbor_states.get(other)
-            yield other, (None if state is None else state.value), other in self.neighbor_keys
-
     def drop_neighbor(self, other: Node) -> None:
         """Model-level notification: ``other`` is no longer a neighbor."""
         self.neighbors.discard(other)

@@ -1,12 +1,15 @@
-"""Knowledge-level snapshots of the distributed simulators.
+"""Label-keyed snapshots of the distributed simulators.
 
-The paper's maintainers carry all of their correctness in *local knowledge*:
-each node knows its own random ID and output, its current neighbor set, and
-the last ID/state it heard from each neighbor.  A :class:`NetworkSnapshot`
-captures exactly that -- plus the ground-truth topology, the priority keys,
-the per-change metrics collected so far and (for the asynchronous
-simulators) the event-sequence cursor -- keyed by node *labels*, never by
-backend internals.
+The paper's protocols end every change in the stable configuration that the
+simulators also install at bootstrap: each node knows its own random ID and
+output, its current neighbor set, and every neighbor's random ID and current
+output.  History independence makes the outputs a function of the graph and
+the order ``pi``, and that local knowledge a function of the outputs.  A
+:class:`NetworkSnapshot` therefore stores the ground-truth topology, the
+priority keys, the node states, the per-change metrics collected so far and
+(for the asynchronous simulators) the event-sequence cursor and scheduler
+state -- keyed by node *labels*, never by backend internals -- and restore
+derives the knowledge through the same build path as bootstrap.
 
 Because the snapshot is label-keyed, any registered network backend can
 restore a snapshot taken by any other: a checkpoint captured on the
@@ -18,21 +21,21 @@ uninterrupted one -- machine-checked by
 
 Snapshots are captured between changes only.  Every simulator runs each
 change to quiescence before returning, so there are never messages in
-flight, transient protocol states or retiring relays at snapshot time; the
-:attr:`NetworkSnapshot.pending` field exists to make that explicit in the
-schema (it is always empty, and :func:`check_quiescent` enforces it).
+flight, transient protocol states or retiring relays at snapshot time: the
+simulators' ``snapshot()`` refuses mid-repair states, and
+:func:`check_restorable` refuses transient or torn snapshots.
 
-This module also hosts the shared snapshot/restore plumbing of the two
-dict/set simulators (:func:`snapshot_from_runtimes` /
-:func:`runtimes_from_snapshot`); the fast core implements the same pair over
-its interned arrays in :mod:`repro.distributed.fast_network`.
+This module also hosts the dict/set simulators' halves of the pair:
+:func:`snapshot_from_runtimes` and :func:`stable_runtimes`, the one build
+path of their bootstrap and restore.  The fast core implements the same pair
+over its interned arrays in :mod:`repro.distributed.fast_network`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.distributed.metrics import ChangeMetrics
 from repro.distributed.node import NodeRuntime, NodeState
@@ -40,19 +43,18 @@ from repro.graph.dynamic_graph import DynamicGraph
 
 Node = Hashable
 
-#: Directed per-edge knowledge: what ``u`` knows about neighbor ``v`` --
-#: the last protocol-state value heard (``None`` if never) and whether
-#: ``v``'s random ID (priority key) is known to ``u``.
-KnowledgeEntry = Tuple[Optional[str], bool]
-
 
 class NetworkStateError(RuntimeError):
-    """A snapshot could not be captured or restored (wrong protocol, not quiescent)."""
+    """A snapshot could not be captured or restored (wrong protocol, not quiescent, torn)."""
 
 
 @dataclass(frozen=True)
 class NetworkSnapshot:
     """Frozen, label-keyed copy of one distributed simulator's observable state.
+
+    The local knowledge of each node is not stored: between changes it is
+    "every neighbor's key and current output", which restore derives from
+    ``states`` and ``priority_keys`` exactly as bootstrap installs it.
 
     Attributes
     ----------
@@ -68,16 +70,6 @@ class NetworkSnapshot:
     priority_keys:
         The full random order ``pi`` restricted to live nodes; restored
         verbatim so the order is exact even mid-way through a workload.
-    knowledge:
-        Directed per-edge local knowledge (see :data:`KnowledgeEntry`).  At
-        quiescence this equals "key known, state = neighbor's current
-        output" -- the stability invariant the conformance suite asserts --
-        but it is captured explicitly so restore never has to *derive* what
-        a node knows.
-    pending:
-        In-flight messages / queued events.  Always empty: snapshots are
-        captured between changes only (kept in the schema to make the
-        quiescence contract explicit).
     scheduler_cursor:
         How many event-sequence values the asynchronous event loop consumed
         so far (0 for the synchronous protocols); a resumed simulator
@@ -100,8 +92,6 @@ class NetworkSnapshot:
     edges: Tuple[Tuple[Node, Node], ...]
     states: Dict[Node, str]
     priority_keys: Dict[Node, Tuple]
-    knowledge: Dict[Tuple[Node, Node], KnowledgeEntry]
-    pending: Tuple = ()
     scheduler_cursor: int = 0
     metrics: Tuple[ChangeMetrics, ...] = field(default_factory=tuple)
     scheduler_state: Optional[Tuple] = None
@@ -119,11 +109,6 @@ class NetworkSnapshot:
 
 def check_quiescent(snapshot: NetworkSnapshot) -> None:
     """Raise :class:`NetworkStateError` unless the snapshot is a stable state."""
-    if snapshot.pending:
-        raise NetworkStateError(
-            f"snapshot carries {len(snapshot.pending)} in-flight messages; "
-            "snapshots are only valid between changes"
-        )
     transient = [
         node for node, value in snapshot.states.items() if not NodeState(value).is_output
     ]
@@ -135,7 +120,15 @@ def check_quiescent(snapshot: NetworkSnapshot) -> None:
 
 
 def check_restorable(snapshot: NetworkSnapshot, protocol: Optional[str]) -> None:
-    """Raise unless ``snapshot`` may restore into a simulator of ``protocol``."""
+    """Raise unless ``snapshot`` may restore into a simulator of ``protocol``.
+
+    Besides the protocol and quiescence, the snapshot's shape must hold
+    together: ``nodes`` lists each node once, ``states`` and
+    ``priority_keys`` cover exactly ``nodes``, and every edge endpoint is
+    one of them.  Restore derives each node's knowledge from those fields,
+    so a torn snapshot would otherwise restore a wrong configuration instead
+    of failing.
+    """
     if not isinstance(snapshot, NetworkSnapshot):
         raise NetworkStateError(
             f"expected a NetworkSnapshot, got {type(snapshot).__name__} "
@@ -146,6 +139,22 @@ def check_restorable(snapshot: NetworkSnapshot, protocol: Optional[str]) -> None
             f"snapshot was taken under protocol {snapshot.protocol!r} and cannot "
             f"restore into a {protocol!r} simulator (backends may differ, the "
             "protocol may not)"
+        )
+    nodes = set(snapshot.nodes)
+    if len(nodes) != len(snapshot.nodes):
+        raise NetworkStateError("torn snapshot: a node is listed more than once")
+    for name in ("states", "priority_keys"):
+        covered = getattr(snapshot, name).keys()
+        if covered != nodes:
+            raise NetworkStateError(
+                f"torn snapshot: {name} does not cover exactly the snapshot nodes "
+                f"(missing {sorted(nodes - covered, key=repr)[:5]}, "
+                f"extra {sorted(covered - nodes, key=repr)[:5]})"
+            )
+    stray = [edge for edge in snapshot.edges if edge[0] not in nodes or edge[1] not in nodes]
+    if stray:
+        raise NetworkStateError(
+            f"torn snapshot: edges {stray[:5]} have an endpoint outside the snapshot nodes"
         )
     check_quiescent(snapshot)
 
@@ -158,6 +167,32 @@ def copy_metric_records(records) -> Tuple[ChangeMetrics, ...]:
 # ----------------------------------------------------------------------
 # Shared plumbing of the dict/set simulators
 # ----------------------------------------------------------------------
+def stable_runtimes(
+    graph: DynamicGraph, keys: Mapping[Node, Tuple], outputs: Mapping[Node, bool]
+) -> Dict[Node, NodeRuntime]:
+    """The runtimes of a stable configuration of ``graph``.
+
+    Node ``v`` gets key ``keys[v]``, state ``M`` iff ``outputs[v]``, and
+    knows every neighbor's key and current state -- the configuration the
+    dict simulators install at bootstrap (from the greedy MIS) and at
+    restore (from a snapshot's states).
+    """
+    runtimes = {
+        node: NodeRuntime(
+            node_id=node,
+            key=keys[node],
+            state=NodeState.M if outputs[node] else NodeState.M_BAR,
+            neighbors=set(graph.neighbors(node)),
+        )
+        for node in graph.nodes()
+    }
+    for node in graph.nodes():
+        runtime = runtimes[node]
+        for other in runtime.neighbors:
+            runtime.learn_neighbor(other, runtimes[other].key, runtimes[other].state)
+    return runtimes
+
+
 def snapshot_from_runtimes(
     protocol: Optional[str],
     graph: DynamicGraph,
@@ -179,50 +214,13 @@ def snapshot_from_runtimes(
                 f"node {node!r} is mid-repair (state {runtime.state.value}); "
                 "snapshots are only valid between changes"
             )
-    knowledge: Dict[Tuple[Node, Node], KnowledgeEntry] = {}
-    for node, runtime in runtimes.items():
-        for neighbor, heard_state, key_known in runtime.export_knowledge():
-            knowledge[(node, neighbor)] = (heard_state, key_known)
     return NetworkSnapshot(
         protocol=protocol,
         nodes=tuple(graph.nodes()),
         edges=tuple(graph.edges()),
         states={node: runtime.state.value for node, runtime in runtimes.items()},
         priority_keys={node: tuple(priorities.key(node)) for node in runtimes},
-        knowledge=knowledge,
         scheduler_cursor=scheduler_cursor,
         metrics=copy_metric_records(metrics_records),
         scheduler_state=copy.deepcopy(scheduler_state),
     )
-
-
-def runtimes_from_snapshot(
-    snapshot: NetworkSnapshot,
-) -> Tuple[DynamicGraph, Dict[Node, NodeRuntime]]:
-    """Rebuild ``(graph, runtimes)`` for a dict simulator from a snapshot.
-
-    The caller is responsible for having restored the priority keys first
-    (the runtimes store each node's own key verbatim from the snapshot).
-    """
-    graph = DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges)
-    runtimes: Dict[Node, NodeRuntime] = {}
-    for node in snapshot.nodes:
-        runtimes[node] = NodeRuntime(
-            node_id=node,
-            key=tuple(snapshot.priority_keys[node]),
-            state=NodeState(snapshot.states[node]),
-            neighbors=set(graph.neighbors(node)),
-        )
-    for (node, neighbor), (heard_state, key_known) in snapshot.knowledge.items():
-        runtime = runtimes.get(node)
-        if runtime is None or neighbor not in runtime.neighbors:
-            raise NetworkStateError(
-                f"knowledge entry ({node!r} -> {neighbor!r}) does not match the "
-                "snapshot topology"
-            )
-        runtime.learn_neighbor(
-            neighbor,
-            tuple(snapshot.priority_keys[neighbor]) if key_known else None,
-            None if heard_state is None else NodeState(heard_state),
-        )
-    return graph, runtimes

@@ -5,7 +5,7 @@ with exact dict/JSON round-trips) describes a whole experiment; one
 :class:`Session` streams it through any registered engine or network backend
 with checkpoint/resume and pluggable observers.  Checkpoints work for every
 backend the registries know -- sequential sessions snapshot the engine,
-protocol sessions snapshot the simulator's knowledge-level state -- and
+protocol sessions snapshot the simulator's stable state -- and
 serialize to JSON files through :mod:`repro.scenario.checkpoint_io`.  The
 CLI's ``run`` command, the benchmark harness's ``run_scenario`` entry and
 the differential conformance harnesses all build on this package -- see the

@@ -2,8 +2,8 @@
 
 A checkpoint is only useful if it survives the process that took it.  This
 module flattens a session checkpoint -- the spec, the position, the backend
-snapshot (either flavor: a label-level
-:class:`~repro.core.engine_api.EngineSnapshot` or a knowledge-level
+snapshot (either flavor, both label-level: an
+:class:`~repro.core.engine_api.EngineSnapshot` or a
 :class:`~repro.distributed.state.NetworkSnapshot`), the sequential
 statistics and the adaptive adversary's RNG state -- into plain JSON and
 back, exactly (machine-checked by the round-trip tests in
@@ -13,8 +13,8 @@ Node labels are encoded with the trace codec
 (:func:`repro.workloads.trace.encode_node`), so every node type the library
 uses (ints, strings, nested tuples from the reductions) round-trips.  A
 snapshot encodes each label once and reuses the code in its edge,
-priority-key, state and knowledge rows; decoding keeps scalar labels as
-they are and hands only tagged tuples (and the invalid bare lists) to
+priority-key and state rows; decoding keeps scalar labels as they are and
+hands only tagged tuples (and the invalid bare lists) to
 :func:`~repro.workloads.trace.decode_node`.  The
 CLI's ``run --checkpoint-every N --checkpoint-path p.json`` writes these
 files and ``run --resume-from p.json`` continues them -- on any registered
@@ -33,6 +33,12 @@ and the journal entries lead on to ``position``.  A session's state is a
 pure function of ``(spec, position)``, so such a record decodes by
 re-executing the spec from that base to ``position``; the entries are not
 read.
+
+A network record holds no per-node local knowledge: restore derives it from
+the states, as bootstrap does.  v2 records written before that carry an
+extra ``knowledge`` row per directed edge, which decoding ignores; the tag
+stayed ``repro-checkpoint-v2`` because every other field, and every engine
+record, is unchanged.
 """
 
 from __future__ import annotations
@@ -98,9 +104,8 @@ def _decode_state_tree(value) -> Optional[Tuple]:
 def _label_codes(snapshot) -> Dict[Any, Any]:
     """Each snapshot label's trace-codec encoding, computed once per label.
 
-    Every label reappears in the edge, priority-key and state rows (and, for
-    network snapshots, in two knowledge rows per edge), so the rows look
-    their codes up here instead of re-encoding.
+    Every label reappears in the edge, priority-key and state rows, so the
+    rows look their codes up here instead of re-encoding.
     """
     return {node: encode_node(node) for node in snapshot.nodes}
 
@@ -194,10 +199,6 @@ def _encode_network_snapshot(snapshot: NetworkSnapshot) -> Dict[str, Any]:
     record = {"kind": "network", "protocol": snapshot.protocol}
     record.update(_encode_nodes_edges(snapshot, codes))
     record["states"] = [[codes[node], value] for node, value in snapshot.states.items()]
-    record["knowledge"] = [
-        [codes[node], codes[neighbor], heard, bool(key_known)]
-        for (node, neighbor), (heard, key_known) in snapshot.knowledge.items()
-    ]
     record["scheduler_cursor"] = snapshot.scheduler_cursor
     record["metrics"] = [_encode_metric_record(metric) for metric in snapshot.metrics]
     record["scheduler_state"] = _encode_state_tree(snapshot.scheduler_state)
@@ -206,13 +207,6 @@ def _encode_network_snapshot(snapshot: NetworkSnapshot) -> Dict[str, Any]:
 
 def _decode_network_snapshot(record) -> NetworkSnapshot:
     parts = _decode_nodes_edges(record)
-    knowledge = {}
-    for node, neighbor, heard, key_known in record["knowledge"]:
-        if type(node) not in _SCALARS:
-            node = decode_node(node)
-        if type(neighbor) not in _SCALARS:
-            neighbor = decode_node(neighbor)
-        knowledge[node, neighbor] = (heard, bool(key_known))
     return NetworkSnapshot(
         protocol=record["protocol"],
         nodes=parts["nodes"],
@@ -222,7 +216,6 @@ def _decode_network_snapshot(record) -> NetworkSnapshot:
             for node, value in record["states"]
         },
         priority_keys=parts["priority_keys"],
-        knowledge=knowledge,
         scheduler_cursor=record["scheduler_cursor"],
         metrics=tuple(_decode_metric_record(metric) for metric in record["metrics"]),
         # v1 records predate scheduler state; None restores as "fresh stream".

@@ -18,7 +18,7 @@ Checkpointing works for **every** backend the registries know: sequential
 sessions ride on the engines'
 :meth:`~repro.core.engine_api.MISEngine.snapshot` /
 :meth:`~repro.core.engine_api.MISEngine.restore` pair, protocol sessions on
-the simulators' knowledge-level
+the simulators'
 :class:`~repro.distributed.state.NetworkSnapshot` pair -- both sides of the
 shared :class:`~repro.core.state_api.Checkpointable` contract.  Because both
 snapshot flavors are label-keyed, a checkpoint taken on one backend resumes
@@ -271,9 +271,8 @@ class Session:
                 )
             else:
                 # Same shape as the sequential path: build the simulator
-                # empty, then restore the knowledge-level NetworkSnapshot
-                # (label-keyed, so the dict and fast cores restore each
-                # other's checkpoints).
+                # empty, then restore the NetworkSnapshot (label-keyed, so
+                # the dict and fast cores restore each other's checkpoints).
                 self._network = create_network(
                     spec.backend.protocol, network=spec.backend.network, **kwargs
                 )
@@ -478,8 +477,9 @@ class Session:
         """Capture a resumable checkpoint of the current state.
 
         Works for every registered backend: sequential sessions snapshot the
-        engine (label-level), protocol sessions snapshot the simulator
-        (knowledge-level, per-edge).  The backend must satisfy the
+        engine, protocol sessions the simulator (both label-level; a
+        simulator's restore derives each node's knowledge from the node
+        states).  The backend must satisfy the
         :class:`~repro.core.state_api.Checkpointable` contract -- all
         built-ins do; a third-party backend without a snapshot/restore pair
         raises :class:`TypeError` here.

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.distributed.state import NetworkStateError
 from repro.scenario.checkpoint_io import (
     CheckpointFormatError,
     load_checkpoint,
@@ -190,7 +191,8 @@ class SessionHost:
 
         A request must never take the shard process down: every failure is
         folded into an error response (scenario-spec problems keep their
-        did-you-mean messages under kind ``spec-error``).
+        did-you-mean messages under kind ``spec-error``, as do spool files
+        that do not decode or restore).
         """
         from repro.service import protocol
 
@@ -198,7 +200,7 @@ class SessionHost:
             return protocol.ok(self.handle(op, params))
         except ServiceError as failure:
             return protocol.error(str(failure), kind=failure.kind)
-        except (ScenarioSpecError, CheckpointFormatError) as failure:
+        except (ScenarioSpecError, CheckpointFormatError, NetworkStateError) as failure:
             return protocol.error(str(failure), kind="spec-error")
         except Exception as failure:  # noqa: BLE001 - shard must survive
             return protocol.error(

@@ -327,7 +327,7 @@ def replay_resume_differential(
     """Checkpoint mid-run on one backend, resume on another, assert equality.
 
     For every position ``p`` the harness runs the scenario *uninterrupted*
-    on ``networks[0]``, takes a knowledge-level checkpoint of a second run
+    on ``networks[0]``, takes a checkpoint of a second run
     at ``p`` (optionally round-tripped through the JSON codec of
     :mod:`repro.scenario.checkpoint_io` -- the default, since that is the
     path the CLI's ``--checkpoint-path`` files take), resumes it on

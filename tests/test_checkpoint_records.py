@@ -11,17 +11,16 @@ nested tuples -- the ``repr`` fallback of
 :meth:`~repro.core.fast_engine.FastGraphView.edges` against a
 :class:`~repro.graph.dynamic_graph.DynamicGraph` replaying the same churn.
 
-Two parts of a record are normalized before hashing: the wall-clock
-``elapsed_s``, and the row order of a network snapshot's ``knowledge``
-(dict-network rows follow ``set`` order, which moves with
-``PYTHONHASHSEED`` for string labels).
+The wall-clock ``elapsed_s`` is dropped from a record before hashing.
 
 The same digests pin the legacy *delta* checkpoint files under
 ``tests/data/legacy_delta_checkpoints/``: each was written by a session that
 recorded a delta journal from a resumed base, and each must decode to the
-full checkpoint that run had at the same position.  The record-format
-checks (v1 decode, unknown formats, the recursive key codecs, the atomic
-``save_checkpoint``) close the file.
+full checkpoint that run had at the same position.  Three full protocol
+checkpoints under ``tests/data/full_protocol_checkpoints/``, written when
+records still stored each node's knowledge, must resume to the
+uninterrupted run.  The record-format checks (v1 decode, unknown formats,
+the recursive key codecs, the atomic ``save_checkpoint``) close the file.
 """
 
 from __future__ import annotations
@@ -81,9 +80,6 @@ def _grid_spec(family: str, backend: str, workload: str) -> ScenarioSpec:
 def _record_digest(checkpoint: SessionCheckpoint) -> str:
     record = checkpoint_to_dict(checkpoint)
     del record["elapsed_s"]
-    snapshot = record["snapshot"]
-    if snapshot["kind"] == "network":
-        snapshot["knowledge"] = sorted(snapshot["knowledge"], key=repr)
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
@@ -134,80 +130,80 @@ def _labelled_engine_digest() -> str:
 
 
 _GRID_DIGESTS = {
-    "cycle/direct-dict/mixed_churn": "9007c34845c0bf64c31607b3bb5feec69c4f7ad6699b5649c36d9c849dbbe437",
-    "cycle/direct-dict/node_churn": "9b4af0f05a2cedb6c56026de6da2e0f794bf4acc34e2ff1f69b0ea6dfb16a612",
-    "cycle/direct-fast/mixed_churn": "061a5fd9f0cc160808965ff37525a3310b8b5826294589dc036dc7370d03f5c4",
-    "cycle/direct-fast/node_churn": "79235dc208495b88cb44569be66c6125f14baeec30b6db73c5559d5ad6d96eab",
+    "cycle/direct-dict/mixed_churn": "3eecfb89e83d488baa7327736f95722d6d3aa89e35789ffd1de49b6fefee619c",
+    "cycle/direct-dict/node_churn": "9faf29d53feadebd456f3e4441e1f5972929314d1648697531fa4817b4030522",
+    "cycle/direct-fast/mixed_churn": "c7c25a8306c3b5777dc06089d48146d2e53c321c1253cce555f94da77e11a55b",
+    "cycle/direct-fast/node_churn": "a733118d91001c0ea1ee676bd450136b411ad40ee9e55a5d5f4074026aab6a0c",
     "cycle/fast-batch4/mixed_churn": "b575f69f9f9c2cec6681ffc44784309d0e92f387d89ebc166db62da5b22e2b5e",
     "cycle/fast-batch4/node_churn": "ba906f8ef286a7470aba102e9f172cced5fc2b086c277af851654f4faec1c512",
     "cycle/fast/mixed_churn": "4cb4ad35915302b3059f55c1ec07647678ccf4987df0ef4a250587e70c984f55",
     "cycle/fast/node_churn": "c90b4b1345ed45a2a23e1dae73f7ca84805895ed93e4216924099b63532bd73d",
     "cycle/template/mixed_churn": "995b65b6a262c19adb8a60fe6d0b3c67d2c61fa7c73cb6f17617b35a4019d0ae",
     "cycle/template/node_churn": "8c29c5bf0567eccafedf45305a90e6c844e1183f9a9491c840d2e9e62ef415a1",
-    "erdos_renyi/direct-dict/mixed_churn": "fd9e84a8ad08f887f7a340f2666eb78a35ddbf05b1b653cf3aecdcd2a4a2149b",
-    "erdos_renyi/direct-dict/node_churn": "aa81c9f0ed58bef4e379d00ced4ef82307d26ca47feaa43531c76450db242422",
-    "erdos_renyi/direct-fast/mixed_churn": "a82f009bdd50927eefc35fbee09baf2ba637175deb6240a97642fedd6a44d681",
-    "erdos_renyi/direct-fast/node_churn": "d2abff7063e70d2650251de486c335404a285c25e74580c8f477be19e001803c",
+    "erdos_renyi/direct-dict/mixed_churn": "d97b66294c30672744bfdf894ac582939d29f7ed83da7b3026279a0a30e3cd06",
+    "erdos_renyi/direct-dict/node_churn": "142ab0a4837213416901ff429c15b13174c65cdcc2aadb8b1a3e3003c662c8b6",
+    "erdos_renyi/direct-fast/mixed_churn": "e7f5dbef0c4a2bdbba52240e3ceed3394e4f8ca7be66183ce2c2ccb11a429e04",
+    "erdos_renyi/direct-fast/node_churn": "fa6a69cc91b9ac889e828e450db2e53fa6cf985bc83c912e6818037341d389f3",
     "erdos_renyi/fast-batch4/mixed_churn": "bcb79ff497e541d9779696c84f0a0c62adb30db709681ce50139b3529ce00fdd",
     "erdos_renyi/fast-batch4/node_churn": "a9f1fcc9f9671160c2654d5ddcadaf2b719bad20dd2d4a3e5350bf3af2859497",
     "erdos_renyi/fast/mixed_churn": "cbac5ac0dc5576da2e36303f84f83bb87e83030316e99011c4e058f76a9d70b8",
     "erdos_renyi/fast/node_churn": "9a1fe2d7ac9097ccc8c7f1441306266d42fa7ab2a521d54f37eeb0485bc33826",
     "erdos_renyi/template/mixed_churn": "d4d30f35d00163e592764857a7afd7670bfe19f63ab53bea3405d5c7ede9db7d",
     "erdos_renyi/template/node_churn": "e790608134e7c1ee4f9fec8912a643767986b98b22be789a4991a483f573742c",
-    "geometric/direct-dict/mixed_churn": "77d379d20144907955d65e5eb286c3f232ea2d6123952ed923601943f0fb1b40",
-    "geometric/direct-dict/node_churn": "bdc833f89248864c018b84d9c05a57f6307d37e363be3fbcc920ec42bc3fa3b3",
-    "geometric/direct-fast/mixed_churn": "548e74a08aa3a434247b82e6f8a6b53117ca0e72c99ae3ae331b13fa18c2eb64",
-    "geometric/direct-fast/node_churn": "0cca24c715856ad02ef45772b4ae6e1a3f546cd87b132d9a73e874c720bad6ad",
+    "geometric/direct-dict/mixed_churn": "1260a3f00921ea7a067330b5b8cefd143f3c9863bc65d9b2b058bd618a003b25",
+    "geometric/direct-dict/node_churn": "5e2be9815e1de6d2c2216379de0bebf08a7a0c06ab00c281a027e4dbceed5431",
+    "geometric/direct-fast/mixed_churn": "835ad265420bb9371f07156490955ff432abd541750434cbe5fe462956e686ea",
+    "geometric/direct-fast/node_churn": "4d57a45c63465559b4496764ad552252f2326c1788433d6e8a2953d64f958263",
     "geometric/fast-batch4/mixed_churn": "b2317781d54e608f039c58581f9a0b31935a3d69f8e4fd8e8b5776eb0b741b8e",
     "geometric/fast-batch4/node_churn": "bbddb419cc4b0d35a6c956ea11377c3c2b6774a642a9708247bec69fe4880443",
     "geometric/fast/mixed_churn": "e9ea2da1788c99868455fc8952c6eca0750f4fb272042ddce1eecee4f406272b",
     "geometric/fast/node_churn": "ef941d09fe2ae866a51ef446711a9e400988123e074acef22f969e266bb5dbf6",
     "geometric/template/mixed_churn": "dfd1d4abcd67b15bf89681d94a2ef8e14bdf785c4c1687ba8098a76c85b37a0a",
     "geometric/template/node_churn": "74844d964498f887005cca3dd973cf7fa87db8ed8927d6f7240651d6454a163f",
-    "near_regular/direct-dict/mixed_churn": "e5f77295c9b3058441c8093dbaa237600b34d761d826abad7474190e05cc2e39",
-    "near_regular/direct-dict/node_churn": "7ac5cbd0e87e4e7422d861e4f6a1e82855d667da706295ff8b8d93ff86ba14ca",
-    "near_regular/direct-fast/mixed_churn": "fefd82804702b0b0327744be603d9835de73e4b2dbd366e0aa55d803fe0c6e87",
-    "near_regular/direct-fast/node_churn": "d520ccc3fdb2acca16c598b7824f09ea7fbadadb8b317181fa76a55ed18f585e",
+    "near_regular/direct-dict/mixed_churn": "92fcb57f32cad0cc28db681ac82b34fe1066147929def33de18b68fbe4e3ed43",
+    "near_regular/direct-dict/node_churn": "6c291440c519ded028981c610e7a15bca10db2722a7a8b6af3e83d48ef80a9a8",
+    "near_regular/direct-fast/mixed_churn": "9712e937148b42cfd15e4c9f3a4bfd6caa9be4340ab272453e2762be5716597d",
+    "near_regular/direct-fast/node_churn": "e65cb11ea0dce8a3359789eb673ca238737fc1272ed78e66af5e793a8aa7cf97",
     "near_regular/fast-batch4/mixed_churn": "a882e1e973575264c51521e3ee1bc13ec29aef1a7e36742f28ad6e0c68eef836",
     "near_regular/fast-batch4/node_churn": "bac1060bc531fcd3ba621707c387506aac46d7734d5ec3ceaa135abc8b3f6cfd",
     "near_regular/fast/mixed_churn": "1dd548bc25e6e80ca6653a0d001a34dc428c0912f836558de903ca85d94e3cff",
     "near_regular/fast/node_churn": "a35534c07cda9559dda83a8bd618c4cdd8a00989044f7754f28cd90ff4cf0aec",
     "near_regular/template/mixed_churn": "cc0a0f2482ab6456f136bc3baf21516bb738032e3bbdf31872b68baf0ca62589",
     "near_regular/template/node_churn": "4b2a535f484b72fb9f423007982246d3c4e8134f126f1e201b7f666e4584effd",
-    "path/direct-dict/mixed_churn": "59978d125f2e7d8035aa9c2c169520adb50131d41565ba3a3ddc5635f92fbf88",
-    "path/direct-dict/node_churn": "b1d8e4035906120143a98ac3986d901ffc2ea43f0f8f3f663da0e3420a87a03f",
-    "path/direct-fast/mixed_churn": "ad403c33d625659f130e0388f6b59311058a16ca460cbef4003099f020d4db73",
-    "path/direct-fast/node_churn": "83c93260372a3de1163dcd838099509e2cc8c827cc80a12de94526af1d6e90e4",
+    "path/direct-dict/mixed_churn": "0b8d0da316f316a39b188e77841a5a0f61c8b152c59c056f09b6b0ddb4d98fff",
+    "path/direct-dict/node_churn": "5b5d70a7d93888b6e8075413c053e9c16110fd1e264b830cfb56ba6d1324edcf",
+    "path/direct-fast/mixed_churn": "9d06cf6da0562879442dcd5ae01d622a6f10c8220174c730e895c743601c7f0b",
+    "path/direct-fast/node_churn": "97f09a0ccb33ef33620a572e45a2726c32f9b1af36b21b51fa66815836611f30",
     "path/fast-batch4/mixed_churn": "e5fbd178950ad9eb586607e8bbee70070fc647af57e3a3cf6a4af99fd0b5d048",
     "path/fast-batch4/node_churn": "7ed61c3d4814eb094393e49ddf1470f5e483c6d7d21f1f517c3153abc65be66f",
     "path/fast/mixed_churn": "7a97ba19de4170cb341a2f275682cea1718290dfc1a8fad696b48120be289fb6",
     "path/fast/node_churn": "e66fc979bf9a3decb5a523703d5b1ff8d19073728cf306cc6a3d649d23953ed7",
     "path/template/mixed_churn": "ddc43877be46ed22518bca1868549e07e80ec55a21b9d0b35003ec481680f1dc",
     "path/template/node_churn": "6d9761764a260b013eef55fcea50cd2897d10070fb69717064af8c248c1b0854",
-    "preferential/direct-dict/mixed_churn": "e8e47263a5496ecd90a148d2a743eeb1329dc4bb0a6f43eb0fb5a53475106b51",
-    "preferential/direct-dict/node_churn": "5d44de785045d928b29b06fdb9101a96948971cd0166d1050f411202af27bad2",
-    "preferential/direct-fast/mixed_churn": "90f24eeff593b279caee77f8f85489bfb8680c6a21bcec10d191edd4b274605e",
-    "preferential/direct-fast/node_churn": "1904ec58864d59a902f9d38419ba8163001279aaf872aa25e0febd9a2992d36b",
+    "preferential/direct-dict/mixed_churn": "e75c343a789e8dcacbebdb70b794ccd2232fff269592914e01a48937bcfa5c60",
+    "preferential/direct-dict/node_churn": "3a972cb169395f5555271b3b496b7c997c41859ed836f2f364a9a9effd6dd391",
+    "preferential/direct-fast/mixed_churn": "b9b83df642c561ce826955667db9481d0f4f16877b4c53ded795f730a4a2f498",
+    "preferential/direct-fast/node_churn": "de7994e7e874ced569cec849ee21519049d6ad323a336dda1664fc08918506eb",
     "preferential/fast-batch4/mixed_churn": "535d4cdb1967f18dd18f6e12f0e2eaff6a197c54abe9fdd7a39b722505687200",
     "preferential/fast-batch4/node_churn": "b2afa7cb3dba5fb26cae689b1c36568ef536fa1bf32c27c481e5939762b64441",
     "preferential/fast/mixed_churn": "8bf8a5464a872b54f26904c17bc49e2d3ff00b085cf634b16c8f0c1e499d4f86",
     "preferential/fast/node_churn": "495cc3f46e1eadadeb466cb7e255cefe2641855cb3a3bc6f5e2e588a5fcf3109",
     "preferential/template/mixed_churn": "68e1ed123b88875a0ff905e2e7d846924946f94ada37f40ead2dec4810de90e5",
     "preferential/template/node_churn": "3a9fbe0b24ea3611aa7d716762b11c737aeaeb1ba2b64ebdfaab71d1f3012a2d",
-    "sparse/direct-dict/mixed_churn": "b35b592bc7b77b773c5ac77e9b3d6e7eca8e74bbbdc9b540ef4e40406a30b9e8",
-    "sparse/direct-dict/node_churn": "50bc1007a49eebd997abce6cfef61ded0e801e127606f59aa261d20302046c9a",
-    "sparse/direct-fast/mixed_churn": "881db3619641b9674cb7dc99f4b1a01b242f2d972b63c7fb0427e181a9057c95",
-    "sparse/direct-fast/node_churn": "81d4264da3826d9c72f9d87a0741a70d5475665dfd94f72036ae696d8d6ef40a",
+    "sparse/direct-dict/mixed_churn": "be9fe9b75d2ee9aa7c17f1a5c558105cf1dd44721c64325ff5280b85dab22069",
+    "sparse/direct-dict/node_churn": "4abef30e2a01959860c0ec457f01cad6d69423a229c5bbb0bf827c4dc98e5a2a",
+    "sparse/direct-fast/mixed_churn": "8fc792095275328815a662ee2a56a353c21892927c2c8c0c596d47238b14edf0",
+    "sparse/direct-fast/node_churn": "6a748f2ee2dfb36a2856bb5b19abcd5176e0daa8651e1e456e136fddef56f640",
     "sparse/fast-batch4/mixed_churn": "91df064b77b3092b52f254a587493c6c206d87b68dadf1ed9d55688c3a9ba40f",
     "sparse/fast-batch4/node_churn": "8311c776e4c40e8e769b48a2cf483208589490d2798790076747b1e8c79aefe2",
     "sparse/fast/mixed_churn": "6b61ac390f4eea866cbe21e46e20cc77682f34662816be60111381b7706bbcff",
     "sparse/fast/node_churn": "b69e357e89b43cb2b84b284a24b8d16bf7e9a64419bd4f69cf5c2e5758e7b97f",
     "sparse/template/mixed_churn": "eabdb378d765f39076fd8753bb3298e157835d44a7338bc208d72edd0bbf3065",
     "sparse/template/node_churn": "bdfdaf573552d91848437a8cdda906dd8d94d47f3481d92bca48ab53a29c7259",
-    "star/direct-dict/mixed_churn": "5644bee500271cbcfa1937d408344ca22804fe2158649693361627e1d50f21d3",
-    "star/direct-dict/node_churn": "d018bdee9651d200ddbc3eb7fb753a0ab7b2e0666c2613c4f621e9c053a31794",
-    "star/direct-fast/mixed_churn": "1faf8c1324cd4058fa0826b135a9fa2c2f8e3239ee9f43f762599258205976e6",
-    "star/direct-fast/node_churn": "b14eb5d8402958bffcc2e044232989ad1e58346105703abf635d2da7a5f7c29c",
+    "star/direct-dict/mixed_churn": "5b7d2827e7b344222bca334504a7a485c3e88d89a4a065bc04c1ce9687445bae",
+    "star/direct-dict/node_churn": "4f3d6228ceed216dcf7326becc5b8754e5270e07208d6a7a6671f745ef009afb",
+    "star/direct-fast/mixed_churn": "246bcb723e3ddf8dce823e72e989d991e5dfb0249d33f54dc9ea28d1371fc728",
+    "star/direct-fast/node_churn": "7e98f7fbfe69935a88bd966a2b9ecc17e6d9eeacb8b2e9d0449ffc762e11d407",
     "star/fast-batch4/mixed_churn": "4aa8efdc35952453c1c64a3fe3292e12d2993f74b8252f9e47914554943a728e",
     "star/fast-batch4/node_churn": "05271d2d3489b0238019d08aa789d15a3b2802c9f7b39da4d0ca18f77635ae8b",
     "star/fast/mixed_churn": "7d3ee16b66935845059dc012eb26661eab0a987e37c72daf6274b2ae3b1a1149",
@@ -252,7 +248,6 @@ class TestLabelDecoding:
             ("direct-dict", "edges"),
             ("direct-dict", "priority_keys"),
             ("direct-dict", "states"),
-            ("direct-dict", "knowledge"),
         ],
     )
     def test_bare_list_labels_are_rejected(self, backend, field):
@@ -300,10 +295,10 @@ _LEGACY_DIR = pathlib.Path(__file__).parent / "data" / "legacy_delta_checkpoints
 #: ``direct`` on ``fast`` and ``async-direct`` on ``dict`` with a ``random``
 #: scheduler; every journal starts at base position 5.
 _LEGACY_DELTA_DIGESTS = {
-    "async-dict-random-adaptive.json": "9a0c310dc1e901e236d9693ebc931fe18973b0cab09796653f049cf86beb209d",
-    "async-dict-random-mixed_churn.json": "abc9089fd9aacfa387ab3aebee013290891d158803c8e36b39c6e875d9378710",
-    "direct-fast-adaptive.json": "12f9323200b31cabef0d7c79f99f4b34712bba1fe1d27676c1c5fe663902bf7c",
-    "direct-fast-mixed_churn.json": "594c3ad562260d74110483d4a08d819acbe87361e45b1f27baf7954edef6bad5",
+    "async-dict-random-adaptive.json": "e73aa762950fda52f2558afa992df7076054693a576c82fe45117ba61494fccf",
+    "async-dict-random-mixed_churn.json": "3594f6b8f73d828a49c7bde1c1ccfd406f890cf5c5444b59a14fb1625966edc0",
+    "direct-fast-adaptive.json": "f33e15fc436d7591a92394bf17f689e8aa790b8044523f8b415c332919928e58",
+    "direct-fast-mixed_churn.json": "d9f29068c8cca6a4890ed04f57d53816eaf7cf60c8b0d7f03451a303cc9cba66",
     "fast-adaptive.json": "f859414ed38aa335df3603d6487034bdf78c9fdd900e55cf53ef312cf167db82",
     "fast-mixed_churn.json": "903e1a0c628502b5f0acfecaa49adada12b921dd39391a570e74c82897761b51",
 }
@@ -329,6 +324,36 @@ class TestLegacyDeltaCheckpoints:
             record["journal"]["base_position"] = base_position
         with pytest.raises(CheckpointFormatError, match="base_position"):
             checkpoint_from_dict(record)
+
+
+# ----------------------------------------------------------------------
+# Full protocol checkpoints written with stored knowledge rows
+# ----------------------------------------------------------------------
+_FULL_DIR = pathlib.Path(__file__).parent / "data" / "full_protocol_checkpoints"
+
+
+class TestFullProtocolCheckpoints:
+    """Files from the writer that still stored ``knowledge`` rows resume exactly.
+
+    Each was saved at position 15 of 30 (n=40) by a writer that stored a
+    knowledge row per directed edge; the decoder ignores the rows, and
+    restore derives the knowledge from the states.
+    """
+
+    @pytest.mark.parametrize("name", ["async-fast-random", "buffered-fast", "direct-dict"])
+    def test_files_resume_to_the_uninterrupted_run(self, name):
+        path = _FULL_DIR / f"{name}.json"
+        assert "knowledge" in json.loads(path.read_text())["snapshot"]
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.position == 15
+        resumed = Session.resume(checkpoint)
+        resumed.run()
+        uninterrupted = Session(checkpoint.spec)
+        uninterrupted.run()
+        assert resumed.position == uninterrupted.position == 30
+        assert resumed.states() == uninterrupted.states()
+        assert resumed.network.metrics.records == uninterrupted.network.metrics.records
+        assert resumed.metrics_summary() == uninterrupted.metrics_summary()
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,16 @@
 The end-to-end resume equality lives in the conformance suite
 (``tests/conformance/test_protocol_differential.py``) and the session tests;
 this file pins down the contract edges: the :class:`Checkpointable`
-protocol, snapshot content equality across backends, the protocol-mismatch
-and quiescence guards, and the restorable event-sequence cursor.
+protocol, snapshot content equality across backends, the premise that lets
+restore derive each node's knowledge (every live simulator is stable after
+every change), the protocol-mismatch, quiescence and torn-snapshot guards,
+and the restorable event-sequence cursor.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -22,8 +25,26 @@ from repro.distributed.scheduler import (
 )
 from repro.distributed.state import NetworkSnapshot, NetworkStateError
 from repro.graph.generators import erdos_renyi_graph
+from repro.workloads.changes import (
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    NodeInsertion,
+    NodeUnmuting,
+    apply_change_to_graph,
+)
 
 GRAPH = erdos_renyi_graph(18, 0.2, seed=3)
+
+#: Each protocol once, async under each scheduler kind; the premise test runs
+#: both network cores on every entry.
+_SCHEDULED = [
+    ("buffered", None),
+    ("direct", None),
+    ("async-direct", {"kind": "random", "seed": 2}),
+    ("async-direct", {"kind": "adversarial", "seed": 4, "slow_fraction": 0.5}),
+    ("async-direct", {"kind": "fixed", "delay_value": 1.5}),
+]
 
 
 def _simulator(protocol: str, network: str):
@@ -31,6 +52,79 @@ def _simulator(protocol: str, network: str):
     if protocol == "async-direct":
         kwargs["scheduler"] = AdversarialDelayScheduler(4)
     return create_network(protocol, network=network, **kwargs)
+
+
+def _runtime(simulator, node):
+    """A node's runtime record; the async dict core has no ``node_runtime``."""
+    reader = getattr(simulator, "node_runtime", None)
+    return reader(node) if reader is not None else simulator._runtimes[node]
+
+
+def _learned(simulator):
+    """Every node's learned neighbor keys and states."""
+    learned = {}
+    for node in simulator.graph.nodes():
+        runtime = _runtime(simulator, node)
+        learned[node] = (runtime.neighbor_keys, runtime.neighbor_states)
+    return learned
+
+
+def _assert_stable(simulator) -> None:
+    """Every node knows every neighbor's key and current state, and nothing else."""
+    if hasattr(simulator, "check_interning_invariants"):
+        simulator.check_interning_invariants(expect_stable=True)
+        return
+    runtimes = {node: _runtime(simulator, node) for node in simulator.graph.nodes()}
+    for node, runtime in runtimes.items():
+        assert runtime.neighbors == set(simulator.graph.neighbors(node)), node
+        keys = {other: runtimes[other].key for other in runtime.neighbors}
+        states = {other: runtimes[other].state for other in runtime.neighbors}
+        assert (runtime.neighbor_keys, runtime.neighbor_states) == (keys, states), node
+
+
+_CHURN_KINDS = (
+    "edge+",
+    "edge-graceful",
+    "edge-abrupt",
+    "node+",
+    "unmute",
+    "node-graceful",
+    "node-abrupt",
+)
+
+
+def _churn(graph, count: int, seed: int):
+    """A seeded stream of all six change kinds plus unmuting, valid in order."""
+    rng = random.Random(seed)
+    graph = graph.copy()
+    fresh = 0
+    changes = []
+    while len(changes) < count:
+        nodes = sorted(graph.nodes(), key=repr)
+        edges = graph.edges()
+        kind = rng.choice(_CHURN_KINDS)
+        if kind == "edge+":
+            u, v = rng.sample(nodes, 2)
+            if graph.has_edge(u, v):
+                continue
+            change = EdgeInsertion(u, v)
+        elif kind.startswith("edge-"):
+            if not edges:
+                continue
+            u, v = rng.choice(edges)
+            change = EdgeDeletion(u, v, graceful=kind == "edge-graceful")
+        elif kind in ("node+", "unmute"):
+            fresh += 1
+            neighbors = tuple(rng.sample(nodes, min(len(nodes), rng.randint(0, 4))))
+            change_type = NodeInsertion if kind == "node+" else NodeUnmuting
+            change = change_type(f"new{fresh}", neighbors)
+        else:
+            if len(nodes) < 4:
+                continue
+            change = NodeDeletion(rng.choice(nodes), graceful=kind == "node-graceful")
+        apply_change_to_graph(graph, change)
+        changes.append(change)
+    return changes
 
 
 class TestCheckpointableProtocol:
@@ -58,20 +152,8 @@ class TestSnapshotContent:
         assert sorted(dict_snap.edges) == sorted(fast_snap.edges)
         assert dict_snap.states == fast_snap.states
         assert dict_snap.priority_keys == fast_snap.priority_keys
-        assert dict_snap.knowledge == fast_snap.knowledge
-        assert dict_snap.pending == () == fast_snap.pending
-
-    def test_stability_invariant_holds_in_the_snapshot(self):
-        # At quiescence every node knows every neighbor's key and current
-        # output -- the captured knowledge must equal the captured states.
-        snapshot = _simulator("buffered", "dict").snapshot()
-        for (node, neighbor), (heard, key_known) in snapshot.knowledge.items():
-            assert key_known, (node, neighbor)
-            assert heard == snapshot.states[neighbor]
 
     def test_snapshot_is_a_value_not_a_view(self):
-        from repro.workloads.changes import EdgeDeletion
-
         simulator = _simulator("buffered", "fast")
         snapshot = simulator.snapshot()
         edges_before = tuple(snapshot.edges)
@@ -79,6 +161,41 @@ class TestSnapshotContent:
         simulator.apply(EdgeDeletion(u, v))
         assert snapshot.edges == edges_before
         assert len(snapshot.metrics) == 0  # records applied later don't leak in
+
+
+class TestStablePremise:
+    """Restore derives each node's knowledge; live simulators justify it.
+
+    Snapshots store no knowledge because every simulator ends every change in
+    the stable configuration.  This checks that on live runs, not through a
+    stored copy, and that a restore reproduces what each node had learned.
+    """
+
+    @pytest.mark.parametrize(
+        "protocol, scheduler",
+        _SCHEDULED,
+        ids=["buffered", "direct", "async-random", "async-adversarial", "async-fixed"],
+    )
+    def test_every_change_ends_stable_and_restores_exactly(self, protocol, scheduler):
+        def build(network, initial_graph=None):
+            kwargs = {"seed": 9, "initial_graph": initial_graph}
+            if scheduler is not None:
+                kwargs["scheduler"] = create_scheduler(**scheduler)
+            return create_network(protocol, network=network, **kwargs)
+
+        simulators = {network: build(network, GRAPH) for network in ("dict", "fast")}
+        for count, change in enumerate(_churn(GRAPH, 60, seed=5), start=1):
+            for simulator in simulators.values():
+                simulator.apply(change)
+                _assert_stable(simulator)
+            if count % 15:
+                continue
+            for source in simulators.values():
+                for network in ("dict", "fast"):
+                    target = build(network)
+                    target.restore(source.snapshot())
+                    _assert_stable(target)
+                    assert _learned(target) == _learned(source)
 
 
 class TestRestoreGuards:
@@ -108,13 +225,29 @@ class TestRestoreGuards:
         with pytest.raises(NetworkStateError, match="transient"):
             simulator.restore(broken)
 
-    def test_torn_knowledge_is_rejected(self):
-        snapshot = _simulator("buffered", "dict").snapshot()
-        knowledge = dict(snapshot.knowledge)
-        knowledge[("ghost", "ghoul")] = ("M", True)
-        broken = dataclasses.replace(snapshot, knowledge=knowledge)
-        simulator = create_network("buffered", network="dict", seed=9)
-        with pytest.raises(NetworkStateError, match="topology"):
+    @pytest.mark.parametrize(
+        "tear",
+        ["edge-to-stranger", "missing-state", "extra-state", "missing-key", "duplicate-node"],
+    )
+    @pytest.mark.parametrize("network", ["dict", "fast"])
+    @pytest.mark.parametrize("protocol", ["buffered", "direct", "async-direct"])
+    def test_torn_snapshots_are_rejected(self, protocol, network, tear):
+        snapshot = _simulator(protocol, network).snapshot()
+        first = snapshot.nodes[0]
+        if tear == "edge-to-stranger":
+            broken = dataclasses.replace(snapshot, edges=snapshot.edges + ((first, "ghost"),))
+        elif tear == "missing-state":
+            states = {node: value for node, value in snapshot.states.items() if node != first}
+            broken = dataclasses.replace(snapshot, states=states)
+        elif tear == "extra-state":
+            broken = dataclasses.replace(snapshot, states={**snapshot.states, "ghost": "M"})
+        elif tear == "duplicate-node":
+            broken = dataclasses.replace(snapshot, nodes=snapshot.nodes + (first,))
+        else:
+            keys = {node: key for node, key in snapshot.priority_keys.items() if node != first}
+            broken = dataclasses.replace(snapshot, priority_keys=keys)
+        simulator = create_network(protocol, network=network, seed=9)
+        with pytest.raises(NetworkStateError, match="torn snapshot"):
             simulator.restore(broken)
 
     def test_restore_replaces_prior_state_wholesale(self):
@@ -207,8 +340,6 @@ class TestSchedulerState:
             scheduler.setstate(("some-other-scheduler", ()))
 
     def test_async_snapshot_carries_the_scheduler_state(self):
-        from repro.workloads.changes import EdgeInsertion
-
         simulator = create_network("async-direct", network="fast", seed=9, initial_graph=GRAPH)
         nodes = sorted(GRAPH.nodes())
         simulator.apply(EdgeInsertion(nodes[0], nodes[2]))

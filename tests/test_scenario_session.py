@@ -298,7 +298,7 @@ class TestCheckpointResume:
 
 
 class TestProtocolCheckpointResume:
-    """Protocol sessions checkpoint via the knowledge-level NetworkSnapshot."""
+    """Protocol sessions checkpoint via the label-keyed NetworkSnapshot."""
 
     @pytest.mark.parametrize("network", ["dict", "fast"])
     @pytest.mark.parametrize("stop_at", [0, 1, 13, 40])

@@ -12,8 +12,9 @@ guarantees under test:
 * ``save_checkpoint`` fsyncs before its atomic rename, so a crashed daemon
   can never leave a truncated-but-renamed spool file, and fsyncs the spool
   directory after it, so the rename itself survives a power loss;
-* a damaged spool file (truncated, or not valid UTF-8) fails its request
-  with the typed ``spec-error``;
+* a damaged spool file (truncated, not valid UTF-8, or a protocol snapshot
+  torn so it cannot restore) fails its request with the typed
+  ``spec-error``;
 * the cyclic collector is held off inside the spool phases (checkpoint and
   save on evict, load and resume on rehydrate) and comes back in the state
   the caller left it in, also when a rehydrate fails;
@@ -551,3 +552,19 @@ class TestCorruptSpoolFile:
         response = host.handle_safely("query", {"session": "a"})
         assert not response["ok"]
         assert response["kind"] == "spec-error"
+
+    def test_a_torn_protocol_spool_file_is_a_spec_error(self, tmp_path):
+        # It decodes, but a node has no state: restore refuses to derive
+        # that node's neighbors' knowledge from it.
+        host = _host(tmp_path)
+        host.handle("create", {"session": "p", "spec": _spec(runner="protocol").to_dict()})
+        host.handle("apply", {"session": "p", "steps": 3})
+        host.handle("evict", {"session": "p"})
+        path = tmp_path / "spool" / "p.ckpt.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        del record["snapshot"]["states"][0]
+        path.write_text(json.dumps(record), encoding="utf-8")
+        response = host.handle_safely("query", {"session": "p"})
+        assert not response["ok"]
+        assert response["kind"] == "spec-error"
+        assert "torn snapshot" in response["error"]
