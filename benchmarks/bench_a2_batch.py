@@ -57,7 +57,7 @@ def _time_batched(engine: str, graph, batches, seed: int, repetitions: int = 3) 
         "per_batch_us": elapsed / len(batches) * 1e6,
         "total_s": elapsed,
         "final_mis": maintainer.mis(),
-        "total_adjustments": sum(stats.batch_adjustments),
+        "total_adjustments": stats.batches.total("num_adjustments"),
         "adjustments_per_change": stats.mean_batch_adjustments_per_change(),
     }
 

@@ -11,9 +11,9 @@ backend (the paper-shaped :class:`~repro.core.template.TemplateEngine` by
 default; any backend registered with
 :func:`repro.core.engine_api.register_engine` by name) and additionally
 
-* accumulates per-change statistics (influenced-set sizes, adjustments,
-  propagation depths) in a :class:`MaintainerStatistics` record used by the
-  experiments, and
+* keeps running totals of the per-change costs (influenced-set sizes,
+  adjustments, propagation depths) in a :class:`MaintainerStatistics` record
+  used by the experiments, and
 * exposes the correlation-clustering view of the MIS (every MIS node is a
   cluster center; every other node joins its earliest MIS neighbor), which is
   the paper's 3-approximation for correlation clustering.
@@ -36,6 +36,7 @@ from repro.core.engine_api import (
     engine_spec_name,
 )
 from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
+from repro.core.state_api import Totals
 from repro.core.template import UpdateReport
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.workloads.changes import (
@@ -59,88 +60,108 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: Counters of the single-change channel: :class:`UpdateReport` fields.
+CHANGE_COUNTERS = (
+    "influenced_size",
+    "num_adjustments",
+    "num_levels",
+    "state_flips",
+    "update_work",
+)
+#: Counters of the batch channel: :class:`BatchUpdateReport` fields.
+BATCH_COUNTERS = ("batch_size", "influenced_size", "num_adjustments", "num_levels")
+
+
 @dataclass
 class MaintainerStatistics:
-    """Aggregated per-change statistics collected by :class:`DynamicMIS`.
+    """Running totals of the costs collected by :class:`DynamicMIS`.
 
-    Two aligned channels are kept:
+    Two :class:`~repro.core.state_api.Totals` channels are kept:
 
-    * the **single-change** lists (``influenced_sizes`` ... ``change_kinds``):
-      entry ``i`` of each list describes the ``i``-th individually applied
-      change;
-    * the **per-batch** lists (``batch_sizes`` / ``batch_influenced_sizes`` /
-      ``batch_adjustments`` / ``batch_levels``): entry ``j`` of each list
-      describes the ``j``-th :meth:`DynamicMIS.apply_batch` call.  Batch
-      costs are *not* folded into the single-change channel -- a batch is one
-      atomic repair wave, so its numbers are not comparable per-change.
+    * ``changes`` -- count, sum and maximum of each :data:`CHANGE_COUNTERS`
+      field over the individually applied changes, per change kind;
+    * ``batches`` -- the same over the :meth:`DynamicMIS.apply_batch` calls
+      (:data:`BATCH_COUNTERS`, one row of kind ``"batch"``).  Batch costs are
+      *not* folded into the single-change channel -- a batch is one atomic
+      repair wave, so its numbers are not comparable per-change.
+
+    Both are fixed-size, so a checkpoint carrying the statistics does not
+    grow with the session's age.  Per-change numbers are in the reports
+    :meth:`DynamicMIS.apply` returns (and a session's sinks see).
     """
 
-    influenced_sizes: List[int] = field(default_factory=list)
-    adjustments: List[int] = field(default_factory=list)
-    propagation_depths: List[int] = field(default_factory=list)
-    state_flips: List[int] = field(default_factory=list)
-    update_work: List[int] = field(default_factory=list)
-    change_kinds: List[str] = field(default_factory=list)
-    batch_sizes: List[int] = field(default_factory=list)
-    batch_influenced_sizes: List[int] = field(default_factory=list)
-    batch_adjustments: List[int] = field(default_factory=list)
-    batch_levels: List[int] = field(default_factory=list)
+    changes: Totals = field(default_factory=lambda: Totals(CHANGE_COUNTERS))
+    batches: Totals = field(default_factory=lambda: Totals(BATCH_COUNTERS))
 
     def record(self, report: UpdateReport) -> None:
-        """Append the numbers of one :class:`UpdateReport`."""
-        self.influenced_sizes.append(report.influenced_size)
-        self.adjustments.append(report.num_adjustments)
-        self.propagation_depths.append(report.num_levels)
-        self.state_flips.append(report.state_flips)
-        self.update_work.append(report.update_work)
-        self.change_kinds.append(report.change_type)
+        """Fold the numbers of one :class:`UpdateReport` into ``changes``."""
+        # Count, sum and max per counter in CHANGE_COUNTERS order, unrolled:
+        # this runs once per applied change.
+        row = self.changes.rows.get(report.change_type) or self.changes.row(report.change_type)
+        row[0] += 1
+        row[1] += (value := report.influenced_size)
+        if value > row[2]:
+            row[2] = value
+        row[3] += 1
+        row[4] += (value := report.num_adjustments)
+        if value > row[5]:
+            row[5] = value
+        row[6] += 1
+        row[7] += (value := report.num_levels)
+        if value > row[8]:
+            row[8] = value
+        row[9] += 1
+        row[10] += (value := report.state_flips)
+        if value > row[11]:
+            row[11] = value
+        row[12] += 1
+        row[13] += (value := report.update_work)
+        if value > row[14]:
+            row[14] = value
 
     def record_batch(self, report: BatchUpdateReport) -> None:
-        """Append the numbers of one :class:`~repro.core.engine_api.BatchUpdateReport`."""
-        self.batch_sizes.append(report.batch_size)
-        self.batch_influenced_sizes.append(report.influenced_size)
-        self.batch_adjustments.append(report.num_adjustments)
-        self.batch_levels.append(report.num_levels)
+        """Fold one :class:`~repro.core.engine_api.BatchUpdateReport` into ``batches``."""
+        self.batches.add("batch", [getattr(report, name) for name in BATCH_COUNTERS])
 
     @property
     def num_changes(self) -> int:
         """Number of single changes applied so far (batches not included)."""
-        return len(self.adjustments)
+        return self.changes.num_records()
 
     @property
     def num_batches(self) -> int:
         """Number of batches applied so far."""
-        return len(self.batch_sizes)
+        return self.batches.num_records()
 
     @property
     def num_batched_changes(self) -> int:
         """Total number of changes applied through batches."""
-        return sum(self.batch_sizes)
+        return self.batches.total("batch_size")
 
     def mean_batch_adjustments_per_change(self) -> float:
         """Mean adjustments per *individual batched change* (A2's quantity)."""
         total = self.num_batched_changes
-        return sum(self.batch_adjustments) / total if total else 0.0
+        return self.batches.total("num_adjustments") / total if total else 0.0
 
     def mean_influenced_size(self) -> float:
         """Sample mean of ``|S|`` (the Theorem 1 quantity)."""
-        return _mean(self.influenced_sizes)
+        return self.changes.mean("influenced_size")
 
     def mean_adjustments(self) -> float:
         """Sample mean of the adjustment complexity."""
-        return _mean(self.adjustments)
+        return self.changes.mean("num_adjustments")
 
     def mean_propagation_depth(self) -> float:
         """Sample mean of the propagation depth (direct-implementation rounds)."""
-        return _mean(self.propagation_depths)
+        return self.changes.mean("num_levels")
 
     def mean_update_work(self) -> float:
         """Sample mean of neighbor inspections per change (sequential update time)."""
-        return _mean(self.update_work)
+        return self.changes.mean("update_work")
 
     def max_adjustments(self) -> int:
         """Worst single-change adjustment count."""
-        return max(self.adjustments) if self.adjustments else 0
+        return self.changes.maximum("num_adjustments")
 
 
 class DynamicMIS:
@@ -239,7 +260,7 @@ class DynamicMIS:
 
     @property
     def statistics(self) -> MaintainerStatistics:
-        """Per-change statistics accumulated so far."""
+        """Running totals of the costs of the changes applied so far."""
         return self._statistics
 
     def mis(self) -> Set[Node]:
@@ -297,9 +318,8 @@ class DynamicMIS:
         this natively (:meth:`~repro.core.engine_api.MISEngine.apply_batch`).
         Returns a :class:`~repro.core.engine_api.BatchUpdateReport`; its
         per-batch costs are folded into :attr:`statistics` on the dedicated
-        batch channel (``batch_sizes`` / ``batch_influenced_sizes`` /
-        ``batch_adjustments`` / ``batch_levels``), separate from the
-        single-change lists.
+        batch channel (``statistics.batches``), separate from the
+        single-change totals.
         """
         report = self._engine.apply_batch(list(changes))
         self._statistics.record_batch(report)
@@ -328,6 +348,3 @@ class DynamicMIS:
         self._statistics.record(report)
         return report
 
-
-def _mean(values: List[int]) -> float:
-    return sum(values) / len(values) if values else 0.0

@@ -41,7 +41,6 @@ from repro.distributed.scheduler import DelayScheduler, RandomDelayScheduler
 from repro.distributed.state import (
     NetworkSnapshot,
     check_restorable,
-    copy_metric_records,
     snapshot_from_runtimes,
     stable_runtimes,
 )
@@ -193,7 +192,7 @@ class AsyncDirectMISNetwork:
             self._graph,
             self._priorities,
             self._runtimes,
-            self._aggregator.records,
+            self._aggregator,
             scheduler_cursor=self._sequence.value,
             scheduler_state=self._scheduler.getstate(),
         )
@@ -206,7 +205,7 @@ class AsyncDirectMISNetwork:
         self._graph = DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges)
         outputs = {node: value == NodeState.M.value for node, value in snapshot.states.items()}
         self._runtimes = stable_runtimes(self._graph, keys, outputs)
-        self._aggregator = MetricsAggregator(records=list(copy_metric_records(snapshot.metrics)))
+        self._aggregator = MetricsAggregator(snapshot.metrics.copy())
         self._sequence = EventSequence(snapshot.scheduler_cursor)
         self._scheduler.setstate(copy.deepcopy(snapshot.scheduler_state))
 

@@ -62,7 +62,6 @@ from repro.distributed.state import (
     NetworkSnapshot,
     NetworkStateError,
     check_restorable,
-    copy_metric_records,
 )
 from repro.graph.dynamic_graph import DynamicGraph, GraphError
 from repro.workloads.changes import (
@@ -522,7 +521,7 @@ class FastNetworkCore:
             states={label: _STATE_VALUES[state[nid]] for label, nid in self._id_of.items()},
             priority_keys={label: keys[nid] for label, nid in self._id_of.items()},
             scheduler_cursor=self._scheduler_cursor(),
-            metrics=copy_metric_records(self._aggregator.records),
+            metrics=self._aggregator.totals.copy(),
             scheduler_state=self._scheduler_state(),
         )
 
@@ -532,9 +531,9 @@ class FastNetworkCore:
         The interned storage is rebuilt from scratch through the bootstrap's
         build path, :meth:`_install`: labels re-intern in snapshot order,
         nodes take their snapshot states instead of the greedy pass, and the
-        knowledge rows are derived from those states.  With the accumulated
-        metrics records restored too, a resumed run is observably identical
-        to an uninterrupted one.
+        knowledge rows are derived from those states.  With the metric totals
+        restored too, a resumed run is observably identical to an
+        uninterrupted one.
         """
         check_restorable(snapshot, getattr(type(self), "PROTOCOL", None))
         self._priorities.restore_keys(
@@ -542,7 +541,7 @@ class FastNetworkCore:
         )
         self._init_storage()
         self._install(snapshot.nodes, snapshot.edges, snapshot.states)
-        self._aggregator = MetricsAggregator(records=list(copy_metric_records(snapshot.metrics)))
+        self._aggregator = MetricsAggregator(snapshot.metrics.copy())
 
     def check_interning_invariants(self, expect_stable: bool = True) -> None:
         """Assert the interning / knowledge / adjacency bookkeeping is sound.

@@ -11,15 +11,18 @@ one:
   refinement of Section 1.1).
 
 :class:`ChangeMetrics` records those four numbers (plus bookkeeping useful for
-debugging) for a single topology change; :class:`MetricsAggregator` collects
-them over a change sequence and provides the summary statistics printed by
-the experiments (sample means, maxima, per-change-kind breakdowns).
+debugging) for a single topology change; :class:`MetricsAggregator` folds
+them into fixed-size running totals (count, sum and maximum per counter and
+per change kind) and provides the summary statistics printed by the
+experiments (sample means, maxima, per-change-kind breakdowns).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set
+
+from repro.core.state_api import Totals
 
 Node = Hashable
 
@@ -52,19 +55,60 @@ class ChangeMetrics:
         return record
 
 
+#: Counters of a :class:`ChangeMetrics` the aggregator totals, in row order.
+METRIC_COUNTERS = (
+    "rounds",
+    "broadcasts",
+    "bits",
+    "adjustments",
+    "state_changes",
+    "async_causal_depth",
+)
+
+
 @dataclass
 class MetricsAggregator:
-    """Aggregate :class:`ChangeMetrics` over a change sequence."""
+    """Running totals of :class:`ChangeMetrics` over a change sequence.
 
-    records: List[ChangeMetrics] = field(default_factory=list)
+    ``totals`` holds count, sum and maximum of every :data:`METRIC_COUNTERS`
+    field per change kind, so the aggregator (and a
+    :class:`~repro.distributed.state.NetworkSnapshot` carrying a copy of its
+    totals) stays the same size however many changes it has seen; the
+    per-change records are what ``apply`` returns.
+    """
+
+    totals: Totals = field(default_factory=lambda: Totals(METRIC_COUNTERS))
 
     def add(self, metrics: ChangeMetrics) -> None:
-        """Append one per-change record."""
-        self.records.append(metrics)
-
-    def extend(self, metrics_list: List[ChangeMetrics]) -> None:
-        """Append many records."""
-        self.records.extend(metrics_list)
+        """Fold one per-change record into the totals."""
+        # Count, sum and max per counter in METRIC_COUNTERS order, unrolled:
+        # this runs once per change on every simulator's hot path.
+        row = self.totals.rows.get(metrics.change_kind) or self.totals.row(metrics.change_kind)
+        row[0] += 1
+        row[1] += (value := metrics.rounds)
+        if value > row[2]:
+            row[2] = value
+        row[3] += 1
+        row[4] += (value := metrics.broadcasts)
+        if value > row[5]:
+            row[5] = value
+        row[6] += 1
+        row[7] += (value := metrics.bits)
+        if value > row[8]:
+            row[8] = value
+        row[9] += 1
+        row[10] += (value := metrics.adjustments)
+        if value > row[11]:
+            row[11] = value
+        row[12] += 1
+        row[13] += (value := metrics.state_changes)
+        if value > row[14]:
+            row[14] = value
+        if (value := metrics.async_causal_depth) is not None:
+            row[15] += 1
+            row[16] += value
+            if value > row[17]:
+                row[17] = value
 
     # ------------------------------------------------------------------
     # Summary statistics
@@ -72,29 +116,23 @@ class MetricsAggregator:
     @property
     def num_changes(self) -> int:
         """Number of recorded changes."""
-        return len(self.records)
+        return self.totals.num_records()
 
     def mean(self, attribute: str, change_kind: Optional[str] = None) -> float:
         """Sample mean of ``attribute`` (optionally restricted to one change kind)."""
-        values = self._values(attribute, change_kind)
-        return sum(values) / len(values) if values else 0.0
+        return self.totals.mean(attribute, change_kind)
 
     def maximum(self, attribute: str, change_kind: Optional[str] = None) -> float:
         """Maximum of ``attribute`` (optionally restricted to one change kind)."""
-        values = self._values(attribute, change_kind)
-        return max(values) if values else 0.0
+        return float(self.totals.maximum(attribute, change_kind))
 
     def total(self, attribute: str, change_kind: Optional[str] = None) -> float:
         """Sum of ``attribute`` (optionally restricted to one change kind)."""
-        return sum(self._values(attribute, change_kind))
+        return float(self.totals.total(attribute, change_kind))
 
     def change_kinds(self) -> List[str]:
         """The distinct change kinds present, in first-appearance order."""
-        seen: List[str] = []
-        for record in self.records:
-            if record.change_kind not in seen:
-                seen.append(record.change_kind)
-        return seen
+        return self.totals.kinds()
 
     def by_kind_summary(self, attribute: str) -> Dict[str, float]:
         """Mapping ``change kind -> mean attribute`` used by the report tables."""
@@ -112,17 +150,3 @@ class MetricsAggregator:
             "max_broadcasts": self.maximum("broadcasts"),
             "num_changes": float(self.num_changes),
         }
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _values(self, attribute: str, change_kind: Optional[str]) -> List[float]:
-        values: List[float] = []
-        for record in self.records:
-            if change_kind is not None and record.change_kind != change_kind:
-                continue
-            value = getattr(record, attribute)
-            if value is None:
-                continue
-            values.append(float(value))
-        return values

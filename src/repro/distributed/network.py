@@ -36,7 +36,6 @@ from repro.distributed.node import NodeRuntime, NodeState
 from repro.distributed.state import (
     NetworkSnapshot,
     check_restorable,
-    copy_metric_records,
     snapshot_from_runtimes,
     stable_runtimes,
 )
@@ -254,7 +253,7 @@ class SynchronousMISNetwork:
             self._graph,
             self._priorities,
             self._runtimes,
-            self._aggregator.records,
+            self._aggregator,
         )
 
     def restore(self, snapshot: NetworkSnapshot) -> None:
@@ -272,7 +271,7 @@ class SynchronousMISNetwork:
         self._graph = DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges)
         outputs = {node: value == NodeState.M.value for node, value in snapshot.states.items()}
         self._runtimes = stable_runtimes(self._graph, keys, outputs)
-        self._aggregator = MetricsAggregator(records=list(copy_metric_records(snapshot.metrics)))
+        self._aggregator = MetricsAggregator(snapshot.metrics.copy())
         self._introduced = set()
         self._last_round_log = []
 

@@ -6,10 +6,10 @@ output, its current neighbor set, and every neighbor's random ID and current
 output.  History independence makes the outputs a function of the graph and
 the order ``pi``, and that local knowledge a function of the outputs.  A
 :class:`NetworkSnapshot` therefore stores the ground-truth topology, the
-priority keys, the node states, the per-change metrics collected so far and
-(for the asynchronous simulators) the event-sequence cursor and scheduler
-state -- keyed by node *labels*, never by backend internals -- and restore
-derives the knowledge through the same build path as bootstrap.
+priority keys, the node states, the running metric totals and (for the
+asynchronous simulators) the event-sequence cursor and scheduler state --
+keyed by node *labels*, never by backend internals -- and restore derives
+the knowledge through the same build path as bootstrap.
 
 Because the snapshot is label-keyed, any registered network backend can
 restore a snapshot taken by any other: a checkpoint captured on the
@@ -37,7 +37,8 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
-from repro.distributed.metrics import ChangeMetrics
+from repro.core.state_api import Totals
+from repro.distributed.metrics import METRIC_COUNTERS, MetricsAggregator
 from repro.distributed.node import NodeRuntime, NodeState
 from repro.graph.dynamic_graph import DynamicGraph
 
@@ -75,9 +76,11 @@ class NetworkSnapshot:
         so far (0 for the synchronous protocols); a resumed simulator
         continues the sequence from here.
     metrics:
-        Deep copies of the per-change :class:`ChangeMetrics` records
-        collected so far, so a resumed run's aggregate summary equals an
-        uninterrupted run's.
+        A copy of the simulator's running metric totals
+        (:attr:`~repro.distributed.metrics.MetricsAggregator.totals`: count,
+        sum and maximum per counter and per change kind), so a resumed run's
+        aggregate summary equals an uninterrupted run's.  Fixed-size: the
+        snapshot does not grow with the number of changes applied.
     scheduler_state:
         The delay scheduler's resumable state
         (:meth:`~repro.distributed.scheduler.DelayScheduler.getstate`):
@@ -93,7 +96,7 @@ class NetworkSnapshot:
     states: Dict[Node, str]
     priority_keys: Dict[Node, Tuple]
     scheduler_cursor: int = 0
-    metrics: Tuple[ChangeMetrics, ...] = field(default_factory=tuple)
+    metrics: Totals = field(default_factory=lambda: Totals(METRIC_COUNTERS))
     scheduler_state: Optional[Tuple] = None
 
     @property
@@ -103,8 +106,8 @@ class NetworkSnapshot:
 
     @property
     def num_changes(self) -> int:
-        """Number of per-change metric records carried by the snapshot."""
-        return len(self.metrics)
+        """Number of changes the snapshot's metric totals cover."""
+        return self.metrics.num_records()
 
 
 def check_quiescent(snapshot: NetworkSnapshot) -> None:
@@ -159,11 +162,6 @@ def check_restorable(snapshot: NetworkSnapshot, protocol: Optional[str]) -> None
     check_quiescent(snapshot)
 
 
-def copy_metric_records(records) -> Tuple[ChangeMetrics, ...]:
-    """Deep-copy per-change metric records (they carry mutable adjusted-node sets)."""
-    return tuple(copy.deepcopy(record) for record in records)
-
-
 # ----------------------------------------------------------------------
 # Shared plumbing of the dict/set simulators
 # ----------------------------------------------------------------------
@@ -198,7 +196,7 @@ def snapshot_from_runtimes(
     graph: DynamicGraph,
     priorities,
     runtimes: Dict[Node, NodeRuntime],
-    metrics_records,
+    metrics: MetricsAggregator,
     scheduler_cursor: int = 0,
     scheduler_state: Optional[Tuple] = None,
 ) -> NetworkSnapshot:
@@ -221,6 +219,6 @@ def snapshot_from_runtimes(
         states={node: runtime.state.value for node, runtime in runtimes.items()},
         priority_keys={node: tuple(priorities.key(node)) for node in runtimes},
         scheduler_cursor=scheduler_cursor,
-        metrics=copy_metric_records(metrics_records),
+        metrics=metrics.totals.copy(),
         scheduler_state=copy.deepcopy(scheduler_state),
     )

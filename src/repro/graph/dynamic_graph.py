@@ -38,14 +38,29 @@ class GraphError(Exception):
     """
 
 
+_BUILTINS = (int, float, bool, str, tuple, type(None))
+#: Pairs of two different builtin label types whose ``<=`` always raises
+#: ``TypeError``: all of them except a number against a number.
+_UNORDERABLE_TYPES = frozenset(
+    (left, right)
+    for left in _BUILTINS
+    for right in _BUILTINS
+    if left is not right and not {left, right} <= {int, float, bool}
+)
+
+
 def canonical_edge(u: Node, v: Node) -> Edge:
     """Return the canonical ordered representation of the undirected edge.
 
     Undirected edges are stored and reported as a sorted 2-tuple so that
     ``(u, v)`` and ``(v, u)`` always compare equal.  Sorting is done on
     ``repr`` if the nodes are not mutually orderable, which keeps the function
-    total for heterogeneous node types (used by the reductions).
+    total for heterogeneous node types (used by the reductions).  Type pairs
+    that can never compare (an int against a fresh string label, say) go
+    straight to the ``repr`` rule instead of raising and catching first.
     """
+    if type(u) is not type(v) and (type(u), type(v)) in _UNORDERABLE_TYPES:
+        return (u, v) if repr(u) <= repr(v) else (v, u)
     try:
         return (u, v) if u <= v else (v, u)  # type: ignore[operator]
     except TypeError:

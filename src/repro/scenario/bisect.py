@@ -5,16 +5,19 @@ history independent and every node's priority is drawn from the seed.  So
 any intermediate state of a run is rebuilt by re-executing the spec, and
 :func:`bisect_first_divergence` needs no recording: it re-runs the
 reference and the candidate at each of its O(log N) probes and compares
-them.  This is the time-travel primitive the sts debugger built for SDN
-traces, and the one-command repro for a CI divergence artifact
-(``repro-mis bisect``).
+them, collecting each re-execution's per-change records with an observer
+(a checkpoint carries only fixed-size totals).  This is the time-travel
+primitive the sts debugger built for SDN traces, and the one-command repro
+for a CI divergence artifact (``repro-mis bisect``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.dynamic_mis import CHANGE_COUNTERS
+from repro.distributed.metrics import ChangeMetrics
 from repro.distributed.state import NetworkSnapshot
 from repro.scenario.checkpoint_io import checkpoint_from_dict, checkpoint_to_dict
 from repro.scenario.session import SessionCheckpoint, _replayed_checkpoint
@@ -52,9 +55,11 @@ def bisect_first_divergence(
 
     The *reference* run streams the scenario once to its end.  The bisect
     then probes O(log N) positions, each probe re-executing both runs from
-    scratch up to the probed position and comparing their full output maps
-    and per-change records (the end probe reuses the one full reference
-    run):
+    scratch up to the probed position and comparing their full output maps,
+    the per-change records an observer collected on the way, and the
+    accumulated totals (the end probe reuses the one full reference run; a
+    deterministic run's records up to a position are a prefix of its
+    full-length records):
 
     * ``networks=(a, b)`` / ``engines=(a, b)`` -- reference on backend ``a``,
       candidate on backend ``b`` (a cross-backend differential bisect);
@@ -92,19 +97,19 @@ def bisect_first_divergence(
         reference_spec = candidate_spec = spec
 
     reference_changes: List[TopologyChange] = []
-    reference_end = _replayed_checkpoint(
-        reference_spec,
-        observers=[CallbackSink(lambda step, change, record: reference_changes.append(change))],
+    reference_end, reference_records = _recorded_run(
+        reference_spec, None, changes=reference_changes
     )
     num_changes = reference_end.position
 
-    def candidate_at(position: int) -> SessionCheckpoint:
+    def candidate_at(position: int) -> Tuple[SessionCheckpoint, List]:
         if resume_at is None or position <= resume_at:
-            return _replayed_checkpoint(candidate_spec, position)
-        checkpoint = _replayed_checkpoint(candidate_spec, resume_at)
+            return _recorded_run(candidate_spec, position)
+        checkpoint, records = _recorded_run(candidate_spec, resume_at)
         if through_json:
             checkpoint = checkpoint_from_dict(checkpoint_to_dict(checkpoint))
-        return _replayed_checkpoint(candidate_spec, position, start=checkpoint)
+        checkpoint, resumed_records = _recorded_run(candidate_spec, position, start=checkpoint)
+        return checkpoint, records + resumed_records
 
     probes: List[int] = []
 
@@ -116,10 +121,12 @@ def bisect_first_divergence(
         else:
             expected = _replayed_checkpoint(reference_spec, position)
         try:
-            actual = candidate_at(position)
+            actual, actual_records = candidate_at(position)
         except ValueError as error:
             return False, f"candidate run failed before position {position}: {error}"
-        detail = _divergence_detail(expected, actual, position)
+        detail = _divergence_detail(
+            expected, actual, reference_records[:position], actual_records, position
+        )
         return detail is None, detail or ""
 
     equal_at_end, detail = probe(num_changes)
@@ -167,37 +174,55 @@ def _outputs(checkpoint: SessionCheckpoint) -> Dict[Node, bool]:
     return dict(states)
 
 
-def _records(checkpoint: SessionCheckpoint) -> List:
-    """A checkpoint's accumulated per-change records, comparable with ``==``."""
-    if isinstance(checkpoint.snapshot, NetworkSnapshot):
-        return [metric.as_dict() for metric in checkpoint.snapshot.metrics]
-    stats = checkpoint.statistics
-    if stats is None:
-        return []
-    return list(
-        zip(
-            stats.influenced_sizes,
-            stats.adjustments,
-            stats.propagation_depths,
-            stats.state_flips,
-            stats.update_work,
-            stats.change_kinds,
-        )
+def _recorded_run(
+    spec,
+    position: Optional[int],
+    start: Optional[SessionCheckpoint] = None,
+    changes: Optional[List[TopologyChange]] = None,
+) -> Tuple[SessionCheckpoint, List]:
+    """Re-execute ``spec`` to ``position``: the checkpoint there, and the
+    per-change records applied on the way as comparable plain values."""
+    records: List[Any] = []
+
+    def collect(step: int, change, record) -> None:
+        if isinstance(record, ChangeMetrics):
+            records.append(record.as_dict())
+        else:
+            fields = (getattr(record, name) for name in CHANGE_COUNTERS)
+            records.append((*fields, record.change_type))
+        if changes is not None:
+            changes.append(change)
+
+    checkpoint = _replayed_checkpoint(
+        spec, position, start=start, observers=[CallbackSink(collect)]
     )
+    return checkpoint, records
+
+
+def _totals(checkpoint: SessionCheckpoint) -> Any:
+    """A checkpoint's totals: the snapshot's metrics, or the statistics."""
+    if isinstance(checkpoint.snapshot, NetworkSnapshot):
+        return checkpoint.snapshot.metrics
+    return checkpoint.statistics
 
 
 def _divergence_detail(
-    expected: SessionCheckpoint, actual: SessionCheckpoint, position: int
+    expected: SessionCheckpoint,
+    actual: SessionCheckpoint,
+    expected_records: List,
+    actual_records: List,
+    position: int,
 ) -> Optional[str]:
-    """How the candidate's checkpoint at ``position`` differs from the reference's.
+    """How the candidate's run to ``position`` differs from the reference's.
 
-    Compares the full output map *and* the accumulated per-change records
-    (metrics for protocol runs, statistics rows for sequential ones) --
-    outputs alone are too weak a probe: the asynchronous protocol
-    self-stabilizes to the same MIS under any delays, so a scheduling or
-    metric divergence only ever shows up in the records.  Comparing the
-    whole accumulated prefix also keeps the bisect predicate monotone.
-    ``None`` means no divergence.
+    Compares the full output map, the per-change records of the whole
+    prefix (metrics for protocol runs, statistics fields for sequential
+    ones) and the checkpoints' totals -- outputs alone are too weak a probe:
+    the asynchronous protocol self-stabilizes to the same MIS under any
+    delays, so a scheduling or metric divergence only ever shows up in the
+    records, and totals alone miss a cost moved from one change to the
+    next.  Comparing the whole prefix also keeps the bisect predicate
+    monotone.  ``None`` means no divergence.
     """
     expected_outputs = _outputs(expected)
     actual_outputs = _outputs(actual)
@@ -212,10 +237,10 @@ def _divergence_detail(
             f"{len(diff)} node outputs differ at position {position} "
             f"(reference vs candidate): {preview}"
         )
-    expected_records = _records(expected)
-    actual_records = _records(actual)
     if expected_records == actual_records:
-        return None
+        if _totals(expected) == _totals(actual):
+            return None
+        return f"accumulated totals differ at position {position}"
     limit = min(len(expected_records), len(actual_records))
     first = next((i for i in range(limit) if expected_records[i] != actual_records[i]), limit)
     if first == limit:

@@ -7,7 +7,12 @@ snapshot (either flavor, both label-level: an
 :class:`~repro.distributed.state.NetworkSnapshot`), the sequential
 statistics and the adaptive adversary's RNG state -- into plain JSON and
 back, exactly (machine-checked by the round-trip tests in
-``tests/test_scenario_session.py``).
+``tests/test_scenario_session.py``).  A checkpoint holds state, not
+history: the sequential statistics and the snapshot's metrics are
+fixed-size :class:`~repro.core.state_api.Totals` (count, sum and maximum
+per counter and per change kind), so its size does not grow with the
+session's age.  Per-change detail is in the records a session returns and
+in its sinks, never in a checkpoint.
 
 Node labels are encoded with the trace codec
 (:func:`repro.workloads.trace.encode_node`), so every node type the library
@@ -22,23 +27,26 @@ backend, thanks to the label-keyed snapshots.  :func:`save_checkpoint`
 writes one line of compact JSON; whitespace is insignificant to the
 decoder, so indented files written by earlier versions load unchanged.
 
-Two record versions exist.  ``repro-checkpoint-v2`` (what this module
-writes) adds the asynchronous scheduler's resumable RNG state and a
-``journal`` key, always ``null`` in the records written now;
-``repro-checkpoint-v1`` files (written before those fields existed) still
-decode -- a missing scheduler state defaults to ``None``, which the restore
-paths accept as "fresh stream".  Older v2 files may be *delta* checkpoints:
-their snapshot fields hold the state at the journal's ``base_position``,
-and the journal entries lead on to ``position``.  A session's state is a
-pure function of ``(spec, position)``, so such a record decodes by
-re-executing the spec from that base to ``position``; the entries are not
-read.
+Three record versions exist.  ``repro-checkpoint-v3`` is what this module
+writes: ``statistics`` is ``{"changes": rows, "batches": rows}`` and the
+network snapshot's ``metrics`` is ``rows``, where ``rows`` is the
+:meth:`~repro.core.state_api.Totals.to_record` list of ``[kind, [count,
+sum, max, ...]]`` pairs in first-appearance order.  The two older versions
+stored one entry per applied change instead -- a list per statistics field
+and one record per change in ``metrics`` -- and decoding folds those rows
+into the same totals, so every old file still resumes exactly.
+``repro-checkpoint-v2`` added the asynchronous scheduler's resumable RNG
+state and a ``journal`` key; ``repro-checkpoint-v1`` files lack both -- a
+missing scheduler state defaults to ``None``, which the restore paths
+accept as "fresh stream".  Some v2 files are *delta* checkpoints: their
+snapshot fields hold the state at the journal's ``base_position``, and the
+journal entries lead on to ``position``.  A session's state is a pure
+function of ``(spec, position)``, so such a record decodes by re-executing
+the spec from that base to ``position``; the entries are not read.
 
 A network record holds no per-node local knowledge: restore derives it from
 the states, as bootstrap does.  v2 records written before that carry an
-extra ``knowledge`` row per directed edge, which decoding ignores; the tag
-stayed ``repro-checkpoint-v2`` because every other field, and every engine
-record, is unchanged.
+extra ``knowledge`` row per directed edge, which decoding ignores.
 """
 
 from __future__ import annotations
@@ -50,18 +58,21 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.dynamic_mis import BATCH_COUNTERS, CHANGE_COUNTERS, MaintainerStatistics
 from repro.core.engine_api import EngineSnapshot
-from repro.distributed.metrics import ChangeMetrics
+from repro.core.state_api import Totals
+from repro.distributed.metrics import METRIC_COUNTERS
 from repro.distributed.state import NetworkSnapshot
 from repro.scenario.session import SessionCheckpoint, _replayed_checkpoint
 from repro.scenario.spec import ScenarioSpec
 from repro.workloads.trace import decode_node, encode_node
 
-FORMAT = "repro-checkpoint-v2"
+FORMAT = "repro-checkpoint-v3"
+FORMAT_V2 = "repro-checkpoint-v2"
 FORMAT_V1 = "repro-checkpoint-v1"
 
 #: Formats :func:`checkpoint_from_dict` accepts (newest first).
-SUPPORTED_FORMATS = (FORMAT, FORMAT_V1)
+SUPPORTED_FORMATS = (FORMAT, FORMAT_V2, FORMAT_V1)
 
 
 class CheckpointFormatError(ValueError):
@@ -168,45 +179,23 @@ def _decode_engine_snapshot(record) -> EngineSnapshot:
     )
 
 
-def _encode_metric_record(record: ChangeMetrics) -> Dict[str, Any]:
-    return {
-        "change_kind": record.change_kind,
-        "rounds": record.rounds,
-        "broadcasts": record.broadcasts,
-        "bits": record.bits,
-        "adjustments": record.adjustments,
-        "adjusted_nodes": [encode_node(node) for node in sorted(record.adjusted_nodes, key=repr)],
-        "state_changes": record.state_changes,
-        "async_causal_depth": record.async_causal_depth,
-    }
-
-
-def _decode_metric_record(record) -> ChangeMetrics:
-    return ChangeMetrics(
-        change_kind=record["change_kind"],
-        rounds=record["rounds"],
-        broadcasts=record["broadcasts"],
-        bits=record["bits"],
-        adjustments=record["adjustments"],
-        adjusted_nodes={decode_node(node) for node in record["adjusted_nodes"]},
-        state_changes=record["state_changes"],
-        async_causal_depth=record["async_causal_depth"],
-    )
-
-
 def _encode_network_snapshot(snapshot: NetworkSnapshot) -> Dict[str, Any]:
     codes = _label_codes(snapshot)
     record = {"kind": "network", "protocol": snapshot.protocol}
     record.update(_encode_nodes_edges(snapshot, codes))
     record["states"] = [[codes[node], value] for node, value in snapshot.states.items()]
     record["scheduler_cursor"] = snapshot.scheduler_cursor
-    record["metrics"] = [_encode_metric_record(metric) for metric in snapshot.metrics]
+    record["metrics"] = snapshot.metrics.to_record()
     record["scheduler_state"] = _encode_state_tree(snapshot.scheduler_state)
     return record
 
 
-def _decode_network_snapshot(record) -> NetworkSnapshot:
+def _decode_network_snapshot(record, per_change: bool) -> NetworkSnapshot:
     parts = _decode_nodes_edges(record)
+    if per_change:
+        metrics = _folded_metrics(record["metrics"])
+    else:
+        metrics = Totals.from_record(METRIC_COUNTERS, record["metrics"])
     return NetworkSnapshot(
         protocol=record["protocol"],
         nodes=parts["nodes"],
@@ -217,7 +206,7 @@ def _decode_network_snapshot(record) -> NetworkSnapshot:
         },
         priority_keys=parts["priority_keys"],
         scheduler_cursor=record["scheduler_cursor"],
-        metrics=tuple(_decode_metric_record(metric) for metric in record["metrics"]),
+        metrics=metrics,
         # v1 records predate scheduler state; None restores as "fresh stream".
         scheduler_state=_decode_state_tree(record.get("scheduler_state")),
     )
@@ -226,18 +215,51 @@ def _decode_network_snapshot(record) -> NetworkSnapshot:
 # ----------------------------------------------------------------------
 # Runner extras
 # ----------------------------------------------------------------------
-def _encode_statistics(statistics) -> Optional[Dict[str, Any]]:
+def _encode_statistics(statistics: Optional[MaintainerStatistics]) -> Optional[Dict[str, Any]]:
     if statistics is None:
         return None
-    return {name: list(values) for name, values in dataclasses.asdict(statistics).items()}
+    return {"changes": statistics.changes.to_record(), "batches": statistics.batches.to_record()}
 
 
-def _decode_statistics(record):
+def _decode_statistics(record, per_change: bool) -> Optional[MaintainerStatistics]:
     if record is None:
         return None
-    from repro.core.dynamic_mis import MaintainerStatistics
+    if per_change:
+        return _folded_statistics(record)
+    return MaintainerStatistics(
+        changes=Totals.from_record(CHANGE_COUNTERS, record["changes"]),
+        batches=Totals.from_record(BATCH_COUNTERS, record["batches"]),
+    )
 
-    return MaintainerStatistics(**{name: list(values) for name, values in record.items()})
+
+#: v1/v2 per-change statistics lists, in counter order.
+_CHANGE_LISTS = (
+    "influenced_sizes",
+    "adjustments",
+    "propagation_depths",
+    "state_flips",
+    "update_work",
+)
+_BATCH_LISTS = ("batch_sizes", "batch_influenced_sizes", "batch_adjustments", "batch_levels")
+
+
+def _folded_statistics(record) -> MaintainerStatistics:
+    """A v1/v2 record's per-change statistics lists, folded into totals."""
+    statistics = MaintainerStatistics()
+    lists = (record[name] for name in _CHANGE_LISTS)
+    for kind, *values in zip(record["change_kinds"], *lists, strict=True):
+        statistics.changes.add(kind, values)
+    for values in zip(*(record[name] for name in _BATCH_LISTS), strict=True):
+        statistics.batches.add("batch", values)
+    return statistics
+
+
+def _folded_metrics(records) -> Totals:
+    """A v1/v2 snapshot's per-change metric records, folded into totals."""
+    totals = Totals(METRIC_COUNTERS)
+    for record in records:
+        totals.add(record["change_kind"], [record[name] for name in METRIC_COUNTERS])
+    return totals
 
 
 def _encode_workload_state(state: Optional[Tuple]):
@@ -278,17 +300,17 @@ def checkpoint_to_dict(checkpoint: SessionCheckpoint) -> Dict[str, Any]:
         "statistics": _encode_statistics(checkpoint.statistics),
         "workload_state": _encode_workload_state(checkpoint.workload_state),
         "elapsed_s": checkpoint.elapsed_s,
-        "journal": None,
     }
 
 
 def checkpoint_from_dict(record: Dict[str, Any]) -> SessionCheckpoint:
     """Decode :func:`checkpoint_to_dict` output back into a checkpoint.
 
-    Accepts every version in :data:`SUPPORTED_FORMATS`: v1 records simply
-    lack the scheduler-state and journal fields, which decode as ``None``.
-    A legacy delta record (non-null ``journal``) re-executes its spec from
-    the stored base to its position (see the module docstring).
+    Accepts every version in :data:`SUPPORTED_FORMATS`: the per-change rows
+    of v1 and v2 records fold into totals, and v1 records simply lack the
+    scheduler-state and journal fields, which decode as ``None``.  A legacy
+    delta record (non-null ``journal``) re-executes its spec from the stored
+    base to its position (see the module docstring).
     """
     if not isinstance(record, dict) or record.get("format") not in SUPPORTED_FORMATS:
         raise CheckpointFormatError(
@@ -302,11 +324,12 @@ def checkpoint_from_dict(record: Dict[str, Any]) -> SessionCheckpoint:
     # Decoded first so spec problems surface as ScenarioSpecError (with their
     # did-you-mean hints) instead of a generic malformed-checkpoint error.
     spec = ScenarioSpec.from_dict(record["spec"])
+    per_change = record["format"] != FORMAT
     try:
         snapshot_record = record["snapshot"]
         kind = snapshot_record["kind"]
         if kind == "network":
-            snapshot = _decode_network_snapshot(snapshot_record)
+            snapshot = _decode_network_snapshot(snapshot_record, per_change)
         elif kind == "engine":
             snapshot = _decode_engine_snapshot(snapshot_record)
         else:
@@ -315,7 +338,7 @@ def checkpoint_from_dict(record: Dict[str, Any]) -> SessionCheckpoint:
             spec=spec,
             position=int(record["position"]),
             snapshot=snapshot,
-            statistics=_decode_statistics(record.get("statistics")),
+            statistics=_decode_statistics(record.get("statistics"), per_change),
             workload_state=_decode_workload_state(record.get("workload_state")),
             elapsed_s=float(record.get("elapsed_s", 0.0)),
         )

@@ -98,8 +98,9 @@ class SessionCheckpoint:
     label-keyed snapshot (an :class:`~repro.core.engine_api.EngineSnapshot`
     for sequential sessions, a
     :class:`~repro.distributed.state.NetworkSnapshot` for protocol sessions)
-    and the runner-side extras: a copy of the sequential statistics, and the
-    adaptive adversary's RNG state for dynamic workloads.  Because both
+    and the runner-side extras: a copy of the sequential statistics (fixed-size
+    totals, like a network snapshot's metrics), and the adaptive adversary's
+    RNG state for dynamic workloads.  Because both
     snapshot flavors are label-keyed, a checkpoint taken on one backend can
     resume on another (``resume(checkpoint, engine="fast")`` /
     ``resume(checkpoint, network="fast")``) -- the cross-backend analogue of

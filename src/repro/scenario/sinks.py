@@ -24,8 +24,9 @@ the did-you-mean errors.  A name may carry one argument after a colon, e.g.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.core.state_api import Totals
 from repro.registry import Registry, UnknownNameError
 
 #: Numeric per-change fields a generic sink probes on each record (sequential
@@ -43,6 +44,16 @@ TRACKED_ATTRIBUTES = (
     "adjustments",
     "state_changes",
 )
+
+
+def _tracked_fields(record) -> Dict[str, Any]:
+    """The :data:`TRACKED_ATTRIBUTES` a record carries as numbers (not bools)."""
+    fields: Dict[str, Any] = {}
+    for attribute in TRACKED_ATTRIBUTES:
+        value = getattr(record, attribute, None)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            fields[attribute] = value
+    return fields
 
 
 class ScenarioObserver:
@@ -71,11 +82,13 @@ class SummarySink(ScenarioObserver):
 
     After the run, :meth:`summary` returns ``{field: {"mean", "max",
     "total"}}`` for each field the records actually carried, plus the change
-    count -- a runner-agnostic cost profile of the scenario.
+    count -- a runner-agnostic cost profile of the scenario.  It keeps
+    :class:`~repro.core.state_api.Totals`, so its size does not grow with
+    the number of records.
     """
 
     def __init__(self) -> None:
-        self._values: Dict[str, List[float]] = {}
+        self._totals = Totals(TRACKED_ATTRIBUTES)
         self._changes = 0
         self._batches = 0
 
@@ -89,10 +102,8 @@ class SummarySink(ScenarioObserver):
         self._collect(report)
 
     def _collect(self, record) -> None:
-        for attribute in TRACKED_ATTRIBUTES:
-            value = getattr(record, attribute, None)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self._values.setdefault(attribute, []).append(float(value))
+        fields = _tracked_fields(record)
+        self._totals.add("records", [fields.get(name) for name in TRACKED_ATTRIBUTES])
 
     @property
     def num_changes(self) -> int:
@@ -104,12 +115,13 @@ class SummarySink(ScenarioObserver):
         summary: Dict[str, Any] = {"num_changes": self._changes}
         if self._batches:
             summary["num_batches"] = self._batches
-        for attribute, values in sorted(self._values.items()):
-            summary[attribute] = {
-                "mean": sum(values) / len(values),
-                "max": max(values),
-                "total": sum(values),
-            }
+        for attribute in sorted(TRACKED_ATTRIBUTES):
+            if self._totals.count(attribute):
+                summary[attribute] = {
+                    "mean": self._totals.mean(attribute),
+                    "max": float(self._totals.maximum(attribute)),
+                    "total": float(self._totals.total(attribute)),
+                }
         return summary
 
 
@@ -118,48 +130,34 @@ class JsonlSink(ScenarioObserver):
 
     Lines carry the step index, the change (its ``repr``) and every tracked
     numeric field present on the record -- a cheap machine-readable
-    per-change log for offline analysis.
+    per-change log for offline analysis, and the place per-change detail
+    lives (a checkpoint carries only totals).  Each line opens, appends and
+    closes the file, so the sink never holds a file open: a session driven
+    by :meth:`~repro.scenario.session.Session.step` and then dropped (as the
+    service host evicts one) leaves nothing to close, and an interrupted
+    session leaves a complete per-change log behind.
     """
 
     def __init__(self, path: str) -> None:
         if not path:
             raise ValueError("jsonl sink needs a file path, e.g. 'jsonl:out.jsonl'")
         self._path = path
-        self._handle = None
 
     def on_start(self, session) -> None:
-        # A resumed session (position > 0) appends, so the pre-checkpoint
-        # lines of an interrupted run survive in the same file.
-        mode = "a" if session.position else "w"
-        self._handle = open(self._path, mode, encoding="utf-8")
+        # A fresh session truncates; a resumed one (position > 0) appends,
+        # so the pre-checkpoint lines of an interrupted run survive.
+        if not session.position:
+            open(self._path, "w", encoding="utf-8").close()
 
     def _emit(self, document: Dict[str, Any]) -> None:
-        if self._handle is not None:
-            self._handle.write(json.dumps(document, sort_keys=True) + "\n")
-            # Lines land on disk immediately, so an interrupted (later
-            # resumed) session leaves a complete per-change log behind.
-            self._handle.flush()
+        with open(self._path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(document, sort_keys=True) + "\n")
 
     def on_change(self, step: int, change, record) -> None:
-        document: Dict[str, Any] = {"step": step, "change": repr(change)}
-        for attribute in TRACKED_ATTRIBUTES:
-            value = getattr(record, attribute, None)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                document[attribute] = value
-        self._emit(document)
+        self._emit({"step": step, "change": repr(change), **_tracked_fields(record)})
 
     def on_batch(self, index: int, changes: Sequence, report) -> None:
-        document: Dict[str, Any] = {"batch": index, "batch_size": len(changes)}
-        for attribute in TRACKED_ATTRIBUTES:
-            value = getattr(report, attribute, None)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                document[attribute] = value
-        self._emit(document)
-
-    def on_end(self, session, result) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._emit({"batch": index, "batch_size": len(changes), **_tracked_fields(report)})
 
 
 class CallbackSink(ScenarioObserver):

@@ -37,7 +37,7 @@ by default (or the scenario's ``backend.scheduler``, when one is declared).
 checkpointable-state pair (:mod:`repro.distributed.state`): checkpoint a
 run mid-way on one backend, resume it on another, and assert the remaining
 run is observably identical to an uninterrupted one -- per-change metrics,
-round traces, outputs and the accumulated record list.  Since the
+round traces, outputs and the accumulated metric totals.  Since the
 ``"random"`` scheduler's RNG stream rides in the snapshot, *same-backend*
 resumes (``networks=("fast", "fast")``) are exact for every scheduler kind
 including the default random one; only cross-backend resumes still require
@@ -193,6 +193,8 @@ def replay_protocol_differential(
     reference = simulators[0]
     metric_fields = ASYNC_METRIC_FIELDS if is_async else PROTOCOL_METRIC_FIELDS
 
+    last_records: List = [None] * len(simulators)
+
     def mismatch(step: int, change, detail: str) -> ConformanceMismatch:
         _write_divergence_dump(
             dump_dir,
@@ -203,6 +205,7 @@ def replay_protocol_differential(
             change,
             detail,
             simulators,
+            last_records,
             trace_enabled,
             scenario=scenario,
         )
@@ -213,18 +216,12 @@ def replay_protocol_differential(
         if simulator.states() != baseline_states:
             raise mismatch(-1, None, f"initial states differ between {networks[0]} and {name}")
 
-    total_broadcasts = 0
-    total_rounds = 0
-    max_rounds = 0
     for step, change in enumerate(changes):
-        metrics_records = [simulator.apply(change) for simulator in simulators]
-        head = metrics_records[0]
-        total_broadcasts += head.broadcasts
-        total_rounds += head.rounds
-        max_rounds = max(max_rounds, head.rounds)
+        last_records = [simulator.apply(change) for simulator in simulators]
+        head = last_records[0]
         expected_states = reference.states()
         expected_trace = _trace_tuples(reference) if trace_enabled else None
-        for name, simulator, record in zip(networks[1:], simulators[1:], metrics_records[1:]):
+        for name, simulator, record in zip(networks[1:], simulators[1:], last_records[1:]):
             for field in metric_fields:
                 lhs, rhs = getattr(head, field), getattr(record, field)
                 if lhs != rhs:
@@ -266,9 +263,10 @@ def replay_protocol_differential(
         protocol=protocol,
         networks=tuple(networks),
         num_changes=len(changes),
-        total_broadcasts=total_broadcasts,
-        total_rounds=total_rounds,
-        max_rounds=max_rounds,
+        # The reference's totals cover exactly this replay's changes.
+        total_broadcasts=reference.metrics.totals.total("broadcasts"),
+        total_rounds=reference.metrics.totals.total("rounds"),
+        max_rounds=reference.metrics.totals.maximum("rounds"),
         final_mis_size=len(reference.mis()),
         final_num_nodes=reference.graph.num_nodes(),
     )
@@ -338,8 +336,8 @@ def replay_resume_differential(
       adjustments, adjusted-node sets; plus causal depth for async),
     * identical round-by-round traces (synchronous protocols),
     * identical output maps, and -- at the end --
-    * identical *accumulated* metric records (the pre-checkpoint records
-      ride along in the snapshot) and a passing ``verify()`` on both sides.
+    * identical *accumulated* metric totals (the pre-checkpoint totals ride
+      along in the snapshot) and a passing ``verify()`` on both sides.
 
     Same-backend pairs (``source == target``) accept any scheduler kind --
     including an absent/``"random"`` one, whose RNG stream rides in the
@@ -393,6 +391,7 @@ def replay_resume_differential(
         resumed = Session.resume(checkpoint, network=target)
         if trace_enabled:
             resumed.network.enable_round_logging(True)
+        last_records: List = [None, None]
 
         def mismatch(step: int, change, detail: str) -> ConformanceMismatch:
             _write_divergence_dump(
@@ -404,6 +403,7 @@ def replay_resume_differential(
                 change,
                 detail,
                 [uninterrupted.network, resumed.network],
+                last_records,
                 trace_enabled,
                 tag=f"resume_divergence_pos{position}",
                 scenario=scenario,
@@ -413,6 +413,7 @@ def replay_resume_differential(
         while not uninterrupted.done:
             expected_record = uninterrupted.step()
             actual_record = resumed.step()
+            last_records = [expected_record, actual_record]
             step = uninterrupted.position - 1
             if expected_record is None or actual_record is None:
                 if (expected_record is None) != (actual_record is None):
@@ -464,12 +465,8 @@ def replay_resume_differential(
                 raise mismatch(
                     step, change, f"states diverged after resume at {position}"
                 )
-        expected_records = [record.as_dict() for record in uninterrupted.network.metrics.records]
-        actual_records = [record.as_dict() for record in resumed.network.metrics.records]
-        if expected_records != actual_records:
-            raise mismatch(
-                -1, None, "accumulated metric records differ after resume"
-            )
+        if uninterrupted.network.metrics != resumed.network.metrics:
+            raise mismatch(-1, None, "accumulated metric totals differ after resume")
         for session in (uninterrupted, resumed):
             session.verify()
             checker = getattr(session.network, "check_interning_invariants", None)
@@ -514,6 +511,7 @@ def _write_divergence_dump(
     change,
     detail: str,
     simulators: List,
+    last_records: List,
     trace_enabled: bool,
     tag: str = "divergence",
     scenario=None,
@@ -542,8 +540,8 @@ def _write_divergence_dump(
             "change": repr(change),
             "detail": detail,
             "backends": {
-                name: _describe_simulator(simulator, trace_enabled)
-                for name, simulator in zip(networks, simulators)
+                name: _describe_simulator(simulator, last, trace_enabled)
+                for name, simulator, last in zip(networks, simulators, last_records)
             },
         }
         if scenario is not None:
@@ -555,9 +553,8 @@ def _write_divergence_dump(
         return None
 
 
-def _describe_simulator(simulator, trace_enabled: bool) -> Dict:
-    """One backend's post-divergence state, JSON-ready."""
-    last = simulator.metrics.records[-1] if simulator.metrics.records else None
+def _describe_simulator(simulator, last, trace_enabled: bool) -> Dict:
+    """One backend's post-divergence state and last returned record, JSON-ready."""
     description: Dict = {
         "num_nodes": simulator.graph.num_nodes(),
         "num_edges": simulator.graph.num_edges(),

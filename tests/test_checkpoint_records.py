@@ -11,21 +11,27 @@ nested tuples -- the ``repr`` fallback of
 :meth:`~repro.core.fast_engine.FastGraphView.edges` against a
 :class:`~repro.graph.dynamic_graph.DynamicGraph` replaying the same churn.
 
-The wall-clock ``elapsed_s`` is dropped from a record before hashing.
+The wall-clock ``elapsed_s`` is dropped from a record before hashing.  The
+digests were computed from the ``repro-checkpoint-v2`` records the writer
+produced before checkpoints held totals, folded into ``repro-checkpoint-v3``
+records (per-change rows summed into count/sum/max per kind, no ``journal``
+key): the writer's totals must equal the fold of the old per-change rows.
 
 The same digests pin the legacy *delta* checkpoint files under
 ``tests/data/legacy_delta_checkpoints/``: each was written by a session that
 recorded a delta journal from a resumed base, and each must decode to the
 full checkpoint that run had at the same position.  Three full protocol
 checkpoints under ``tests/data/full_protocol_checkpoints/``, written when
-records still stored each node's knowledge, must resume to the
-uninterrupted run.  The record-format checks (v1 decode, unknown formats,
-the recursive key codecs, the atomic ``save_checkpoint``) close the file.
+records still stored each node's knowledge, and three v2 files under
+``tests/data/v2_checkpoints/`` (a sequential, a batched and an asynchronous
+protocol session, all with per-change rows) must resume to the
+uninterrupted run.  The record-format checks (fixed size in the session's
+age, v1 decode, unknown formats, the recursive key codecs, the atomic
+``save_checkpoint``) close the file.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -35,12 +41,15 @@ import pathlib
 import pytest
 
 from repro.core.dynamic_mis import DynamicMIS
+from repro.core.engine_api import BATCH_REPORT_FIELDS, BatchUpdateReport
 from repro.core.fast_engine import FastEngine
+from repro.distributed.metrics import ChangeMetrics, MetricsAggregator
 from repro.distributed.network_api import create_network
 from repro.graph import generators
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.scenario.checkpoint_io import (
     FORMAT_V1,
+    FORMAT_V2,
     CheckpointFormatError,
     _decode_key,
     _decode_state_tree,
@@ -53,6 +62,8 @@ from repro.scenario.checkpoint_io import (
 )
 from repro.scenario.session import Session, SessionCheckpoint
 from repro.scenario.spec import BackendSpec, GraphSpec, ScenarioSpec, WorkloadSpec
+from repro.testing.differential import REPORT_FIELDS
+from repro.workloads.changes import EdgeDeletion, EdgeInsertion, NodeDeletion
 from repro.workloads.sequences import mixed_churn_sequence, replay_on_graph
 
 _BACKENDS = {
@@ -81,6 +92,27 @@ def _record_digest(checkpoint: SessionCheckpoint) -> str:
     record = checkpoint_to_dict(checkpoint)
     del record["elapsed_s"]
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def _row(record):
+    """A per-unit record a session returned, as a comparable plain value."""
+    if isinstance(record, ChangeMetrics):
+        return dict(record.as_dict(), adjusted=sorted(record.adjusted_nodes, key=repr))
+    if isinstance(record, BatchUpdateReport):
+        return {name: getattr(record, name) for name in BATCH_REPORT_FIELDS}
+    return {name: getattr(record, name) for name in REPORT_FIELDS}
+
+
+def _finish(session: Session) -> list:
+    """Step ``session`` to its end; the rows of the records it returned."""
+    return [_row(record) for record in session]
+
+
+def _totals(session: Session):
+    """A session's running totals: statistics or metric totals."""
+    if session.maintainer is not None:
+        return session.maintainer.statistics
+    return session.network.metrics.totals
 
 
 def _grid_digests():
@@ -130,89 +162,89 @@ def _labelled_engine_digest() -> str:
 
 
 _GRID_DIGESTS = {
-    "cycle/direct-dict/mixed_churn": "3eecfb89e83d488baa7327736f95722d6d3aa89e35789ffd1de49b6fefee619c",
-    "cycle/direct-dict/node_churn": "9faf29d53feadebd456f3e4441e1f5972929314d1648697531fa4817b4030522",
-    "cycle/direct-fast/mixed_churn": "c7c25a8306c3b5777dc06089d48146d2e53c321c1253cce555f94da77e11a55b",
-    "cycle/direct-fast/node_churn": "a733118d91001c0ea1ee676bd450136b411ad40ee9e55a5d5f4074026aab6a0c",
-    "cycle/fast-batch4/mixed_churn": "b575f69f9f9c2cec6681ffc44784309d0e92f387d89ebc166db62da5b22e2b5e",
-    "cycle/fast-batch4/node_churn": "ba906f8ef286a7470aba102e9f172cced5fc2b086c277af851654f4faec1c512",
-    "cycle/fast/mixed_churn": "4cb4ad35915302b3059f55c1ec07647678ccf4987df0ef4a250587e70c984f55",
-    "cycle/fast/node_churn": "c90b4b1345ed45a2a23e1dae73f7ca84805895ed93e4216924099b63532bd73d",
-    "cycle/template/mixed_churn": "995b65b6a262c19adb8a60fe6d0b3c67d2c61fa7c73cb6f17617b35a4019d0ae",
-    "cycle/template/node_churn": "8c29c5bf0567eccafedf45305a90e6c844e1183f9a9491c840d2e9e62ef415a1",
-    "erdos_renyi/direct-dict/mixed_churn": "d97b66294c30672744bfdf894ac582939d29f7ed83da7b3026279a0a30e3cd06",
-    "erdos_renyi/direct-dict/node_churn": "142ab0a4837213416901ff429c15b13174c65cdcc2aadb8b1a3e3003c662c8b6",
-    "erdos_renyi/direct-fast/mixed_churn": "e7f5dbef0c4a2bdbba52240e3ceed3394e4f8ca7be66183ce2c2ccb11a429e04",
-    "erdos_renyi/direct-fast/node_churn": "fa6a69cc91b9ac889e828e450db2e53fa6cf985bc83c912e6818037341d389f3",
-    "erdos_renyi/fast-batch4/mixed_churn": "bcb79ff497e541d9779696c84f0a0c62adb30db709681ce50139b3529ce00fdd",
-    "erdos_renyi/fast-batch4/node_churn": "a9f1fcc9f9671160c2654d5ddcadaf2b719bad20dd2d4a3e5350bf3af2859497",
-    "erdos_renyi/fast/mixed_churn": "cbac5ac0dc5576da2e36303f84f83bb87e83030316e99011c4e058f76a9d70b8",
-    "erdos_renyi/fast/node_churn": "9a1fe2d7ac9097ccc8c7f1441306266d42fa7ab2a521d54f37eeb0485bc33826",
-    "erdos_renyi/template/mixed_churn": "d4d30f35d00163e592764857a7afd7670bfe19f63ab53bea3405d5c7ede9db7d",
-    "erdos_renyi/template/node_churn": "e790608134e7c1ee4f9fec8912a643767986b98b22be789a4991a483f573742c",
-    "geometric/direct-dict/mixed_churn": "1260a3f00921ea7a067330b5b8cefd143f3c9863bc65d9b2b058bd618a003b25",
-    "geometric/direct-dict/node_churn": "5e2be9815e1de6d2c2216379de0bebf08a7a0c06ab00c281a027e4dbceed5431",
-    "geometric/direct-fast/mixed_churn": "835ad265420bb9371f07156490955ff432abd541750434cbe5fe462956e686ea",
-    "geometric/direct-fast/node_churn": "4d57a45c63465559b4496764ad552252f2326c1788433d6e8a2953d64f958263",
-    "geometric/fast-batch4/mixed_churn": "b2317781d54e608f039c58581f9a0b31935a3d69f8e4fd8e8b5776eb0b741b8e",
-    "geometric/fast-batch4/node_churn": "bbddb419cc4b0d35a6c956ea11377c3c2b6774a642a9708247bec69fe4880443",
-    "geometric/fast/mixed_churn": "e9ea2da1788c99868455fc8952c6eca0750f4fb272042ddce1eecee4f406272b",
-    "geometric/fast/node_churn": "ef941d09fe2ae866a51ef446711a9e400988123e074acef22f969e266bb5dbf6",
-    "geometric/template/mixed_churn": "dfd1d4abcd67b15bf89681d94a2ef8e14bdf785c4c1687ba8098a76c85b37a0a",
-    "geometric/template/node_churn": "74844d964498f887005cca3dd973cf7fa87db8ed8927d6f7240651d6454a163f",
-    "near_regular/direct-dict/mixed_churn": "92fcb57f32cad0cc28db681ac82b34fe1066147929def33de18b68fbe4e3ed43",
-    "near_regular/direct-dict/node_churn": "6c291440c519ded028981c610e7a15bca10db2722a7a8b6af3e83d48ef80a9a8",
-    "near_regular/direct-fast/mixed_churn": "9712e937148b42cfd15e4c9f3a4bfd6caa9be4340ab272453e2762be5716597d",
-    "near_regular/direct-fast/node_churn": "e65cb11ea0dce8a3359789eb673ca238737fc1272ed78e66af5e793a8aa7cf97",
-    "near_regular/fast-batch4/mixed_churn": "a882e1e973575264c51521e3ee1bc13ec29aef1a7e36742f28ad6e0c68eef836",
-    "near_regular/fast-batch4/node_churn": "bac1060bc531fcd3ba621707c387506aac46d7734d5ec3ceaa135abc8b3f6cfd",
-    "near_regular/fast/mixed_churn": "1dd548bc25e6e80ca6653a0d001a34dc428c0912f836558de903ca85d94e3cff",
-    "near_regular/fast/node_churn": "a35534c07cda9559dda83a8bd618c4cdd8a00989044f7754f28cd90ff4cf0aec",
-    "near_regular/template/mixed_churn": "cc0a0f2482ab6456f136bc3baf21516bb738032e3bbdf31872b68baf0ca62589",
-    "near_regular/template/node_churn": "4b2a535f484b72fb9f423007982246d3c4e8134f126f1e201b7f666e4584effd",
-    "path/direct-dict/mixed_churn": "0b8d0da316f316a39b188e77841a5a0f61c8b152c59c056f09b6b0ddb4d98fff",
-    "path/direct-dict/node_churn": "5b5d70a7d93888b6e8075413c053e9c16110fd1e264b830cfb56ba6d1324edcf",
-    "path/direct-fast/mixed_churn": "9d06cf6da0562879442dcd5ae01d622a6f10c8220174c730e895c743601c7f0b",
-    "path/direct-fast/node_churn": "97f09a0ccb33ef33620a572e45a2726c32f9b1af36b21b51fa66815836611f30",
-    "path/fast-batch4/mixed_churn": "e5fbd178950ad9eb586607e8bbee70070fc647af57e3a3cf6a4af99fd0b5d048",
-    "path/fast-batch4/node_churn": "7ed61c3d4814eb094393e49ddf1470f5e483c6d7d21f1f517c3153abc65be66f",
-    "path/fast/mixed_churn": "7a97ba19de4170cb341a2f275682cea1718290dfc1a8fad696b48120be289fb6",
-    "path/fast/node_churn": "e66fc979bf9a3decb5a523703d5b1ff8d19073728cf306cc6a3d649d23953ed7",
-    "path/template/mixed_churn": "ddc43877be46ed22518bca1868549e07e80ec55a21b9d0b35003ec481680f1dc",
-    "path/template/node_churn": "6d9761764a260b013eef55fcea50cd2897d10070fb69717064af8c248c1b0854",
-    "preferential/direct-dict/mixed_churn": "e75c343a789e8dcacbebdb70b794ccd2232fff269592914e01a48937bcfa5c60",
-    "preferential/direct-dict/node_churn": "3a972cb169395f5555271b3b496b7c997c41859ed836f2f364a9a9effd6dd391",
-    "preferential/direct-fast/mixed_churn": "b9b83df642c561ce826955667db9481d0f4f16877b4c53ded795f730a4a2f498",
-    "preferential/direct-fast/node_churn": "de7994e7e874ced569cec849ee21519049d6ad323a336dda1664fc08918506eb",
-    "preferential/fast-batch4/mixed_churn": "535d4cdb1967f18dd18f6e12f0e2eaff6a197c54abe9fdd7a39b722505687200",
-    "preferential/fast-batch4/node_churn": "b2afa7cb3dba5fb26cae689b1c36568ef536fa1bf32c27c481e5939762b64441",
-    "preferential/fast/mixed_churn": "8bf8a5464a872b54f26904c17bc49e2d3ff00b085cf634b16c8f0c1e499d4f86",
-    "preferential/fast/node_churn": "495cc3f46e1eadadeb466cb7e255cefe2641855cb3a3bc6f5e2e588a5fcf3109",
-    "preferential/template/mixed_churn": "68e1ed123b88875a0ff905e2e7d846924946f94ada37f40ead2dec4810de90e5",
-    "preferential/template/node_churn": "3a9fbe0b24ea3611aa7d716762b11c737aeaeb1ba2b64ebdfaab71d1f3012a2d",
-    "sparse/direct-dict/mixed_churn": "be9fe9b75d2ee9aa7c17f1a5c558105cf1dd44721c64325ff5280b85dab22069",
-    "sparse/direct-dict/node_churn": "4abef30e2a01959860c0ec457f01cad6d69423a229c5bbb0bf827c4dc98e5a2a",
-    "sparse/direct-fast/mixed_churn": "8fc792095275328815a662ee2a56a353c21892927c2c8c0c596d47238b14edf0",
-    "sparse/direct-fast/node_churn": "6a748f2ee2dfb36a2856bb5b19abcd5176e0daa8651e1e456e136fddef56f640",
-    "sparse/fast-batch4/mixed_churn": "91df064b77b3092b52f254a587493c6c206d87b68dadf1ed9d55688c3a9ba40f",
-    "sparse/fast-batch4/node_churn": "8311c776e4c40e8e769b48a2cf483208589490d2798790076747b1e8c79aefe2",
-    "sparse/fast/mixed_churn": "6b61ac390f4eea866cbe21e46e20cc77682f34662816be60111381b7706bbcff",
-    "sparse/fast/node_churn": "b69e357e89b43cb2b84b284a24b8d16bf7e9a64419bd4f69cf5c2e5758e7b97f",
-    "sparse/template/mixed_churn": "eabdb378d765f39076fd8753bb3298e157835d44a7338bc208d72edd0bbf3065",
-    "sparse/template/node_churn": "bdfdaf573552d91848437a8cdda906dd8d94d47f3481d92bca48ab53a29c7259",
-    "star/direct-dict/mixed_churn": "5b7d2827e7b344222bca334504a7a485c3e88d89a4a065bc04c1ce9687445bae",
-    "star/direct-dict/node_churn": "4f3d6228ceed216dcf7326becc5b8754e5270e07208d6a7a6671f745ef009afb",
-    "star/direct-fast/mixed_churn": "246bcb723e3ddf8dce823e72e989d991e5dfb0249d33f54dc9ea28d1371fc728",
-    "star/direct-fast/node_churn": "7e98f7fbfe69935a88bd966a2b9ecc17e6d9eeacb8b2e9d0449ffc762e11d407",
-    "star/fast-batch4/mixed_churn": "4aa8efdc35952453c1c64a3fe3292e12d2993f74b8252f9e47914554943a728e",
-    "star/fast-batch4/node_churn": "05271d2d3489b0238019d08aa789d15a3b2802c9f7b39da4d0ca18f77635ae8b",
-    "star/fast/mixed_churn": "7d3ee16b66935845059dc012eb26661eab0a987e37c72daf6274b2ae3b1a1149",
-    "star/fast/node_churn": "ed047e91854f2210a1e715a9865be6c011c7c84d7f1c3bfdbd70a3a42ec4f831",
-    "star/template/mixed_churn": "54a8ee1c51e4058fde6c1087baeb7400349b9af164f9a07593ca21af864df0a2",
-    "star/template/node_churn": "7e15e270b6050f6ed2fabf4e399241f32034aa5cdfc10a672dd772c2defbae50",
+    "cycle/direct-dict/mixed_churn": "59975cf4eff65f93e8b690125568ba855c96d449fe08c217b34127c3cd47853e",
+    "cycle/direct-dict/node_churn": "fd6c34570fc515f6ac580338291a9a41db44edd10a4f6eb8dc12f875d643d3a3",
+    "cycle/direct-fast/mixed_churn": "84a30252533b902d4a1019141b0ea017107d17c48c0172bab9c06dcd17137983",
+    "cycle/direct-fast/node_churn": "feafcd8fe843e6711b74c28e8551fcdb5040ac1f356976e3be6684a6a840dc7f",
+    "cycle/fast-batch4/mixed_churn": "ef30f3c717b10827977d3a56bf9a8631c2db8bf00e24da81602d52d00237b2a3",
+    "cycle/fast-batch4/node_churn": "94bf8dee878a171b4ba775e5db46dd5344caae44c2b024f025115317ab8731e4",
+    "cycle/fast/mixed_churn": "574a2378207747596bf206af0cd0cc12b24730d5d41a5f7404ea6729412f7681",
+    "cycle/fast/node_churn": "fa99d7e12d8a31a5a4862cd218ed4495fdd1457bff84e03ce1a4db62c37fc109",
+    "cycle/template/mixed_churn": "545bdf17bf51541c5bdbe046bcb0d2449f40173ec3028d18ad21c789b16f9f9f",
+    "cycle/template/node_churn": "e02b082c936434e635e509e84df88fab79abff8e6f5aec40e10d8d4c87903d6e",
+    "erdos_renyi/direct-dict/mixed_churn": "15a13e4c3a95677e720cdbb9e8db9a5fdb376dd2c6ec08162f86ff5a09f3e00d",
+    "erdos_renyi/direct-dict/node_churn": "bd571303cef2ba29b3da38e90b3d59668dcd6552cd75803473fdcf420a2df9b6",
+    "erdos_renyi/direct-fast/mixed_churn": "853078566d0603572f9c9ab188354719cba24bf9dd58805d631e95253a2b3c1c",
+    "erdos_renyi/direct-fast/node_churn": "40e0d9bad5bbc45c03dcfebff50de6cd2038944a018fc7daa51f642ddb2b69ff",
+    "erdos_renyi/fast-batch4/mixed_churn": "2e65481cbc26212423a50e45e20dea2574ebab64982ced7011d61bc3fcfc5c58",
+    "erdos_renyi/fast-batch4/node_churn": "b6583364bb1bb10c5377dca7374c80b5863284c60c0a40e58b1e89e64236a407",
+    "erdos_renyi/fast/mixed_churn": "829fcba9c7d44b88e30686df233a3b6825db7bc82d26c088072c9c2e064252bf",
+    "erdos_renyi/fast/node_churn": "70d9ebda5105c0f842b708fd3dc3f6771227d8eae6cadb056c518447c1e9bd79",
+    "erdos_renyi/template/mixed_churn": "51d45d1ba753fa78876ac0799ebd27552d2dc8ee69a1af2ddad8a70952767175",
+    "erdos_renyi/template/node_churn": "87abaa0b6301af0c45fc94f582fbac0287a737f2972a7ca09198861b6c8d7872",
+    "geometric/direct-dict/mixed_churn": "ddc8a7e3ae147ab391b62b0c5b83a5ae53c834d2dbc2543d716bbbccc8a8f4d5",
+    "geometric/direct-dict/node_churn": "45f823a5d1952b0c3bca513acd76909247692fe4c4a1440087c95d1c6911e7f6",
+    "geometric/direct-fast/mixed_churn": "10fa2951c26d762d1f717da9a287c627b66c86dcdad00d4d42391bdcbca478da",
+    "geometric/direct-fast/node_churn": "bad5997b01a70524344b3632153ee6d7ebdebe53dccb2f520b4381dfb4daae5e",
+    "geometric/fast-batch4/mixed_churn": "2802b420d9b9b8c077de431ae7ce5e03d4ae760ad4e0db38031a261d08e39034",
+    "geometric/fast-batch4/node_churn": "b9b9a0edc3e1b6417fbe71b2b267947ee15f13d39f2f8f4028e6b70b12c10e9b",
+    "geometric/fast/mixed_churn": "e290d017eb75436284c78405f582585755d879e0118c9d4b02a8f179d4eea694",
+    "geometric/fast/node_churn": "6e5d94dfb3ac001139c470b287a4f76a83bfbec38251a1b7b8d3be9de1e739ce",
+    "geometric/template/mixed_churn": "da198a51e1c3b3a1234bc4a1b21f16af482a239f85ebb0f5c5dce58db7e41d5a",
+    "geometric/template/node_churn": "35d028f9c2c52022973946499d5f47b23317f989f8ebb754baa903cab45e786c",
+    "near_regular/direct-dict/mixed_churn": "559da8d145c47873cf9f26aa58e86c07491beba82880f99a3d53898131a4de15",
+    "near_regular/direct-dict/node_churn": "8029414eeb0b20cafe2171cddfca4e18897a91d81c962ff400b03c99b32c530c",
+    "near_regular/direct-fast/mixed_churn": "5b2b3c2e09784d430ee3bf7a512d938ae7d5a6813936d177ec051a3a1a95b0be",
+    "near_regular/direct-fast/node_churn": "66a2fcd1e1164188d1e4014ca56afae2253ff9ef379b6e99fbc8e8af3a325340",
+    "near_regular/fast-batch4/mixed_churn": "4711fcada00caaf866985fedeed8ebfc5034056c41bc562e0c9b47b02303f94a",
+    "near_regular/fast-batch4/node_churn": "7c4b93caa303b424cf4697e6447252472d3c9e4e465bb2f83441af301a5da025",
+    "near_regular/fast/mixed_churn": "c10582adea004fa66a01a28e3c505c07c5035fc31776d002102550ca77d0667e",
+    "near_regular/fast/node_churn": "f5c6733e8a3761ef747ffa9f3d7f7e03420148af2701bf6e9da4fb92895c2357",
+    "near_regular/template/mixed_churn": "057c8518408ded73260dc106c47c9761b899014bcea260e0fd0485e6acada86e",
+    "near_regular/template/node_churn": "4445528825522e1dd5d425a7c32915c449fc7686175011b06e2e3af9e5340c5c",
+    "path/direct-dict/mixed_churn": "487fd0c83d92d610d52cf002016300275dccfc8c98c6c53585ab3914efd76e73",
+    "path/direct-dict/node_churn": "95778bf4480c47bb97c0735fcf4f1ea781cf6e78cb5ebbb4835277f6e85b0aa7",
+    "path/direct-fast/mixed_churn": "c483f1868f3914751c9843fadb0da518ac4d664a5bd429e4b02c16924a6bd486",
+    "path/direct-fast/node_churn": "57288de75799e1b0081514963e83f432e42781edbc0edb55ac69d2190e5db96c",
+    "path/fast-batch4/mixed_churn": "ee2d220d63ff5b89b71c49ca438ce67cf0099c31ba6cfc8450cbe4a6ef6d6389",
+    "path/fast-batch4/node_churn": "2abba1698d7234ceb65a61e79ae17ef69c8b1a168d7d79dbce3a4c6322f22368",
+    "path/fast/mixed_churn": "c5b92c79b5c2ff9a1248ed76b5c176e2b74027887457ef552a0121f7e9bf9566",
+    "path/fast/node_churn": "8bf9bb1581b656050879c61f6fe8220d382bf2dc41d0a260d3b052b247b4344b",
+    "path/template/mixed_churn": "5f2c1f581ebfe5c3e7b74a156349feec8ab430f12abce03696ca641717e323c0",
+    "path/template/node_churn": "d8c8bdc1620c5305e01aee5b90f70b71f708df55e7b8e186b63abc62836e7309",
+    "preferential/direct-dict/mixed_churn": "e418d4835870f439febdfd6322be669e5751cb34e56552d218655b20b5bb8f9a",
+    "preferential/direct-dict/node_churn": "cdf1d5cf4819fa0e72c4d07ce6a1e7742dbcba01620528febfe135bd0472c603",
+    "preferential/direct-fast/mixed_churn": "2deb43fb58481c3c524e607eeceb18aa299a99c6033f1bd9715411edb6741c0b",
+    "preferential/direct-fast/node_churn": "dac16a4c8b52db94efbcfd9304ede458aa902b1c5c3d3e01460e043bfeb68779",
+    "preferential/fast-batch4/mixed_churn": "2010b67f20e02b1280103ee3108b67f261e4ca33cbb9d6b70832091cccffa20b",
+    "preferential/fast-batch4/node_churn": "788087db9418eea6624bb9b2c13ac9070c55a899ca56ee0da02783d2a97be245",
+    "preferential/fast/mixed_churn": "a1c685fa4e077460f59e41279f93d26cef10a01d4227f2f7917d03e7b3cfb28d",
+    "preferential/fast/node_churn": "b68369710f701a700914a26106c312f1c72098f1491d169ed5c0bdcf35ffed20",
+    "preferential/template/mixed_churn": "84425c8b9f57b975138cb93a012bfffb970c9da0584c1bdd10a174da4813b2f0",
+    "preferential/template/node_churn": "966e28a32b6b9d62dc708782aa79e01a7a3ed6253b85fa3abc0dc3c5d0b933fa",
+    "sparse/direct-dict/mixed_churn": "d1db612ebf1587bd072ef962dfb7f9a0edda5a62a8a47ab286d0e4a639567625",
+    "sparse/direct-dict/node_churn": "382c048d8b274edbba0cc0b9d670f671747a43f3b264f2a79b8b591064c233c1",
+    "sparse/direct-fast/mixed_churn": "714dbc6ed8c1b9e1220881eda70f40fe640915c1339ab6150f5d110efceaaa59",
+    "sparse/direct-fast/node_churn": "bec30ccdb15e7dd1b89e55d936eb4e6a73b49feb7453ae72d7ff458a5b1b045a",
+    "sparse/fast-batch4/mixed_churn": "0d83b0b117f30ee5b36d804e34a827a699f0296dcd6fcb5c0a024278a0f80f8e",
+    "sparse/fast-batch4/node_churn": "4c2629fc94782099783cacb2daf5b698a5891d11fc584f9a2cb52e768184b530",
+    "sparse/fast/mixed_churn": "c4213f65be1908efc631e73155596019dcf3dc316d5fbee2753a49c2747d2a67",
+    "sparse/fast/node_churn": "4f38a630fbf47e1b58dc45c026b6995295e82b14dd5e3fc58970cb8ca03a713e",
+    "sparse/template/mixed_churn": "0bf49085d939b0f796ae7e87fff56190d703a33766747593f1e5dbae124b07f2",
+    "sparse/template/node_churn": "55fe719a2508ddd715e28f9054cd6b738850a6bbd3ccdace7f78f48cd2e0c8f9",
+    "star/direct-dict/mixed_churn": "981d454ec6da48e1da9906c3e3b255bddad695397fb5b2f7636ce2792443e611",
+    "star/direct-dict/node_churn": "f9b550546c72e8feae4e8c615c2a2bbb92d7579ec33b55b9b420258b883204f5",
+    "star/direct-fast/mixed_churn": "53917578478eeee91b74cd5505112a8b2b1178ede0ce5d99d0d35cd4226f5f74",
+    "star/direct-fast/node_churn": "dc48eabc67cbfe1c35e80e2d1cd0d029101b114aa4a2496e79b1649ea38cfb0c",
+    "star/fast-batch4/mixed_churn": "555a7f85fddbf147bbc49f394b6d843ca624ddf1b4876fd5dc8a961453b5f4ef",
+    "star/fast-batch4/node_churn": "c51d622acf55a931e8a09addfd2a2587784ab4c461936d41aa8b45f874c6e782",
+    "star/fast/mixed_churn": "dbe00ce3afde3827b7a9bf6ad02c0260e1dfb39225017f797aec0d8dbbcf7836",
+    "star/fast/node_churn": "5df3f8b8119d7707a724b43183bba0cd7c7e298150f6ea68d560164f94614dba",
+    "star/template/mixed_churn": "b655b54e52a55433cb8d8cf93a1ad3a28d1c91b2a60f00c9c4b91315b502d2ba",
+    "star/template/node_churn": "babd906f69495745dc3b0e22899aa46b0c5427839128fd8269a185a8ac070452",
 }
 
-_LABELLED_DIGEST = "a078426e8e2e8b677f143e0b3932f7f75b3b587b17b434d8c0263f913835632a"
+_LABELLED_DIGEST = "1d8c5c4f9d00a0814545cc7705c33dc1f69b79d7996f386a7b263e14848fddb1"
 
 
 class TestPinnedCheckpointRecords:
@@ -295,12 +327,12 @@ _LEGACY_DIR = pathlib.Path(__file__).parent / "data" / "legacy_delta_checkpoints
 #: ``direct`` on ``fast`` and ``async-direct`` on ``dict`` with a ``random``
 #: scheduler; every journal starts at base position 5.
 _LEGACY_DELTA_DIGESTS = {
-    "async-dict-random-adaptive.json": "e73aa762950fda52f2558afa992df7076054693a576c82fe45117ba61494fccf",
-    "async-dict-random-mixed_churn.json": "3594f6b8f73d828a49c7bde1c1ccfd406f890cf5c5444b59a14fb1625966edc0",
-    "direct-fast-adaptive.json": "f33e15fc436d7591a92394bf17f689e8aa790b8044523f8b415c332919928e58",
-    "direct-fast-mixed_churn.json": "d9f29068c8cca6a4890ed04f57d53816eaf7cf60c8b0d7f03451a303cc9cba66",
-    "fast-adaptive.json": "f859414ed38aa335df3603d6487034bdf78c9fdd900e55cf53ef312cf167db82",
-    "fast-mixed_churn.json": "903e1a0c628502b5f0acfecaa49adada12b921dd39391a570e74c82897761b51",
+    "async-dict-random-adaptive.json": "8a1dd09c5ff36f868ff7653ec6aeec77d1653d61c5103e22b6a95172a6d6e7c7",
+    "async-dict-random-mixed_churn.json": "bbce128acf5c4c2876b1e53f6711164839b8e2c4f02cdb16be1031c4fc2639a4",
+    "direct-fast-adaptive.json": "6dfe039c2cc3c87b95b090ac918a1d5df88299da3e1f1f7dd03b90b7cc228769",
+    "direct-fast-mixed_churn.json": "d4231bc6f70c0f33714119aee46189f85238d6e7c46b3dd30f5d3aebb0b8420d",
+    "fast-adaptive.json": "2bd54f89195dec4248c779f216d8ce9814d064b9a92810a07a83782358881570",
+    "fast-mixed_churn.json": "de49f102e486b912553813f0c9075240cc4ccaa98d6b75b21bea2897f9c82643",
 }
 
 
@@ -347,13 +379,53 @@ class TestFullProtocolCheckpoints:
         checkpoint = load_checkpoint(path)
         assert checkpoint.position == 15
         resumed = Session.resume(checkpoint)
-        resumed.run()
+        resumed_rows = _finish(resumed)
         uninterrupted = Session(checkpoint.spec)
-        uninterrupted.run()
+        uninterrupted_rows = _finish(uninterrupted)
         assert resumed.position == uninterrupted.position == 30
         assert resumed.states() == uninterrupted.states()
-        assert resumed.network.metrics.records == uninterrupted.network.metrics.records
+        assert resumed_rows == uninterrupted_rows[15:]
+        assert resumed.network.metrics == uninterrupted.network.metrics
         assert resumed.metrics_summary() == uninterrupted.metrics_summary()
+
+
+# ----------------------------------------------------------------------
+# v2 files with per-change rows fold into the totals of the same run
+# ----------------------------------------------------------------------
+_V2_DIR = pathlib.Path(__file__).parent / "data" / "v2_checkpoints"
+
+
+class TestV2Checkpoints:
+    """Files written when checkpoints stored one row per applied change.
+
+    Each was saved at position 15 of 30 (n=24, ``mixed_churn``); its
+    statistics lists or metric records fold into the totals an
+    uninterrupted run has at 15, and it resumes to that run's end.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["sequential-fast", "batched-template", "async-dict-adversarial"]
+    )
+    def test_files_load_to_the_totals_of_the_uninterrupted_run(self, name):
+        path = _V2_DIR / f"{name}.json"
+        record = json.loads(path.read_text())
+        assert record["format"] == FORMAT_V2
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.position == 15
+        uninterrupted = Session(checkpoint.spec)
+        while uninterrupted.position < 15:
+            uninterrupted.step()
+        at_15 = uninterrupted.checkpoint()
+        assert checkpoint.statistics == at_15.statistics
+        assert getattr(checkpoint.snapshot, "metrics", None) == getattr(
+            at_15.snapshot, "metrics", None
+        )
+        resumed = Session.resume(checkpoint)
+        assert _finish(resumed) == _finish(uninterrupted)
+        assert resumed.states() == uninterrupted.states()
+        assert _totals(resumed) == _totals(uninterrupted)
+        assert resumed.metrics_summary() == uninterrupted.metrics_summary()
+        assert resumed.position == uninterrupted.position == 30
 
 
 # ----------------------------------------------------------------------
@@ -379,20 +451,89 @@ def _engine_spec(num_changes: int = 40, seed: int = 11) -> ScenarioSpec:
     )
 
 
+def _shape(value):
+    """A JSON value with every scalar replaced by its type name."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_shape(item) for item in value]
+    return type(value).__name__
+
+
+def _kind(record) -> str:
+    if isinstance(record, ChangeMetrics):
+        return record.change_kind
+    if isinstance(record, BatchUpdateReport):
+        return "batch"
+    return record.change_type
+
+
 class TestCheckpointFormats:
+    @pytest.mark.parametrize("backend", ["fast", "fast-batch4", "direct-dict"])
+    def test_totals_do_not_grow_with_the_position(self, backend):
+        """Once every change kind has appeared, the statistics and the
+        snapshot metrics keep one shape: no array grows with the position."""
+        backend_spec, batch_size = _BACKENDS[backend]
+        spec = ScenarioSpec(
+            name="records-shape",
+            seed=11,
+            graph=GraphSpec(family="erdos_renyi", nodes=40, seed=5),
+            workload=WorkloadSpec(kind="mixed_churn", num_changes=64, seed=7),
+            backend=backend_spec,
+            batch_size=batch_size,
+        )
+        session = Session(spec)
+        kinds, seen = set(), {}
+        for record in session:
+            kinds.add(_kind(record))
+            if session.position in (32, 64):
+                saved = checkpoint_to_dict(session.checkpoint())
+                parts = [saved["statistics"], saved["snapshot"].get("metrics")]
+                seen[session.position] = (frozenset(kinds), _shape(parts))
+        assert seen[32][0] == seen[64][0]  # the same kinds, so the same rows
+        assert seen[32][1] == seen[64][1]
+
+    def test_kinds_keep_first_appearance_order_through_a_file(self, tmp_path):
+        """``save_checkpoint`` sorts object keys; per-kind totals are a list."""
+        graph = _labelled_graph()
+        maintainer = DynamicMIS(engine=FastEngine(seed=3, initial_graph=graph))
+        network = create_network("direct", network="fast", seed=3, initial_graph=graph)
+        changes = [NodeDeletion("a"), EdgeInsertion(0, 2), EdgeDeletion(0, 1), NodeDeletion(7)]
+        for change in changes:
+            maintainer.apply(change)
+            network.apply(change)
+        order = ["node_deletion", "edge_insertion", "edge_deletion"]
+        assert network.metrics.change_kinds() == maintainer.statistics.changes.kinds() == order
+        path = tmp_path / "kinds.json"
+        checkpoint = dataclasses.replace(
+            _labelled_checkpoint(network.snapshot()), statistics=maintainer.statistics
+        )
+        save_checkpoint(path, checkpoint)
+        loaded = load_checkpoint(path)
+        assert MetricsAggregator(loaded.snapshot.metrics).change_kinds() == order
+        assert loaded.statistics.changes.kinds() == order
+        assert loaded.statistics == maintainer.statistics
+
     def test_v1_records_still_decode(self):
         """A pre-journal checkpoint file (v1 format, no scheduler_state, no
-        journal key) must keep loading -- the new fields default to None."""
+        journal key, one metric row per change) must keep loading -- the new
+        fields default to None and the rows fold into the same totals."""
         session = Session(_network_spec(num_changes=20))
-        for _ in range(6):
-            session.step()
-        record = checkpoint_to_dict(session.checkpoint())
-        v1 = copy.deepcopy(record)
+        returned = [session.step() for _ in range(6)]
+        v1 = checkpoint_to_dict(session.checkpoint())
         v1["format"] = FORMAT_V1
-        v1.pop("journal", None)
         v1["snapshot"].pop("scheduler_state", None)
+        v1["snapshot"]["metrics"] = [
+            dict(
+                metric.as_dict(),
+                adjusted_nodes=sorted(metric.adjusted_nodes),
+                async_causal_depth=metric.async_causal_depth,
+            )
+            for metric in returned
+        ]
         checkpoint = checkpoint_from_dict(v1)
         assert checkpoint.snapshot.scheduler_state is None
+        assert checkpoint.snapshot.metrics == session.network.metrics.totals
         resumed = Session.resume(checkpoint)
         assert resumed.states() == session.states()
 

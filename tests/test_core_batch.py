@@ -244,15 +244,16 @@ class TestBatchViaDynamicMIS:
         maintainer = DynamicMIS(seed=13, initial_graph=small_random_graph, engine=engine_name)
         report = maintainer.apply_batch(mixed_churn_sequence(small_random_graph, 10, seed=14))
         stats = maintainer.statistics
-        # Batches are not folded into the single-change lists...
+        # Batches are not folded into the single-change totals...
         assert stats.num_changes == 0
-        # ...but land on the aligned per-batch channel.
+        assert stats.changes.kinds() == []
+        # ...but land on the separate batch channel.
         assert stats.num_batches == 1
         assert stats.num_batched_changes == 10
-        assert stats.batch_sizes == [10]
-        assert stats.batch_influenced_sizes == [report.influenced_size]
-        assert stats.batch_adjustments == [report.num_adjustments]
-        assert stats.batch_levels == [report.num_levels]
+        assert stats.batches.total("batch_size") == 10
+        assert stats.batches.total("influenced_size") == report.influenced_size
+        assert stats.batches.total("num_adjustments") == report.num_adjustments
+        assert stats.batches.maximum("num_levels") == report.num_levels
         assert stats.mean_batch_adjustments_per_change() == report.num_adjustments / 10
 
 

@@ -31,14 +31,16 @@ class TestBasicOperations:
 
     def test_apply_dispatches_every_change_type(self):
         maintainer = DynamicMIS(seed=2)
-        maintainer.apply(NodeInsertion("a"))
-        maintainer.apply(NodeInsertion("b"))
-        maintainer.apply(EdgeInsertion("a", "b"))
-        maintainer.apply(EdgeDeletion("a", "b"))
-        maintainer.apply(NodeUnmuting("c", ("a",)))
-        maintainer.apply(NodeDeletion("b"))
+        reports = [
+            maintainer.apply(NodeInsertion("a")),
+            maintainer.apply(NodeInsertion("b")),
+            maintainer.apply(EdgeInsertion("a", "b")),
+            maintainer.apply(EdgeDeletion("a", "b")),
+            maintainer.apply(NodeUnmuting("c", ("a",))),
+            maintainer.apply(NodeDeletion("b")),
+        ]
         assert maintainer.statistics.num_changes == 6
-        assert maintainer.statistics.change_kinds == [
+        assert [report.change_type for report in reports] == [
             "node_insertion",
             "node_insertion",
             "edge_insertion",
@@ -46,6 +48,13 @@ class TestBasicOperations:
             "node_insertion",
             "node_deletion",
         ]
+        assert maintainer.statistics.changes.kinds() == [
+            "node_insertion",
+            "edge_insertion",
+            "edge_deletion",
+            "node_deletion",
+        ]
+        assert maintainer.statistics.changes.num_records("node_insertion") == 3
         maintainer.verify()
 
     def test_apply_unknown_change_type_raises(self):
@@ -91,10 +100,10 @@ class TestStatistics:
     def test_statistics_accumulate(self, small_random_graph):
         maintainer = DynamicMIS(seed=4, initial_graph=small_random_graph)
         sequence = mixed_churn_sequence(small_random_graph, 50, seed=6)
-        maintainer.apply_sequence(sequence)
+        reports = maintainer.apply_sequence(sequence)
         stats = maintainer.statistics
         assert stats.num_changes == 50
-        assert len(stats.influenced_sizes) == 50
+        assert stats.mean_influenced_size() == sum(r.influenced_size for r in reports) / 50
         assert stats.mean_influenced_size() >= stats.mean_adjustments() - 1e-9
         assert stats.max_adjustments() >= 0
         assert stats.mean_propagation_depth() >= 0.0

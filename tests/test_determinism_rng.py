@@ -10,7 +10,6 @@ the hot path fails loudly.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +21,7 @@ from repro.core.dynamic_mis import DynamicMIS, MaintainerStatistics
 from repro.core.priorities import RandomPriorityAssigner
 from repro.core.rng import normalize_seed, spawn_seeds
 from repro.graph.generators import erdos_renyi_graph
+from repro.testing.differential import REPORT_FIELDS
 from repro.workloads.sequences import mixed_churn_sequence
 
 
@@ -29,43 +29,42 @@ def _run(seed, engine: str) -> tuple:
     graph = erdos_renyi_graph(25, 0.15, seed=3)
     changes = mixed_churn_sequence(graph, 120, seed=4)
     maintainer = DynamicMIS(seed=seed, initial_graph=graph, engine=engine)
-    maintainer.apply_sequence(changes)
-    return maintainer.mis(), maintainer.statistics
+    reports = maintainer.apply_sequence(changes)
+    return maintainer.mis(), maintainer.statistics, reports
 
 
-def _statistics_tuple(statistics: MaintainerStatistics) -> tuple:
-    return tuple(
-        tuple(getattr(statistics, field.name))
-        for field in dataclasses.fields(MaintainerStatistics)
-    )
+def _statistics_tuple(statistics: MaintainerStatistics, reports) -> tuple:
+    """The totals plus every returned report's statistics fields."""
+    rows = tuple(tuple(getattr(report, name) for name in REPORT_FIELDS) for report in reports)
+    return statistics.changes.to_record(), statistics.batches.to_record(), rows
 
 
 @pytest.mark.parametrize("engine", ["template", "fast"])
 def test_same_seed_identical_statistics(engine: str) -> None:
-    mis_a, stats_a = _run(17, engine)
-    mis_b, stats_b = _run(17, engine)
+    mis_a, stats_a, reports_a = _run(17, engine)
+    mis_b, stats_b, reports_b = _run(17, engine)
     assert mis_a == mis_b
-    assert _statistics_tuple(stats_a) == _statistics_tuple(stats_b)
+    assert _statistics_tuple(stats_a, reports_a) == _statistics_tuple(stats_b, reports_b)
     assert stats_a.num_changes == 120
 
 
 @pytest.mark.parametrize("engine", ["template", "fast"])
 def test_numpy_generator_seed_is_deterministic(engine: str) -> None:
     np = pytest.importorskip("numpy")
-    mis_a, stats_a = _run(np.random.default_rng(99), engine)
-    mis_b, stats_b = _run(np.random.default_rng(99), engine)
+    mis_a, stats_a, reports_a = _run(np.random.default_rng(99), engine)
+    mis_b, stats_b, reports_b = _run(np.random.default_rng(99), engine)
     assert mis_a == mis_b
-    assert _statistics_tuple(stats_a) == _statistics_tuple(stats_b)
+    assert _statistics_tuple(stats_a, reports_a) == _statistics_tuple(stats_b, reports_b)
 
 
 def test_generator_seed_matches_equivalent_int_seed() -> None:
     np = pytest.importorskip("numpy")
     generator = np.random.default_rng(7)
     drawn = normalize_seed(np.random.default_rng(7))
-    mis_gen, stats_gen = _run(generator, "fast")
-    mis_int, stats_int = _run(drawn, "fast")
+    mis_gen, stats_gen, reports_gen = _run(generator, "fast")
+    mis_int, stats_int, reports_int = _run(drawn, "fast")
     assert mis_gen == mis_int
-    assert _statistics_tuple(stats_gen) == _statistics_tuple(stats_int)
+    assert _statistics_tuple(stats_gen, reports_gen) == _statistics_tuple(stats_int, reports_int)
 
 
 def test_normalize_seed_accepted_plain_types() -> None:

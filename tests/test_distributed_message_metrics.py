@@ -1,9 +1,19 @@
-"""Unit tests for message bit accounting and the metrics aggregator."""
+"""Unit tests for message bit accounting and the metrics aggregator.
+
+The aggregator and the sequential statistics keep fixed-size totals; a
+hypothesis test checks every read method of both against the formulas over
+per-change lists that the totals replaced.
+"""
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.dynamic_mis import MaintainerStatistics
 from repro.distributed.message import (
     Message,
     MessageKind,
@@ -117,7 +127,142 @@ class TestMetricsAggregator:
         assert aggregator.maximum("rounds") == 0.0
         assert aggregator.change_kinds() == []
 
-    def test_extend(self):
+
+
+# ----------------------------------------------------------------------
+# Totals against the per-change list formulas they replace
+# ----------------------------------------------------------------------
+KINDS = ("node_deletion", "edge_insertion", "edge_deletion", "node_unmuting")
+COUNT = st.integers(min_value=0, max_value=10**6)
+METRIC_FIELDS = ("rounds", "broadcasts", "bits", "adjustments", "state_changes")
+
+metric_records = st.lists(
+    st.builds(
+        ChangeMetrics,
+        change_kind=st.sampled_from(KINDS),
+        rounds=COUNT,
+        broadcasts=COUNT,
+        bits=COUNT,
+        adjustments=COUNT,
+        state_changes=COUNT,
+        async_causal_depth=st.none() | COUNT,
+    ),
+    max_size=30,
+)
+change_reports = st.builds(
+    SimpleNamespace,
+    change_type=st.sampled_from(KINDS),
+    influenced_size=COUNT,
+    num_adjustments=COUNT,
+    num_levels=COUNT,
+    state_flips=COUNT,
+    update_work=COUNT,
+)
+batch_reports = st.builds(
+    SimpleNamespace,
+    batch_size=st.integers(min_value=1, max_value=64),
+    influenced_size=COUNT,
+    num_adjustments=COUNT,
+    num_levels=COUNT,
+)
+mixed_reports = st.lists(
+    st.tuples(st.just(False), change_reports) | st.tuples(st.just(True), batch_reports),
+    max_size=30,
+)
+batch_only_reports = st.lists(st.tuples(st.just(True), batch_reports), max_size=10)
+#: ``(is_batch, report)`` pairs: mixed runs, and runs of batches only.
+report_sequences = mixed_reports | batch_only_reports
+
+
+class TestTotalsAgainstListFormulas:
+    """Every read method equals the formula over the per-change lists it
+    replaced; a ``None`` value counts toward nothing."""
+
+    @staticmethod
+    def _values(records, attribute, kind):
+        values = []
+        for record in records:
+            if kind is not None and record.change_kind != kind:
+                continue
+            value = getattr(record, attribute)
+            if value is None:
+                continue
+            values.append(float(value))
+        return values
+
+    @given(metric_records)
+    @settings(max_examples=150, deadline=None)
+    def test_metrics_aggregator(self, records):
         aggregator = MetricsAggregator()
-        aggregator.extend([ChangeMetrics("edge_insertion"), ChangeMetrics("edge_deletion")])
-        assert aggregator.num_changes == 2
+        for record in records:
+            aggregator.add(record)
+        kinds = []
+        for record in records:
+            if record.change_kind not in kinds:
+                kinds.append(record.change_kind)
+        assert aggregator.num_changes == len(records)
+        assert aggregator.change_kinds() == kinds
+        for attribute in METRIC_FIELDS + ("async_causal_depth",):
+            for kind in (None,) + KINDS:
+                values = self._values(records, attribute, kind)
+                assert aggregator.mean(attribute, kind) == (
+                    sum(values) / len(values) if values else 0.0
+                )
+                assert aggregator.maximum(attribute, kind) == (max(values) if values else 0.0)
+                assert aggregator.total(attribute, kind) == sum(values)
+            assert aggregator.by_kind_summary(attribute) == {
+                kind: aggregator.mean(attribute, kind) for kind in kinds
+            }
+        values = {name: self._values(records, name, None) for name in METRIC_FIELDS}
+
+        def mean(name):
+            return sum(values[name]) / len(values[name]) if values[name] else 0.0
+
+        def maximum(name):
+            return max(values[name]) if values[name] else 0.0
+
+        assert aggregator.summary() == {
+            "mean_adjustments": mean("adjustments"),
+            "mean_rounds": mean("rounds"),
+            "mean_broadcasts": mean("broadcasts"),
+            "mean_bits": mean("bits"),
+            "max_adjustments": maximum("adjustments"),
+            "max_rounds": maximum("rounds"),
+            "max_broadcasts": maximum("broadcasts"),
+            "num_changes": float(len(records)),
+        }
+
+    @given(report_sequences)
+    @settings(max_examples=150, deadline=None)
+    def test_maintainer_statistics(self, reports):
+        statistics = MaintainerStatistics()
+        singles = [report for is_batch, report in reports if not is_batch]
+        batches = [report for is_batch, report in reports if is_batch]
+        for is_batch, report in reports:
+            if is_batch:
+                statistics.record_batch(report)
+            else:
+                statistics.record(report)
+
+        def mean(values):
+            return sum(values) / len(values) if values else 0.0
+
+        adjustments = [report.num_adjustments for report in singles]
+        batch_total = sum(report.batch_size for report in batches)
+        assert statistics.num_changes == len(singles)
+        assert statistics.num_batches == len(batches)
+        assert statistics.num_batched_changes == batch_total
+        assert statistics.mean_batch_adjustments_per_change() == (
+            sum(report.num_adjustments for report in batches) / batch_total if batch_total else 0.0
+        )
+        assert statistics.mean_influenced_size() == mean([r.influenced_size for r in singles])
+        assert statistics.mean_adjustments() == mean(adjustments)
+        assert statistics.mean_propagation_depth() == mean([r.num_levels for r in singles])
+        assert statistics.mean_update_work() == mean([r.update_work for r in singles])
+        assert statistics.max_adjustments() == (max(adjustments) if adjustments else 0)
+        kinds = []
+        for report in singles:
+            if report.change_type not in kinds:
+                kinds.append(report.change_type)
+        assert statistics.changes.kinds() == kinds
+        assert statistics.batches.kinds() == (["batch"] if batches else [])

@@ -160,7 +160,8 @@ class TestSnapshotContent:
         u, v = simulator.graph.edges()[0]
         simulator.apply(EdgeDeletion(u, v))
         assert snapshot.edges == edges_before
-        assert len(snapshot.metrics) == 0  # records applied later don't leak in
+        assert snapshot.num_changes == 0  # records applied later don't leak in
+        assert simulator.metrics.num_changes == 1
 
 
 class TestStablePremise:

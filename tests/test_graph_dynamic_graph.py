@@ -50,6 +50,36 @@ class TestCanonicalEdge:
         edge_two = canonical_edge(3, "x")
         assert edge_one == edge_two
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (3, "m12"),
+            ("m12", 3),
+            (12, "3"),
+            ("3", 12),
+            (2.5, "a"),
+            ("a", -0.5),
+            (True, 1),
+            (1, False),
+            (10, 2.5),
+            ((0, 1), (1, "x")),
+            ((1, "x"), ("a", 0)),
+            (("a", 0), (1, "x")),
+            ((0, 1), 5),
+            ("b", (0,)),
+        ],
+    )
+    def test_matches_compare_then_repr_rule(self, u, v):
+        """Pairs whose comparison raises (int/str both ways, float/str,
+        tuples with unorderable items) order by ``repr``; bool/int and
+        int/float compare."""
+        try:
+            expected = (u, v) if u <= v else (v, u)
+        except TypeError:
+            expected = (u, v) if repr(u) <= repr(v) else (v, u)
+        assert canonical_edge(u, v) == expected
+        assert canonical_edge(v, u) == expected
+
 
 class TestMutations:
     def test_add_node_twice_raises(self):

@@ -4,7 +4,9 @@ A session's state is a pure function of ``(spec, position)``, so both
 rebuild any past state by re-executing the spec.  Covered here:
 ``replay_to`` on plain, batched, adaptive and resumed sessions; sink files
 that re-execution must leave alone; and ``repro-mis bisect`` (no
-divergence, planted divergence, the ``resume_at`` leg, the CLI entry, a
+divergence, planted divergences -- one a cost moved to the next change, so
+only the per-change records an observer collects can find it, one totals
+lost by the checkpoint decoder -- the ``resume_at`` leg, the CLI entry, a
 ``--from-dump`` on a dump written while bisect still folded a delta
 journal, and exit status 2 on input errors).
 """
@@ -19,7 +21,8 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.distributed.fast_network import FastBufferedMISNetwork
+from repro.distributed.fast_network import FastBufferedMISNetwork, FastDirectMISNetwork
+from repro.distributed.metrics import MetricsAggregator
 from repro.scenario import (
     BackendSpec,
     BisectResult,
@@ -29,6 +32,7 @@ from repro.scenario import (
     WorkloadSpec,
     bisect_first_divergence,
     checkpoint_from_dict,
+    checkpoint_io,
     checkpoint_to_dict,
 )
 
@@ -70,6 +74,11 @@ def _run_to_end(session: Session) -> Session:
     return session
 
 
+def _rows(session: Session) -> list:
+    """Step ``session`` to its end; the per-change records it returned."""
+    return [dict(r.as_dict(), adjusted=sorted(r.adjusted_nodes, key=repr)) for r in session]
+
+
 # ----------------------------------------------------------------------
 # Time travel: replay_to
 # ----------------------------------------------------------------------
@@ -79,18 +88,13 @@ class TestReplayTo:
             "fast", "async-direct", {"kind": "random", "seed": 7}, num_changes=30
         )
         recorded = Session(spec)
-        while not recorded.done:
-            recorded.step()
-        reference_records = [r.as_dict() for r in recorded.network.metrics.records]
+        reference_rows = _rows(recorded)
         for position in (0, 11, 23):
             replayed = recorded.replay_to(position)
             assert replayed.position == position
-            while not replayed.done:
-                replayed.step()
+            assert _rows(replayed) == reference_rows[position:]
             assert replayed.states() == recorded.states()
-            assert [
-                r.as_dict() for r in replayed.network.metrics.records
-            ] == reference_records
+            assert replayed.network.metrics == recorded.network.metrics
 
     def test_batched_session_replays_at_unit_boundaries(self):
         spec = dataclasses.replace(_engine_spec(num_changes=30), batch_size=4)
@@ -108,16 +112,15 @@ class TestReplayTo:
 
     def test_adaptive_adversary_session(self):
         spec = _network_spec(workload="adaptive_adversary", num_changes=16)
-        session = _run_to_end(Session(spec))
+        session = Session(spec)
+        reference_rows = _rows(session)
         replayed = session.replay_to(9)
         assert replayed.checkpoint().workload_state is not None
-        _run_to_end(replayed)
+        assert _rows(replayed) == reference_rows[9:]
         # A resumed adaptive session holds only the changes generated since.
         assert replayed.changes == session.changes[9:]
         assert replayed.states() == session.states()
-        assert [r.as_dict() for r in replayed.network.metrics.records] == [
-            r.as_dict() for r in session.network.metrics.records
-        ]
+        assert replayed.network.metrics == session.network.metrics
 
     def test_resumed_session_replays_before_its_resume_point(self):
         spec = _engine_spec(num_changes=30)
@@ -192,6 +195,45 @@ def _lying_fast_step(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(FastBufferedMISNetwork, "_node_step", lying_step)
 
 
+def _shift_one_broadcast(monkeypatch: pytest.MonkeyPatch, change: int) -> None:
+    """Make the fast direct core report one broadcast of change ``change``
+    (1-based) at change ``change + 1`` instead, records and totals alike."""
+    honest = FastDirectMISNetwork.apply
+
+    def shifted_apply(self, topology_change):
+        aggregator, self._aggregator = self._aggregator, MetricsAggregator()
+        try:
+            metrics = honest(self, topology_change)
+        finally:
+            self._aggregator = aggregator
+        self.applied = getattr(self, "applied", 0) + 1
+        if self.applied == change:
+            metrics.broadcasts -= 1
+        elif self.applied == change + 1:
+            metrics.broadcasts += 1
+        aggregator.add(metrics)
+        return metrics
+
+    monkeypatch.setattr(FastDirectMISNetwork, "apply", shifted_apply)
+
+
+def _shiftable_change(records) -> int:
+    """A change whose broadcast can move to the next one with equal totals:
+    same kind, at least one broadcast, and neither count past the kind's
+    earlier maximum."""
+    for index in range(1, len(records) - 1):
+        record, following = records[index], records[index + 1]
+        earlier = [r.broadcasts for r in records[:index] if r.change_kind == record.change_kind]
+        if (
+            following.change_kind == record.change_kind
+            and record.broadcasts >= 1
+            and earlier
+            and max(record.broadcasts, following.broadcasts + 1) <= max(earlier)
+        ):
+            return index + 1
+    raise AssertionError("no shiftable change in the workload")
+
+
 class TestBisect:
     def test_agreeing_backends_report_no_divergence(self):
         result = bisect_first_divergence(
@@ -217,6 +259,35 @@ class TestBisect:
         assert "state_changes" in result.detail or "record" in result.detail
         # O(log N) probing, not a linear scan.
         assert len(result.probes) <= 8
+
+    def test_a_cost_moved_to_the_next_change_is_pinned_to_its_change(self, monkeypatch):
+        """Totals agree from the change after on, so only the per-change
+        records the bisect collects can pin the divergence."""
+        spec = _network_spec("dict", protocol="direct", num_changes=40)
+        change = _shiftable_change(list(Session(spec)))
+        _shift_one_broadcast(monkeypatch, change)
+        reference = _run_to_end(Session(spec))
+        candidate = _run_to_end(Session(spec.with_backend(network="fast")))
+        assert candidate.states() == reference.states()
+        assert candidate.network.metrics == reference.network.metrics
+        result = bisect_first_divergence(spec, networks=("dict", "fast"))
+        assert result.diverged
+        assert result.position == change
+        assert result.detail.startswith(f"per-change record {change} differs")
+
+    def test_totals_lost_by_the_codec_are_pinned_after_the_resume_point(self, monkeypatch):
+        """Outputs and per-change records agree when a checkpoint decoder
+        drops the totals; only the totals comparison sees it."""
+        spec = _engine_spec(num_changes=20)
+
+        def forgetful(cls, counters, record):
+            return cls(counters)
+
+        monkeypatch.setattr(checkpoint_io.Totals, "from_record", classmethod(forgetful))
+        result = bisect_first_divergence(spec, resume_at=8)
+        assert result.diverged
+        assert result.position == 9
+        assert result.detail == "accumulated totals differ at position 9"
 
     def test_resume_at_probe_passes_when_resume_is_exact(self):
         spec = _network_spec(

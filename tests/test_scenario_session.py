@@ -13,11 +13,14 @@ application, observers/sinks and the ``spec x backend`` grid helper.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
 
 from repro.core.dynamic_mis import DynamicMIS
+from repro.core.engine_api import BATCH_REPORT_FIELDS, BatchUpdateReport
+from repro.distributed.metrics import ChangeMetrics
 from repro.scenario import (
     BackendSpec,
     CallbackSink,
@@ -34,15 +37,24 @@ from repro.scenario import (
     run_scenario_grid,
     save_checkpoint,
 )
+from repro.testing.differential import REPORT_FIELDS
 from repro.workloads import trace
 
 
-def _metric_dicts(network):
-    """A network's per-change records as comparable plain dicts."""
-    return [
-        dict(record.as_dict(), adjusted=sorted(record.adjusted_nodes, key=repr))
-        for record in network.metrics.records
-    ]
+def _row(record):
+    """A per-unit record a session returned, as a comparable plain value."""
+    if isinstance(record, ChangeMetrics):
+        return dict(record.as_dict(), adjusted=sorted(record.adjusted_nodes, key=repr))
+    if isinstance(record, BatchUpdateReport):
+        return {name: getattr(record, name) for name in BATCH_REPORT_FIELDS}
+    return {name: getattr(record, name) for name in REPORT_FIELDS}
+
+
+def _steps(session, count=None):
+    """Step ``session`` ``count`` times (default: to its end); the rows of
+    the records it returned.  A checkpoint holds only totals, so per-change
+    comparisons run on these."""
+    return [_row(record) for record in itertools.islice(session, count)]
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -61,16 +73,16 @@ class TestSequentialSession:
     def test_matches_a_hand_driven_maintainer(self):
         spec = small_spec()
         session = Session(spec)
+        rows = _steps(session)
         result = session.run()
 
         graph, changes = spec.materialize()
         maintainer = DynamicMIS(seed=spec.seed, initial_graph=graph, engine="template")
-        maintainer.apply_sequence(changes)
+        reports = maintainer.apply_sequence(changes)
         assert session.states() == maintainer.states()
         assert session.mis() == maintainer.mis()
-        assert (
-            session.maintainer.statistics.adjustments == maintainer.statistics.adjustments
-        )
+        assert rows == [_row(report) for report in reports]
+        assert session.maintainer.statistics == maintainer.statistics
         assert result.num_changes == len(changes)
         assert result.verified
         assert result.final_mis_size == len(maintainer.mis())
@@ -85,16 +97,18 @@ class TestSequentialSession:
     def test_batched_session_matches_manual_batches(self):
         spec = small_spec(batch_size=7)
         session = Session(spec)
-        session.run()
+        rows = _steps(session)
 
         graph, changes = spec.materialize()
         maintainer = DynamicMIS(seed=spec.seed, initial_graph=graph, engine="template")
-        for start in range(0, len(changes), 7):
+        reports = [
             maintainer.apply_batch(changes[start : start + 7])
+            for start in range(0, len(changes), 7)
+        ]
         assert session.states() == maintainer.states()
-        assert (
-            session.maintainer.statistics.batch_sizes == maintainer.statistics.batch_sizes
-        )
+        assert rows == [_row(report) for report in reports]
+        assert [row["batch_size"] for row in rows] == [7] * 5 + [5]
+        assert session.maintainer.statistics == maintainer.statistics
 
     def test_batched_fast_session_matches_the_template_batch_for_batch(self):
         spec = small_spec(
@@ -103,13 +117,13 @@ class TestSequentialSession:
             batch_size=12,
         )
         sessions = [Session(spec.with_backend(engine=name)) for name in ("template", "fast")]
+        template_rows, fast_rows = (_steps(session) for session in sessions)
         for session in sessions:
             assert session.run().verified
         template, fast = (session.maintainer.statistics for session in sessions)
         assert sessions[1].states() == sessions[0].states()
-        assert fast.batch_adjustments == template.batch_adjustments
-        assert fast.batch_influenced_sizes == template.batch_influenced_sizes
-        assert fast.batch_levels == template.batch_levels
+        assert fast_rows == template_rows
+        assert fast == template
 
     def test_result_per_change_us_is_consistent(self):
         result = run_scenario(small_spec())
@@ -160,12 +174,12 @@ class TestCheckpointResume:
     def test_resumed_run_equals_uninterrupted_run(self, engine, stop_at):
         spec = small_spec(backend=BackendSpec(runner="sequential", engine=engine))
         uninterrupted = Session(spec)
+        full_rows = _steps(uninterrupted)
         full_result = uninterrupted.run()
 
         interrupted = Session(spec)
         assert interrupted.changes == [] and interrupted.num_changes == 40
-        for _ in range(stop_at):
-            interrupted.step()
+        rows = _steps(interrupted, stop_at)
         checkpoint = interrupted.checkpoint()
         assert checkpoint.position == stop_at
         assert checkpoint.remaining_changes == 40 - stop_at
@@ -174,15 +188,14 @@ class TestCheckpointResume:
         resumed = Session.resume(checkpoint)
         # ``changes`` holds what was pulled so far: the replayed prefix.
         assert resumed.changes == uninterrupted.changes[:stop_at]
+        rows += _steps(resumed)
         resumed_result = resumed.run()
         assert resumed.changes == uninterrupted.changes
 
         assert resumed.states() == uninterrupted.states()
         assert resumed.mis() == uninterrupted.mis()
-        stats, full_stats = resumed.maintainer.statistics, uninterrupted.maintainer.statistics
-        assert stats.adjustments == full_stats.adjustments
-        assert stats.influenced_sizes == full_stats.influenced_sizes
-        assert stats.change_kinds == full_stats.change_kinds
+        assert rows == full_rows
+        assert resumed.maintainer.statistics == uninterrupted.maintainer.statistics
         assert resumed_result.summary == full_result.summary
         assert resumed_result.final_mis_size == full_result.final_mis_size
         assert resumed_result.num_changes == full_result.num_changes
@@ -192,18 +205,15 @@ class TestCheckpointResume:
         # engine resumes on the fast engine with identical outputs.
         spec = small_spec(backend=BackendSpec(runner="sequential", engine="template"))
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(17):
-            interrupted.step()
+        rows = _steps(interrupted, 17)
         resumed = Session.resume(interrupted.checkpoint(), engine="fast")
-        resumed.run()
+        rows += _steps(resumed)
         assert resumed.states() == reference.states()
-        assert (
-            resumed.maintainer.statistics.adjustments
-            == reference.maintainer.statistics.adjustments
-        )
+        assert rows == reference_rows
+        assert resumed.maintainer.statistics == reference.maintainer.statistics
 
     def test_legacy_backend_fields_resume_as_a_fast_run(self, tmp_path):
         # Checkpoints from before the worker pool and the CSR mirror were
@@ -211,11 +221,10 @@ class TestCheckpointResume:
         # ever changed an output, so they resume exactly as a fast run.
         spec = small_spec(backend=BackendSpec(runner="sequential", engine="fast"))
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(17):
-            interrupted.step()
+        rows = _steps(interrupted, 17)
         record = checkpoint_to_dict(interrupted.checkpoint())
         record["spec"]["backend"].update(
             engine="fast-csr", parallel={"workers": 2, "min_chunk": 256, "backend": "fork"}
@@ -228,11 +237,10 @@ class TestCheckpointResume:
         assert checkpoint.spec.backend == spec.backend
 
         resumed = Session.resume(checkpoint)
-        resumed.run()
+        rows += _steps(resumed)
         assert resumed.states() == reference.states()
-        stats, full_stats = resumed.maintainer.statistics, reference.maintainer.statistics
-        assert stats.adjustments == full_stats.adjustments
-        assert stats.influenced_sizes == full_stats.influenced_sizes
+        assert rows == reference_rows
+        assert resumed.maintainer.statistics == reference.maintainer.statistics
 
     def test_cross_engine_resume_updates_the_spec(self):
         # The engine override is folded into the resumed session's spec, so
@@ -273,19 +281,19 @@ class TestCheckpointResume:
         # last is the end) replays the applied prefix into ``changes``.
         spec = small_spec(batch_size=6)
         uninterrupted = Session(spec)
-        uninterrupted.run()
-        assert uninterrupted.maintainer.statistics.batch_sizes == [6] * 6 + [4]
+        full_rows = _steps(uninterrupted)
+        assert [row["batch_size"] for row in full_rows] == [6] * 6 + [4]
         for units in range(8):
             interrupted = Session(spec)
-            for _ in range(units):
-                interrupted.step()
+            rows = _steps(interrupted, units)
             checkpoint = checkpoint_from_dict(checkpoint_to_dict(interrupted.checkpoint()))
             assert checkpoint.position == min(6 * units, 40)
             resumed = Session.resume(checkpoint)
             assert resumed.changes == uninterrupted.changes[: checkpoint.position]
-            resumed.run()
+            rows += _steps(resumed)
             assert resumed.done and resumed.position == 40
             assert resumed.states() == uninterrupted.states()
+            assert rows == full_rows
             assert resumed.maintainer.statistics == uninterrupted.maintainer.statistics
             assert resumed.changes == uninterrupted.changes
 
@@ -309,11 +317,11 @@ class TestProtocolCheckpointResume:
             )
         )
         uninterrupted = Session(spec)
+        full_rows = _steps(uninterrupted)
         full_result = uninterrupted.run()
 
         interrupted = Session(spec)
-        for _ in range(stop_at):
-            interrupted.step()
+        rows = _steps(interrupted, stop_at)
         checkpoint = interrupted.checkpoint()
         assert checkpoint.position == stop_at
         assert checkpoint.runner == "protocol"
@@ -322,9 +330,11 @@ class TestProtocolCheckpointResume:
         del interrupted
 
         resumed = Session.resume(checkpoint)
+        rows += _steps(resumed)
         resumed_result = resumed.run()
         assert resumed.states() == uninterrupted.states()
-        assert _metric_dicts(resumed.network) == _metric_dicts(uninterrupted.network)
+        assert rows == full_rows
+        assert resumed.network.metrics == uninterrupted.network.metrics
         assert resumed_result.summary == full_result.summary
         assert resumed_result.num_changes == full_result.num_changes
 
@@ -338,16 +348,17 @@ class TestProtocolCheckpointResume:
             )
         )
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(17):
-            interrupted.step()
+        rows = _steps(interrupted, 17)
         resumed = Session.resume(interrupted.checkpoint(), network="fast")
         assert resumed.spec.backend.network == "fast"
+        rows += _steps(resumed)
         result = resumed.run()
         assert resumed.states() == reference.states()
-        assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
+        assert rows == reference_rows
+        assert resumed.network.metrics == reference.network.metrics
         assert "network=fast" in result.backend
 
     def test_async_resume_with_spec_scheduler_is_exact(self):
@@ -364,28 +375,27 @@ class TestProtocolCheckpointResume:
             )
         )
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(19):
-            interrupted.step()
+        rows = _steps(interrupted, 19)
         checkpoint = interrupted.checkpoint()
         assert checkpoint.snapshot.scheduler_cursor > 0
         resumed = Session.resume(checkpoint, network="fast")
-        resumed.run()
+        rows += _steps(resumed)
         assert resumed.states() == reference.states()
-        assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
+        assert rows == reference_rows
+        assert resumed.network.metrics == reference.network.metrics
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         spec = small_spec(
             backend=BackendSpec(runner="protocol", protocol="buffered", engine="fast")
         )
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(23):
-            interrupted.step()
+        rows = _steps(interrupted, 23)
         checkpoint = interrupted.checkpoint()
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, checkpoint)
@@ -395,9 +405,10 @@ class TestProtocolCheckpointResume:
         assert loaded.position == 23
         assert loaded.spec == spec
         resumed = Session.resume(loaded, network="fast")
-        resumed.run()
+        rows += _steps(resumed)
         assert resumed.states() == reference.states()
-        assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
+        assert rows == reference_rows
+        assert resumed.network.metrics == reference.network.metrics
 
     @pytest.mark.parametrize("protocol", ["buffered", "direct"])
     def test_legacy_backend_fields_resume_as_a_plain_run(self, protocol, tmp_path):
@@ -410,11 +421,10 @@ class TestProtocolCheckpointResume:
             )
         )
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(19):
-            interrupted.step()
+        rows = _steps(interrupted, 19)
         record = checkpoint_to_dict(interrupted.checkpoint())
         record["spec"]["backend"].update(
             engine="fast-csr", parallel={"workers": 2, "min_chunk": 256, "backend": "fork"}
@@ -427,9 +437,11 @@ class TestProtocolCheckpointResume:
         assert checkpoint.spec == spec
 
         resumed = Session.resume(checkpoint)
+        rows += _steps(resumed)
         assert resumed.run().verified
         assert resumed.states() == reference.states()
-        assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
+        assert rows == reference_rows
+        assert resumed.network.metrics == reference.network.metrics
 
     def test_resumed_result_keeps_the_whole_run_clock(self):
         # The checkpoint carries the accumulated elapsed time, so a resumed
@@ -461,20 +473,17 @@ class TestProtocolCheckpointResume:
     def test_sequential_checkpoint_file_round_trip(self, tmp_path):
         spec = small_spec()
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(9):
-            interrupted.step()
+        rows = _steps(interrupted, 9)
         record = checkpoint_to_dict(interrupted.checkpoint())
         json.dumps(record)  # JSON-ready
         resumed = Session.resume(checkpoint_from_dict(record), engine="fast")
-        resumed.run()
+        rows += _steps(resumed)
         assert resumed.states() == reference.states()
-        assert (
-            resumed.maintainer.statistics.adjustments
-            == reference.maintainer.statistics.adjustments
-        )
+        assert rows == reference_rows
+        assert resumed.maintainer.statistics == reference.maintainer.statistics
 
 
 class TestDynamicWorkloads:
@@ -541,21 +550,21 @@ class TestDynamicWorkloads:
             )
         )
         reference = Session(spec)
-        reference.run()
+        reference_rows = _steps(reference)
 
         interrupted = Session(spec)
-        for _ in range(stop_at):
-            interrupted.step()
+        rows = _steps(interrupted, stop_at)
         checkpoint = interrupted.checkpoint()
         assert checkpoint.workload_state is not None
         path = tmp_path / "adaptive.json"
         save_checkpoint(path, checkpoint)
         resumed = Session.resume(load_checkpoint(path), network="fast")
         assert resumed.changes == []  # adaptive changes are not replayed
-        resumed.run()
+        rows += _steps(resumed)
         assert resumed.states() == reference.states()
         assert resumed.changes == reference.changes[stop_at:]
-        assert _metric_dicts(resumed.network) == _metric_dicts(reference.network)
+        assert rows == reference_rows
+        assert resumed.network.metrics == reference.network.metrics
 
     def test_adaptive_stops_early_when_the_mis_empties(self):
         spec = ScenarioSpec(

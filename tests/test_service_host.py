@@ -24,11 +24,13 @@ guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import os
 import random
 import stat
+import warnings
 
 import pytest
 
@@ -200,6 +202,28 @@ class TestEviction:
         status = host.handle("apply", {"session": "a", "steps": 2})  # rehydrates a
         assert status["position"] == 9
         assert host.handle("stats", {})["rehydrations"] == 1
+
+    def test_jsonl_sink_survives_evict_and_rehydrate(self, tmp_path):
+        """A stepped, evicted and rehydrated session logs every change once,
+        and dropping it leaves no file open (no ``ResourceWarning``)."""
+        path = tmp_path / "changes.jsonl"
+        spec = dataclasses.replace(_spec(changes=16), sinks=(f"jsonl:{path}",))
+        host = _host(tmp_path, max_live=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            host.handle("create", {"session": "a", "spec": spec.to_dict()})
+            host.handle("apply", {"session": "a", "steps": 6})
+            host.handle("evict", {"session": "a"})
+            gc.collect()
+            host.handle("apply", {"session": "a", "steps": 5})  # rehydrates a
+            host.handle("create", {"session": "b", "spec": _spec().to_dict()})  # evicts a
+            gc.collect()
+            host.handle("apply", {"session": "a", "steps": 99})
+            host.handle("close", {"session": "a"})
+            gc.collect()
+        assert host.handle("stats", {})["rehydrations"] == 2
+        steps = [json.loads(line)["step"] for line in path.read_text().splitlines()]
+        assert steps == list(range(16))
 
     def test_drain_spools_everything(self, tmp_path):
         host = _host(tmp_path)
