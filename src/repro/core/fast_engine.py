@@ -13,6 +13,11 @@ index-addressed arrays instead of dicts and sets of hashable labels:
   with no hashing on the hot path;
 * priorities, MIS states and liveness live in parallel arrays indexed by id.
 
+The interning, the adjacency rows and their one-pass build live in
+:class:`InternedGraph`, which the fast network cores of
+:mod:`repro.distributed.fast_network` subclass too; :class:`FastGraphView`
+reads that one layout for either backend.
+
 The influenced-set propagation of Algorithm 1 is an iterative loop over
 integer ids that mirrors :func:`repro.core.influenced.propagate_influence`
 *level by level*: within a level every dirty node re-evaluates the MIS
@@ -87,54 +92,29 @@ class FastUpdateReport:
         return set(self.influenced_labels)
 
 
-class FastEngine(MISEngine):
-    """Array-backed sequential-semantics dynamic MIS maintainer.
+class InternedGraph:
+    """Label-interned adjacency store behind the array-backed backends.
 
-    Drop-in alternative to :class:`~repro.core.template.TemplateEngine`
-    (both implement the :class:`~repro.core.engine_api.MISEngine` contract):
-    same topology-change API, same outputs under the same seed, an order of
-    magnitude lower constant factors.  Registered as ``"fast"``, selected via
-    ``DynamicMIS(engine="fast")``.
-
-    Parameters
-    ----------
-    priorities:
-        Order ``pi``.  Defaults to a fresh
-        :class:`~repro.core.priorities.RandomPriorityAssigner` with ``seed``.
-        The assigner is only consulted when a node is interned (insertion),
-        never on the propagation hot path.
-    seed:
-        Seed for the default priority assigner (ignored when ``priorities``
-        is given).
-    initial_graph:
-        Optional starting graph whose MIS is computed with one array-based
-        greedy pass.
+    Node labels are interned to dense ids ``0..capacity-1``; ids of deleted
+    nodes go to a LIFO free list and are reused by later insertions.  Per id
+    the store keeps the label, the priority key (and its float part, the
+    cheap first comparison), liveness and one ``array('q')`` row of neighbor
+    ids.  :class:`FastEngine` and the fast network cores subclass it and add
+    only their own id-indexed arrays, in ``super()`` overrides of
+    :meth:`_build`, :meth:`_new_slot`, :meth:`_intern` and :meth:`_release`.
     """
 
-    def __init__(
-        self,
-        priorities: Optional[PriorityAssigner] = None,
-        seed: int = 0,
-        initial_graph: Optional[DynamicGraph] = None,
-    ) -> None:
-        self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
-        self._build((), ())
-        if initial_graph is not None:
-            self._bootstrap(initial_graph)
+    _priorities: PriorityAssigner
 
-    # ------------------------------------------------------------------
-    # Build / bootstrap
-    # ------------------------------------------------------------------
     def _build(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]]) -> None:
         """(Re)build the interned storage for ``nodes`` and ``edges`` at once.
 
         The labels get ids ``0..n-1`` in the given order with an empty free
         list -- the layout that interning them one by one into empty storage
         would give -- but every id-indexed array is built in one pass, not
-        one :meth:`_intern` at a time.  Shared by :meth:`_bootstrap`
-        (followed by the greedy pass) and :meth:`restore` (followed by
-        installing the snapshot states), so the engine has a single build
-        path; :meth:`_intern` serves later insertions.
+        one :meth:`_intern` at a time.  This is the single build path of
+        bootstrap and restore on both backends (subclasses then fill their
+        own arrays at full size); :meth:`_intern` serves later insertions.
         """
         labels = list(nodes)
         assign = self._priorities.assign
@@ -142,18 +122,12 @@ class FastEngine(MISEngine):
         count = len(labels)
         # id-indexed parallel arrays (grown together by _new_slot).
         self._labels: List[Optional[Node]] = list(labels)  # id -> label (None = free slot)
-        self._prio: List[float] = [float(key[0]) for key in keys]  # id -> float part of the key
+        self._prio: List[float] = [float(key[0]) for key in keys]  # repro-lint: transient -- cache of _keys[nid][0], rebuilt on restore
         self._keys: List[Optional[Tuple]] = list(keys)  # id -> full priority key
-        self._state = bytearray(count)  # id -> 1 iff in MIS
-        self._alive = bytearray(b"\x01") * count  # id -> 1 iff node currently exists
-        # Per-change scratch stamps (avoid clearing O(n) state every change).
-        self._snap_stamp: List[int] = [0] * count  # id -> epoch of the old-state snapshot
-        self._snap_state = bytearray(count)  # id -> state at snapshot time
-        self._infl_stamp: List[int] = [0] * count  # id -> epoch when first counted influenced
-        self._epoch = 0
+        self._alive = bytearray(b"\x01") * count  # repro-lint: transient -- id -> 1 iff live; restore rebuilds every snapshot node
         # Label interning.
         self._id_of: Dict[Node, int] = {label: nid for nid, label in enumerate(labels)}
-        self._free: List[int] = []
+        self._free: List[int] = []  # repro-lint: transient -- interning free list, empty after restore
         # Adjacency: one array('q') of neighbor ids per node, filled in edge order.
         rows: List[List[int]] = [[] for _ in range(count)]
         id_of = self._id_of
@@ -163,18 +137,8 @@ class FastEngine(MISEngine):
             rows[iu].append(iv)
             rows[iv].append(iu)
             num_edges += 1
-        self._adj: List[array] = [array("q", row) for row in rows]
-        self._num_edges = num_edges
-
-    def _bootstrap(self, graph: DynamicGraph) -> None:
-        self._build(graph.nodes(), graph.edges())
-        # Greedy pass in increasing pi: any MIS neighbor was processed earlier,
-        # unprocessed (hence later) neighbors still read as state 0.
-        state = self._state
-        order = sorted(range(len(self._labels)), key=lambda i: self._keys[i])
-        for nid in order:
-            if not any(state[m] for m in self._adj[nid]):
-                state[nid] = 1
+        self._adj: List[array] = [array("q", row) for row in rows]  # repro-lint: transient -- captured as the edge list through graph.edges()
+        self._num_edges = num_edges  # repro-lint: transient -- derived count; the snapshot stores the edge list
 
     # ------------------------------------------------------------------
     # Interning / slot management
@@ -185,11 +149,7 @@ class FastEngine(MISEngine):
         self._adj.append(array("q"))
         self._prio.append(0.0)
         self._keys.append(None)
-        self._state.append(0)
         self._alive.append(0)
-        self._snap_stamp.append(0)
-        self._snap_state.append(0)
-        self._infl_stamp.append(0)
         return nid
 
     def _intern(self, label: Node) -> int:
@@ -199,18 +159,32 @@ class FastEngine(MISEngine):
         self._labels[nid] = label
         self._prio[nid] = float(key[0])
         self._keys[nid] = tuple(key)
-        self._state[nid] = 0
         self._alive[nid] = 1
-        del self._adj[nid][:]
         self._id_of[label] = nid
         return nid
 
     def _release(self, nid: int) -> None:
-        """Return a dead id to the free list (its label was already unmapped)."""
+        """Return a dead id to the free list (its label was already unmapped).
+
+        A free slot keeps no adjacency, so :meth:`_intern` reuses it as is.
+        """
         self._labels[nid] = None
         self._keys[nid] = None
         del self._adj[nid][:]
         self._free.append(nid)
+
+    def _require(self, label: Node) -> int:
+        nid = self._id_of.get(label)
+        if nid is None:
+            raise GraphError(f"node {label!r} is not in the graph")
+        return nid
+
+    def _earlier(self, a: int, b: int) -> bool:
+        """True iff id ``a`` comes before id ``b`` in ``pi``."""
+        pa, pb = self._prio[a], self._prio[b]
+        if pa != pb:
+            return pa < pb
+        return self._keys[a] < self._keys[b]
 
     # ------------------------------------------------------------------
     # Read access
@@ -264,6 +238,197 @@ class FastEngine(MISEngine):
         labels = self._labels
         return [labels[m] for m in self._adj[self._require(label)]]
 
+    def check_interning_invariants(self) -> None:
+        """Assert the interning / free-list / adjacency bookkeeping is sound.
+
+        Exercised by the property-based tests after every change batch:
+        live ids and free ids partition the slot range, the label<->id maps
+        are mutually inverse, adjacency is symmetric, contains only live ids
+        and no self loops, and the edge counter matches the arrays.
+        """
+        if not __debug__:  # pragma: no cover - -O strips the asserts below
+            raise RuntimeError(
+                "check_interning_invariants needs assertions enabled (do not run "
+                "the conformance suite under python -O)"
+            )
+        capacity = len(self._labels)
+        for parallel in (self._adj, self._prio, self._keys):
+            assert len(parallel) == capacity, "parallel arrays diverged in length"
+        assert len(self._alive) == capacity
+        free = set(self._free)
+        assert len(free) == len(self._free), "duplicate ids on the free list"
+        live = set(self._id_of.values())
+        assert not (free & live), "id is both free and live"
+        assert free | live == set(range(capacity)), "leaked id slot"
+        half_edges = 0
+        for label, nid in self._id_of.items():
+            assert self._alive[nid] and self._labels[nid] == label, "intern map broken"
+            assert self._keys[nid] is not None and self._prio[nid] == self._keys[nid][0]
+            assert self._priorities.knows(label), "live node lost its priority"
+            row = self._adj[nid]
+            assert len(set(row)) == len(row), "duplicate adjacency entry"
+            for m in row:
+                assert m != nid, "self loop"
+                assert self._alive[m], "edge to a dead node"
+                assert nid in self._adj[m], "asymmetric adjacency"
+            half_edges += len(row)
+        for nid in free:
+            assert not self._alive[nid], "free id still alive"
+            assert self._labels[nid] is None and self._keys[nid] is None
+            assert len(self._adj[nid]) == 0, "free id kept adjacency"
+        assert half_edges == 2 * self._num_edges, "edge counter out of sync"
+
+
+class FastGraphView:
+    """Read-only :class:`DynamicGraph`-shaped facade over an :class:`InternedGraph`.
+
+    Lets existing graph-consuming code (CLI summaries, clustering fallback,
+    benchmarks, validation checks) read the topology of a fast engine or a
+    fast network core without materializing dict-of-set adjacency.
+    Mutations must go through the backend's topology-change API.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: InternedGraph) -> None:
+        self._store = store
+
+    def num_nodes(self) -> int:
+        return self._store.num_nodes()
+
+    def num_edges(self) -> int:
+        return self._store.num_edges()
+
+    def nodes(self) -> List[Node]:
+        return self._store.nodes()
+
+    def has_node(self, node: Node) -> bool:
+        return self._store.has_node(node)
+
+    def has_edge(self, u: Node, v: Node) -> bool:
+        return self._store.has_edge(u, v)
+
+    def degree(self, node: Node) -> int:
+        return self._store.degree(node)
+
+    def neighbors(self, node: Node) -> FrozenSet[Node]:
+        return frozenset(self._store.neighbor_labels(node))
+
+    def iter_neighbors(self, node: Node) -> Iterator[Node]:
+        return iter(self._store.neighbor_labels(node))
+
+    def max_degree(self) -> int:
+        return max((self.degree(node) for node in self.nodes()), default=0)
+
+    def edges(self) -> List[Tuple[Node, Node]]:
+        """Canonical edges in :meth:`DynamicGraph.edges` order (sorted by ``repr``).
+
+        Walks each edge once, from its smaller id, and spells the sort key
+        ``repr((u, v))`` from one ``repr`` per node.
+        """
+        store = self._store
+        labels, adj = store._labels, store._adj
+        edges: List[Tuple[Node, Node]] = []
+        for label, nid in store._id_of.items():
+            for m in adj[nid]:
+                if m > nid:
+                    edges.append(canonical_edge(label, labels[m]))
+        spelled = {label: repr(label) for label in store._id_of}
+        edges.sort(key=lambda edge: f"({spelled[edge[0]]}, {spelled[edge[1]]})")
+        return edges
+
+    def copy(self) -> DynamicGraph:
+        """Materialize an independent :class:`DynamicGraph` snapshot."""
+        return DynamicGraph(nodes=self.nodes(), edges=self.edges())
+
+    def __contains__(self, node: Node) -> bool:
+        return self.has_node(node)
+
+    def __len__(self) -> int:
+        return self.num_nodes()
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.nodes())
+
+    def __repr__(self) -> str:
+        return f"FastGraphView(num_nodes={self.num_nodes()}, num_edges={self.num_edges()})"
+
+
+class FastEngine(InternedGraph, MISEngine):
+    """Array-backed sequential-semantics dynamic MIS maintainer.
+
+    Drop-in alternative to :class:`~repro.core.template.TemplateEngine`
+    (both implement the :class:`~repro.core.engine_api.MISEngine` contract):
+    same topology-change API, same outputs under the same seed, an order of
+    magnitude lower constant factors.  Registered as ``"fast"``, selected via
+    ``DynamicMIS(engine="fast")``.
+
+    Parameters
+    ----------
+    priorities:
+        Order ``pi``.  Defaults to a fresh
+        :class:`~repro.core.priorities.RandomPriorityAssigner` with ``seed``.
+        The assigner is only consulted when a node is interned (insertion),
+        never on the propagation hot path.
+    seed:
+        Seed for the default priority assigner (ignored when ``priorities``
+        is given).
+    initial_graph:
+        Optional starting graph whose MIS is computed with one array-based
+        greedy pass.
+    """
+
+    def __init__(
+        self,
+        priorities: Optional[PriorityAssigner] = None,
+        seed: int = 0,
+        initial_graph: Optional[DynamicGraph] = None,
+    ) -> None:
+        self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
+        self._build((), ())
+        if initial_graph is not None:
+            self._bootstrap(initial_graph)
+
+    # ------------------------------------------------------------------
+    # Build / bootstrap: the store plus the MIS bits and the walk stamps
+    # ------------------------------------------------------------------
+    def _build(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]]) -> None:
+        """Build the store, then this engine's id-indexed arrays at full size."""
+        super()._build(nodes, edges)
+        count = len(self._labels)
+        self._state = bytearray(count)  # id -> 1 iff in MIS
+        # Per-change scratch stamps (avoid clearing O(n) state every change).
+        self._snap_stamp: List[int] = [0] * count  # id -> epoch of the old-state snapshot
+        self._snap_state = bytearray(count)  # id -> state at snapshot time
+        self._infl_stamp: List[int] = [0] * count  # id -> epoch when first counted influenced
+        self._epoch = 0
+
+    def _bootstrap(self, graph: DynamicGraph) -> None:
+        self._build(graph.nodes(), graph.edges())
+        # Greedy pass in increasing pi: any MIS neighbor was processed earlier,
+        # unprocessed (hence later) neighbors still read as state 0.
+        state = self._state
+        order = sorted(range(len(self._labels)), key=lambda i: self._keys[i])
+        for nid in order:
+            if not any(state[m] for m in self._adj[nid]):
+                state[nid] = 1
+
+    def _new_slot(self) -> int:
+        nid = super()._new_slot()
+        self._state.append(0)
+        self._snap_stamp.append(0)
+        self._snap_state.append(0)
+        self._infl_stamp.append(0)
+        return nid
+
+    def _intern(self, label: Node) -> int:
+        nid = super()._intern(label)
+        self._state[nid] = 0
+        return nid
+
+    # ------------------------------------------------------------------
+    # Read access
+    # ------------------------------------------------------------------
     def mis(self) -> Set[Node]:
         """The current maximal independent set (as labels)."""
         state = self._state
@@ -310,39 +475,12 @@ class FastEngine(MISEngine):
                 raise InvariantViolation(f"MIS invariant violated at node {label!r}")
 
     def check_interning_invariants(self) -> None:
-        """Assert the interning / free-list / adjacency bookkeeping is sound.
-
-        Exercised by the property-based tests after every change batch:
-        live ids and free ids partition the slot range, the label<->id maps
-        are mutually inverse, adjacency is symmetric, contains only live ids
-        and no self loops, and the edge counter matches the arrays.
-        """
+        """The store's invariants, plus this engine's arrays matching its capacity."""
+        super().check_interning_invariants()
         capacity = len(self._labels)
-        for parallel in (self._adj, self._prio, self._keys, self._snap_stamp):
+        for parallel in (self._snap_stamp, self._infl_stamp):
             assert len(parallel) == capacity, "parallel arrays diverged in length"
-        assert len(self._state) == capacity and len(self._alive) == capacity
-        free = set(self._free)
-        assert len(free) == len(self._free), "duplicate ids on the free list"
-        live = set(self._id_of.values())
-        assert not (free & live), "id is both free and live"
-        assert free | live == set(range(capacity)), "leaked id slot"
-        half_edges = 0
-        for label, nid in self._id_of.items():
-            assert self._alive[nid] and self._labels[nid] == label, "intern map broken"
-            assert self._keys[nid] is not None and self._prio[nid] == self._keys[nid][0]
-            assert self._priorities.knows(label), "live node lost its priority"
-            row = self._adj[nid]
-            assert len(set(row)) == len(row), "duplicate adjacency entry"
-            for m in row:
-                assert m != nid, "self loop"
-                assert self._alive[m], "edge to a dead node"
-                assert nid in self._adj[m], "asymmetric adjacency"
-            half_edges += len(row)
-        for nid in free:
-            assert not self._alive[nid], "free id still alive"
-            assert self._labels[nid] is None and self._keys[nid] is None
-            assert len(self._adj[nid]) == 0, "free id kept adjacency"
-        assert half_edges == 2 * self._num_edges, "edge counter out of sync"
+        assert len(self._state) == capacity and len(self._snap_state) == capacity
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -484,7 +622,7 @@ class FastEngine(MISEngine):
             validate_batch,
         )
 
-        validate_batch(self.graph, changes)
+        validate_batch(self, changes)
         id_of = self._id_of
         adj = self._adj
         # Dirty nodes are tracked by *label*, exactly like the template batch:
@@ -676,19 +814,6 @@ class FastEngine(MISEngine):
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _require(self, label: Node) -> int:
-        nid = self._id_of.get(label)
-        if nid is None:
-            raise GraphError(f"node {label!r} is not in the graph")
-        return nid
-
-    def _earlier(self, a: int, b: int) -> bool:
-        """True iff id ``a`` comes before id ``b`` in ``pi``."""
-        pa, pb = self._prio[a], self._prio[b]
-        if pa != pb:
-            return pa < pb
-        return self._keys[a] < self._keys[b]
-
     def _desired(self, nid: int) -> bool:
         """MIS-invariant target state: no earlier neighbor may be in the MIS."""
         state, prio, keys = self._state, self._prio, self._keys
@@ -706,81 +831,6 @@ class FastEngine(MISEngine):
         if position != last:
             row[position] = row[last]
         del row[last]
-
-
-class FastGraphView:
-    """Read-only :class:`DynamicGraph`-shaped facade over a :class:`FastEngine`.
-
-    Lets existing graph-consuming code (CLI summaries, clustering fallback,
-    benchmarks, validation checks) read a fast engine's topology without the
-    engine materializing dict-of-set adjacency.  Mutations must go through
-    the engine's topology-change API.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: FastEngine) -> None:
-        self._engine = engine
-
-    def num_nodes(self) -> int:
-        return self._engine.num_nodes()
-
-    def num_edges(self) -> int:
-        return self._engine.num_edges()
-
-    def nodes(self) -> List[Node]:
-        return self._engine.nodes()
-
-    def has_node(self, node: Node) -> bool:
-        return self._engine.has_node(node)
-
-    def has_edge(self, u: Node, v: Node) -> bool:
-        return self._engine.has_edge(u, v)
-
-    def degree(self, node: Node) -> int:
-        return self._engine.degree(node)
-
-    def neighbors(self, node: Node) -> FrozenSet[Node]:
-        return frozenset(self._engine.neighbor_labels(node))
-
-    def iter_neighbors(self, node: Node) -> Iterator[Node]:
-        return iter(self._engine.neighbor_labels(node))
-
-    def max_degree(self) -> int:
-        return max((self.degree(node) for node in self.nodes()), default=0)
-
-    def edges(self) -> List[Tuple[Node, Node]]:
-        """Canonical edges in :meth:`DynamicGraph.edges` order (sorted by ``repr``).
-
-        Walks each edge once, from its smaller id, and spells the sort key
-        ``repr((u, v))`` from one ``repr`` per node.
-        """
-        engine = self._engine
-        labels, adj = engine._labels, engine._adj
-        edges: List[Tuple[Node, Node]] = []
-        for label, nid in engine._id_of.items():
-            for m in adj[nid]:
-                if m > nid:
-                    edges.append(canonical_edge(label, labels[m]))
-        spelled = {label: repr(label) for label in engine._id_of}
-        edges.sort(key=lambda edge: f"({spelled[edge[0]]}, {spelled[edge[1]]})")
-        return edges
-
-    def copy(self) -> DynamicGraph:
-        """Materialize an independent :class:`DynamicGraph` snapshot."""
-        return DynamicGraph(nodes=self.nodes(), edges=self.edges())
-
-    def __contains__(self, node: Node) -> bool:
-        return self.has_node(node)
-
-    def __len__(self) -> int:
-        return self.num_nodes()
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes())
-
-    def __repr__(self) -> str:
-        return f"FastGraphView(num_nodes={self.num_nodes()}, num_edges={self.num_edges()})"
 
 
 def fast_greedy_mis(graph: DynamicGraph, priorities: PriorityAssigner) -> Set[Node]:

@@ -338,15 +338,6 @@ class TemplateEngine(MISEngine):
             propagation=propagation,
         )
 
-    def commit_propagation(self, propagation: InfluencePropagation) -> None:
-        """Replace the engine's states with a propagation's final states.
-
-        Used by the batched-update extension (:mod:`repro.core.batch`), which
-        mutates the engine's graph directly and then installs the repaired
-        states in one step.
-        """
-        self._commit(propagation)
-
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------

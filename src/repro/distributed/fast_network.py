@@ -8,18 +8,17 @@ but caps protocol experiments at a few thousand nodes: each change pays
 ``O(n)`` for the before/after output snapshots and ``O(n log n)`` per round
 for the full sorted sweep, even when the repair wave touches three nodes.
 
-This module rebuilds the whole subsystem with the same discipline as
-:class:`~repro.core.fast_engine.FastEngine`:
+The fast cores here run on the store of
+:class:`~repro.core.fast_engine.FastEngine`, the
+:class:`~repro.core.fast_engine.InternedGraph` base class (labels interned
+to dense ids with free-list reuse, one ``array('q')`` adjacency row per
+node), and add only the protocol's own id-indexed arrays:
 
-* node labels are *interned* to dense integer ids on arrival; ids of deleted
-  nodes go to a free list and are reused, so the parallel arrays never grow
-  beyond the historical peak node count;
-* adjacency is one ``array('q')`` row of neighbor ids per node; each node's
-  *local knowledge* (the last state heard from each neighbor, and whether its
-  random ID is known) lives in ``bytearray`` rows aligned index-for-index
-  with the adjacency row -- dropping a neighbor swap-deletes all three rows
-  in tandem, so the protocol rules are cache-friendly integer scans with no
-  hashing on the hot path;
+* each node's *local knowledge* (the last state heard from each neighbor,
+  and whether its random ID is known) lives in ``bytearray`` rows aligned
+  index-for-index with the adjacency row -- dropping a neighbor swap-deletes
+  all three rows in tandem, so the protocol rules are cache-friendly integer
+  scans with no hashing on the hot path;
 * per-round message buffers are lists of small integer tuples delivered
   through the adjacency rows, instead of per-node dict queues;
 * the round loop only visits the *active* set -- inbox receivers plus nodes
@@ -49,7 +48,7 @@ import heapq
 from array import array
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.fast_engine import FastGraphView, reference_mis
+from repro.core.fast_engine import InternedGraph, reference_mis
 from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
 from repro.core.state_api import EventSequence
 from repro.distributed.message import MessageKind, id_message_bits, state_message_bits
@@ -63,7 +62,7 @@ from repro.distributed.state import (
     NetworkStateError,
     check_restorable,
 )
-from repro.graph.dynamic_graph import DynamicGraph, GraphError
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.workloads.changes import (
     EdgeDeletion,
     EdgeInsertion,
@@ -93,13 +92,15 @@ _STATE_VALUES = tuple(state.value for state in CODE_TO_STATE)
 FastMessage = Tuple[int, int, int, bool]
 
 
-class FastNetworkCore:
+class FastNetworkCore(InternedGraph):
     """Interned storage shared by the synchronous and asynchronous fast simulators.
 
-    Holds the parallel id-indexed arrays (labels, adjacency, knowledge,
-    priorities, protocol state), the label interning with free-list reuse,
-    and the epoch-stamped adjustment accounting.  Subclasses add the round
-    loop / event loop and the topology-change controller.
+    On top of the :class:`~repro.core.fast_engine.InternedGraph` store
+    (labels, priorities, adjacency, free-list reuse) it holds the protocol's
+    id-indexed arrays -- state codes, knowledge rows aligned with the
+    adjacency rows, the retiring and entered-C flags -- and the
+    epoch-stamped adjustment accounting.  Subclasses add the round loop /
+    event loop and the topology-change controller.
     """
 
     def __init__(
@@ -112,36 +113,10 @@ class FastNetworkCore:
         # rebuilds the assigner from them.
         self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)  # repro-lint: transient -- keys snapshotted via _keys
         self._aggregator = MetricsAggregator()
-        self._init_storage()
-        if initial_graph is not None:
+        if initial_graph is None:
+            self._install((), ())
+        else:
             self._install(initial_graph.nodes(), initial_graph.edges())
-
-    def _init_storage(self) -> None:
-        """(Re)initialize the interned storage to the empty network.
-
-        Factored out of ``__init__`` so :meth:`restore` can rebuild the
-        arrays from a snapshot without re-running construction.
-        """
-        # id-indexed parallel arrays (grown together by _new_slot).
-        self._labels: List[Optional[Node]] = []  # id -> label (None = free slot)
-        self._adj: List[array] = []  # repro-lint: transient -- id -> neighbor ids; captured as the edge list through graph.edges()
-        self._nstate: List[bytearray] = []  # repro-lint: transient -- id -> known state per adjacency slot; restore derives it from the outputs
-        self._nkey: List[bytearray] = []  # repro-lint: transient -- id -> 1 iff that neighbor's key is known; restore derives it from the outputs
-        self._prio: List[float] = []  # repro-lint: transient -- cache of _keys[nid][0], rebuilt on restore
-        self._keys: List[Optional[Tuple]] = []  # id -> full priority key
-        self._state = bytearray()  # id -> protocol state code
-        self._alive = bytearray()  # repro-lint: transient -- derived; restore re-interns every snapshot node
-        self._retiring = bytearray()  # id -> 1 while a graceful deletion relays
-        self._entered_c = array("q")  # repro-lint: transient -- per-repair scratch; snapshots are quiescent
-        # Per-change adjustment accounting (epoch stamps avoid O(n) clears).
-        self._snap_stamp: List[int] = []  # repro-lint: transient -- per-change accounting scratch
-        self._snap_bit = bytearray()  # repro-lint: transient -- per-change accounting scratch
-        self._epoch = 0  # repro-lint: transient -- per-change accounting scratch
-        self._touched: List[int] = []  # repro-lint: transient -- per-change accounting scratch
-        # Label interning.
-        self._id_of: Dict[Node, int] = {}
-        self._free: List[int] = []  # repro-lint: transient -- interning free list, empty after restore
-        self._num_edges = 0  # repro-lint: transient -- derived count; the snapshot stores the edge list
 
     # ------------------------------------------------------------------
     # Bootstrap and restore
@@ -149,98 +124,77 @@ class FastNetworkCore:
     def _install(
         self,
         nodes: Iterable[Node],
-        edges: Sequence[Tuple[Node, Node]],
+        edges: Iterable[Tuple[Node, Node]],
         states: Optional[Dict[Node, str]] = None,
     ) -> None:
-        """Build a stable configuration into the freshly initialized storage.
+        """Build a stable configuration: the store, then the protocol arrays.
 
-        Labels intern in ``nodes`` order.  Without ``states`` (bootstrap) the
-        outputs are the greedy MIS in increasing ``pi``; with them (restore)
-        each node takes its snapshot state.  Either way the system is then
-        stable: every node knows every neighbor's random ID and current
-        output, the configuration each change's repair ends in.
+        Labels intern in ``nodes`` order (:meth:`_build`, one pass).  Without
+        ``states`` (bootstrap) the outputs are the greedy MIS in increasing
+        ``pi``; with them (restore) each node takes its snapshot state.
+        Either way the system is then stable: every node knows every
+        neighbor's random ID and current output, the configuration each
+        change's repair ends in.
         """
-        for node in nodes:
-            self._intern(node, snapshot=False)
-        id_of, adj = self._id_of, self._adj
-        for u, v in edges:
-            iu, iv = id_of[u], id_of[v]
-            adj[iu].append(iv)
-            adj[iv].append(iu)
-        self._num_edges = len(edges)
-        state = self._state
+        self._build(nodes, edges)
+        adj = self._adj
+        count = len(adj)
+        state = bytearray([CODE_M_BAR]) * count  # id -> protocol state code
         if states is None:
             # Greedy pass in increasing pi: any MIS neighbor was processed
             # earlier, unprocessed (hence later) neighbors still read as non-MIS.
-            for nid in sorted(range(len(self._labels)), key=self._keys.__getitem__):
+            for nid in sorted(range(count), key=self._keys.__getitem__):
                 if not any(state[m] == CODE_M for m in adj[nid]):
                     state[nid] = CODE_M
         else:
-            for node, nid in id_of.items():
+            for node, nid in self._id_of.items():
                 state[nid] = NodeState(states[node]).code
-        for nid, row in enumerate(adj):
-            self._nstate[nid][:] = bytes(map(state.__getitem__, row))
-            self._nkey[nid][:] = b"\x01" * len(row)
+        self._state = state
+        # Knowledge rows aligned with the adjacency rows (stable: all known).
+        self._nstate: List[bytearray] = [bytearray(map(state.__getitem__, row)) for row in adj]  # repro-lint: transient -- id -> known state per adjacency slot; restore derives it from the outputs
+        self._nkey: List[bytearray] = [bytearray(b"\x01") * len(row) for row in adj]  # repro-lint: transient -- id -> 1 iff that neighbor's key is known; restore derives it from the outputs
+        self._retiring = bytearray(count)  # id -> 1 while a graceful deletion relays
+        self._entered_c = array("q", [-1]) * count  # repro-lint: transient -- per-repair scratch; snapshots are quiescent
+        # Per-change adjustment accounting (epoch stamps avoid O(n) clears).
+        self._snap_stamp: List[int] = [0] * count  # repro-lint: transient -- per-change accounting scratch
+        self._snap_bit = bytearray(count)  # repro-lint: transient -- per-change accounting scratch
+        self._epoch = 0  # repro-lint: transient -- per-change accounting scratch
+        self._touched: List[int] = []  # repro-lint: transient -- per-change accounting scratch
 
     # ------------------------------------------------------------------
-    # Interning / slot management
+    # Interning / slot management: the protocol arrays on top of the store
     # ------------------------------------------------------------------
     def _new_slot(self) -> int:
-        nid = len(self._labels)
-        self._labels.append(None)
-        self._adj.append(array("q"))
+        nid = super()._new_slot()
         self._nstate.append(bytearray())
         self._nkey.append(bytearray())
-        self._prio.append(0.0)
-        self._keys.append(None)
         self._state.append(CODE_M_BAR)
-        self._alive.append(0)
         self._retiring.append(0)
         self._entered_c.append(-1)
         self._snap_stamp.append(0)
         self._snap_bit.append(0)
         return nid
 
-    def _intern(self, label: Node, snapshot: bool = True) -> int:
-        """Assign ``label`` a dense id (reusing a free slot) and its priority.
+    def _intern(self, label: Node) -> int:
+        """Intern a node inserted mid-change.
 
-        With ``snapshot`` (the default, used for mid-change insertions) the
-        new node is stamped into the touched set with a non-MIS "before"
+        The new node is stamped into the touched set with a non-MIS "before"
         output, matching the dict controller's ``before.get(node, False)``.
         """
-        nid = self._free.pop() if self._free else self._new_slot()
-        key = self._priorities.assign(label)
-        self._labels[nid] = label
-        self._prio[nid] = float(key[0])
-        self._keys[nid] = tuple(key)
+        nid = super()._intern(label)
         self._state[nid] = CODE_M_BAR
-        self._alive[nid] = 1
         self._retiring[nid] = 0
         self._entered_c[nid] = -1
-        del self._adj[nid][:]
-        del self._nstate[nid][:]
-        del self._nkey[nid][:]
-        self._id_of[label] = nid
-        if snapshot:
-            self._snap_stamp[nid] = self._epoch
-            self._snap_bit[nid] = 0
-            self._touched.append(nid)
+        self._snap_stamp[nid] = self._epoch
+        self._snap_bit[nid] = 0
+        self._touched.append(nid)
         return nid
 
     def _release(self, nid: int) -> None:
-        """Return a dead id to the free list (its label was already unmapped)."""
-        self._labels[nid] = None
-        self._keys[nid] = None
-        del self._adj[nid][:]
+        # A free slot keeps no rows, so _intern starts from empty ones.
+        super()._release(nid)
         del self._nstate[nid][:]
         del self._nkey[nid][:]
-        self._free.append(nid)
-
-    def _require(self, label: Node) -> int:
-        nid = self._id_of.get(label)
-        if nid is None:
-            raise GraphError(f"node {label!r} is not in the graph")
-        return nid
 
     def _detach_node(self, nid: int, label: Node) -> None:
         """Remove a node from the topology, the arrays and its neighbors' views.
@@ -282,13 +236,6 @@ class FastNetworkCore:
         del row[last]
         del nstate[last]
         del nkey[last]
-
-    def _earlier(self, a: int, b: int) -> bool:
-        """True iff id ``a`` comes before id ``b`` in ``pi``."""
-        pa, pb = self._prio[a], self._prio[b]
-        if pa != pb:
-            return pa < pb
-        return self._keys[a] < self._keys[b]
 
     # ------------------------------------------------------------------
     # Local-knowledge views (the protocol rules)
@@ -361,61 +308,12 @@ class FastNetworkCore:
         metrics.adjustments = len(adjusted)
 
     # ------------------------------------------------------------------
-    # Read access (shared public surface)
+    # Read access (the store's read API is inherited)
     # ------------------------------------------------------------------
-    @property
-    def priorities(self) -> PriorityAssigner:
-        """The order ``pi``."""
-        return self._priorities
-
     @property
     def metrics(self) -> MetricsAggregator:
         """Per-change metrics accumulated so far."""
         return self._aggregator
-
-    @property
-    def graph(self) -> FastGraphView:
-        """Read-only :class:`DynamicGraph`-shaped view of the current topology."""
-        return FastGraphView(self)
-
-    def num_nodes(self) -> int:
-        """Number of live nodes."""
-        return len(self._id_of)
-
-    def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return self._num_edges
-
-    def capacity(self) -> int:
-        """Number of allocated id slots (live + free); never shrinks."""
-        return len(self._labels)
-
-    def free_slots(self) -> int:
-        """Number of ids currently waiting on the free list."""
-        return len(self._free)
-
-    def nodes(self) -> List[Node]:
-        """All live node labels."""
-        return list(self._id_of)
-
-    def has_node(self, label: Node) -> bool:
-        """Whether ``label`` is a live node."""
-        return label in self._id_of
-
-    def has_edge(self, u: Node, v: Node) -> bool:
-        """Whether the undirected edge ``{u, v}`` is present."""
-        iu = self._id_of.get(u)
-        iv = self._id_of.get(v)
-        return iu is not None and iv is not None and iv in self._adj[iu]
-
-    def degree(self, label: Node) -> int:
-        """Degree of ``label`` (raises :class:`GraphError` if absent)."""
-        return len(self._adj[self._require(label)])
-
-    def neighbor_labels(self, label: Node) -> List[Node]:
-        """The neighbor labels of ``label``."""
-        labels = self._labels
-        return [labels[m] for m in self._adj[self._require(label)]]
 
     def mis(self) -> Set[Node]:
         """The current maximal independent set (outputs of all nodes)."""
@@ -529,7 +427,7 @@ class FastNetworkCore:
         """Reset the simulator to a previously captured :class:`NetworkSnapshot`.
 
         The interned storage is rebuilt from scratch through the bootstrap's
-        build path, :meth:`_install`: labels re-intern in snapshot order,
+        build path, :meth:`_install`: labels intern in snapshot order,
         nodes take their snapshot states instead of the greedy pass, and the
         knowledge rows are derived from those states.  With the metric totals
         restored too, a resumed run is observably identical to an
@@ -539,7 +437,6 @@ class FastNetworkCore:
         self._priorities.restore_keys(
             {node: tuple(key) for node, key in snapshot.priority_keys.items()}
         )
-        self._init_storage()
         self._install(snapshot.nodes, snapshot.edges, snapshot.states)
         self._aggregator = MetricsAggregator(snapshot.metrics.copy())
 
@@ -551,55 +448,21 @@ class FastNetworkCore:
         and *current* state -- which is exactly what makes the protocols'
         local decisions agree with the global greedy MIS between repairs.
         """
-        if not __debug__:  # pragma: no cover - -O strips the asserts below
-            raise RuntimeError(
-                "check_interning_invariants needs assertions enabled (do not run "
-                "the conformance suite under python -O)"
-            )
+        super().check_interning_invariants()
         capacity = len(self._labels)
-        parallels = (
-            self._adj,
-            self._nstate,
-            self._nkey,
-            self._prio,
-            self._keys,
-            self._snap_stamp,
-        )
-        for parallel in parallels:
+        parallels = (self._nstate, self._nkey, self._state, self._retiring, self._entered_c)
+        for parallel in parallels + (self._snap_stamp, self._snap_bit):
             assert len(parallel) == capacity, "parallel arrays diverged in length"
-        for byte_array in (self._state, self._alive, self._retiring, self._snap_bit):
-            assert len(byte_array) == capacity
-        assert len(self._entered_c) == capacity
-        free = set(self._free)
-        assert len(free) == len(self._free), "duplicate ids on the free list"
-        live = set(self._id_of.values())
-        assert not (free & live), "id is both free and live"
-        assert free | live == set(range(capacity)), "leaked id slot"
-        half_edges = 0
-        for label, nid in self._id_of.items():
-            assert self._alive[nid] and self._labels[nid] == label, "intern map broken"
-            assert self._keys[nid] is not None and self._prio[nid] == self._keys[nid][0]
-            assert self._priorities.knows(label), "live node lost its priority"
+        for nid in sorted(self._id_of.values()):
             row = self._adj[nid]
             assert len(self._nstate[nid]) == len(row) == len(self._nkey[nid])
-            assert len(set(row)) == len(row), "duplicate adjacency entry"
-            for position, m in enumerate(row):
-                assert m != nid, "self loop"
-                assert self._alive[m], "edge to a dead node"
-                assert nid in self._adj[m], "asymmetric adjacency"
-                if expect_stable:
+            if expect_stable:
+                assert self._state[nid] <= CODE_M_BAR, "transient state at stability"
+                for position, m in enumerate(row):
                     assert self._nkey[nid][position], "neighbor key unknown at stability"
                     assert self._nstate[nid][position] == self._state[m], (
                         "stale neighbor-state knowledge at stability"
                     )
-            half_edges += len(row)
-            if expect_stable:
-                assert self._state[nid] <= CODE_M_BAR, "transient state at stability"
-        for nid in free:
-            assert not self._alive[nid], "free id still alive"
-            assert self._labels[nid] is None and self._keys[nid] is None
-            assert len(self._adj[nid]) == 0, "free id kept adjacency"
-        assert half_edges == 2 * self._num_edges, "edge counter out of sync"
 
 
 class FastSynchronousMISNetwork(FastNetworkCore):

@@ -215,11 +215,6 @@ def register_scheduler(
     _REGISTRY.register(kind, (cls, tuple(params)), overwrite=overwrite)
 
 
-def unregister_scheduler(kind: str) -> None:
-    """Remove ``kind`` from the registry (no-op if absent; mainly for tests)."""
-    _REGISTRY.unregister(kind)
-
-
 register_scheduler("fixed", FixedDelayScheduler, ("delay_value",))
 register_scheduler("random", RandomDelayScheduler, ("seed", "min_delay", "max_delay"))
 register_scheduler(

@@ -364,8 +364,10 @@ class Session:
         """A JSON-ready progress summary of the running session.
 
         This is the introspection hook of the service layer
-        (:mod:`repro.service`): cheap enough to answer on every request,
-        carrying only plain values.
+        (:mod:`repro.service`), which adds it to every reply, so it carries
+        only plain values that cost O(1) to read: never the MIS or the
+        output map, whose size grows with n (``mis()`` / ``states()`` serve
+        those on request).
         """
         return {
             "name": self._spec.name,
@@ -375,7 +377,6 @@ class Session:
             "num_changes": self.num_changes,
             "done": self.done,
             "elapsed_s": self._elapsed,
-            "mis_size": len(self.mis()),
             "num_nodes": self.graph.num_nodes(),
         }
 

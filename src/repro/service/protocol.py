@@ -41,8 +41,9 @@ import socket
 from typing import Any, Dict, Optional, Tuple, Union
 
 #: Bump when the request/response shape changes incompatibly; ``ping``
-#: reports it so clients can check before issuing real work.
-PROTOCOL_VERSION = 1
+#: reports it so clients can check before issuing real work.  Version 2
+#: dropped ``mis_size`` from the session status every reply carries.
+PROTOCOL_VERSION = 2
 
 #: Error kinds (see module docstring).
 ERROR_KINDS = (

@@ -144,34 +144,40 @@ def validate_batch(graph, changes) -> None:
     :meth:`~repro.core.engine_api.MISEngine.apply_batch`, so an invalid
     change anywhere in the batch raises :class:`GraphError` while the engine
     is still untouched (atomic failure).  ``graph`` only needs ``has_node`` /
-    ``has_edge``, so both :class:`~repro.graph.dynamic_graph.DynamicGraph`
-    and the fast engine's read view qualify.
+    ``has_edge``, so :class:`~repro.graph.dynamic_graph.DynamicGraph`, the
+    fast engine and its read view all qualify.
 
-    The evolving state is tracked as an overlay: ``presence`` overrides node
-    existence, ``added_edges`` / ``removed_edges`` override edge existence,
-    and any node inserted or deleted within the batch is *touched* -- the
-    base graph's edges stop counting for it (deletion destroyed them; a
-    re-inserted label starts fresh with only its declared neighbors).
+    The evolving state is an overlay keyed by batch position.  ``touched``
+    maps every node inserted or deleted in the batch to the position of its
+    last such change; the base graph stops counting for it (deletion
+    destroyed its edges; a re-inserted label starts fresh with only its
+    declared neighbors).  ``fresh`` maps each node inserted and still
+    present to its declared neighbor set, and ``edge_ops`` maps an edge to
+    the position and outcome of its last edge change.  An edge or neighbor
+    entry only counts while neither endpoint has been touched since it was
+    made, so a deletion never has to rebuild anything.
     """
-    presence: dict = {}
-    touched: set = set()
-    added_edges: set = set()
-    removed_edges: set = set()
+    touched: dict = {}
+    fresh: dict = {}
+    edge_ops: dict = {}
+    has_node = graph.has_node
 
     def node_exists(node: Node) -> bool:
-        return presence[node] if node in presence else graph.has_node(node)
+        return node in fresh if node in touched else has_node(node)
 
     def edge_exists(u: Node, v: Node) -> bool:
-        edge = canonical_edge(u, v)
-        if edge in added_edges:
-            return True
-        if edge in removed_edges:
-            return False
-        if u in touched or v in touched:
-            return False
-        return graph.has_edge(u, v)
+        since_u = touched.get(u, -1)
+        since_v = touched.get(v, -1)
+        op = edge_ops.get(canonical_edge(u, v))
+        if op is not None and op[0] > since_u and op[0] > since_v:
+            return op[1]
+        if since_u > since_v:
+            return v in fresh.get(u, ())
+        if since_v > since_u:
+            return u in fresh.get(v, ())
+        return since_u < 0 and graph.has_edge(u, v)
 
-    for change in changes:
+    for position, change in enumerate(changes):
         if isinstance(change, EdgeInsertion):
             if not node_exists(change.u) or not node_exists(change.v):
                 raise GraphError(f"edge insertion {change} references a missing node")
@@ -179,37 +185,30 @@ def validate_batch(graph, changes) -> None:
                 raise GraphError("edge insertion would create a self loop")
             if edge_exists(change.u, change.v):
                 raise GraphError(f"edge ({change.u!r}, {change.v!r}) already exists")
-            edge = canonical_edge(change.u, change.v)
-            added_edges.add(edge)
-            removed_edges.discard(edge)
+            edge_ops[canonical_edge(change.u, change.v)] = (position, True)
         elif isinstance(change, EdgeDeletion):
             if not edge_exists(change.u, change.v):
                 raise GraphError(f"edge ({change.u!r}, {change.v!r}) does not exist")
-            edge = canonical_edge(change.u, change.v)
-            removed_edges.add(edge)
-            added_edges.discard(edge)
+            edge_ops[canonical_edge(change.u, change.v)] = (position, False)
         elif isinstance(change, (NodeInsertion, NodeUnmuting)):
-            if node_exists(change.node):
-                raise GraphError(f"node {change.node!r} already exists")
-            for other in change.neighbors:
-                if other == change.node:
+            node = change.node
+            if node_exists(node):
+                raise GraphError(f"node {node!r} already exists")
+            for other in change.neighbors:  # once per neighbor edge: node_exists inlined
+                if other == node:
                     raise GraphError("node insertion would create a self loop")
-                if not node_exists(other):
+                if not (other in fresh if other in touched else has_node(other)):
                     raise GraphError(f"insertion neighbor {other!r} does not exist")
-            if len(set(change.neighbors)) != len(change.neighbors):
+            neighbors = set(change.neighbors)
+            if len(neighbors) != len(change.neighbors):
                 raise GraphError("duplicate neighbors in node insertion")
-            presence[change.node] = True
-            touched.add(change.node)
-            for other in change.neighbors:
-                added_edges.add(canonical_edge(change.node, other))
+            touched[node] = position
+            fresh[node] = neighbors
         elif isinstance(change, NodeDeletion):
             if not node_exists(change.node):
                 raise GraphError(f"node {change.node!r} does not exist")
-            presence[change.node] = False
-            touched.add(change.node)
-            added_edges = {
-                edge for edge in added_edges if change.node not in edge
-            }
+            touched[change.node] = position
+            fresh.pop(change.node, None)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown change type: {change!r}")
 

@@ -290,6 +290,54 @@ class TestCheckpointParity:
         )
         assert findings_for(tmp_path, "checkpoint-parity") == []
 
+    STORE_FIXTURE = {
+        "src/repro/core/store.py": """
+        class Store:
+            def _build(self, rows):
+                self._rows = list(rows)
+                self._count = len(self._rows){waiver}
+        """,
+        "src/repro/distributed/mini.py": """
+        from repro.core.store import Store
+
+
+        class MiniNetwork(Store):
+            def __init__(self):
+                self._states = {{}}
+                self._build(())
+
+            def snapshot(self):
+                return {{"states": dict(self._states), "rows": list(self._rows)}}
+
+            def restore(self, snapshot):
+                self._states = dict(snapshot["states"])
+                self._build(snapshot["rows"])
+        """,
+    }
+
+    def store_fixture(self, waiver: str = "") -> dict:
+        return {rel: text.format(waiver=waiver) for rel, text in self.STORE_FIXTURE.items()}
+
+    def test_attribute_a_base_class_build_assigns_is_checked(self, tmp_path):
+        # The subclass's __init__ reaches the base's build method through a
+        # self call; the attribute it assigns there is part of the state.
+        make_project(tmp_path, self.store_fixture())
+        found = findings_for(tmp_path, "checkpoint-parity")
+        assert len(found) == 1
+        assert found[0].symbol == "MiniNetwork._count"
+        assert found[0].path == "src/repro/core/store.py"
+        assert found[0].line == 5
+        assert "never read by snapshot()" in found[0].message
+        assert "never written by restore()" not in found[0].message
+
+    def test_waiver_on_a_base_class_assignment_is_honoured(self, tmp_path):
+        make_project(
+            tmp_path, self.store_fixture("  # repro-lint: transient -- derived from _rows")
+        )
+        report = run_lint(tmp_path, select=["checkpoint-parity"])
+        assert report.findings == []
+        assert report.suppressed == 1
+
     def test_protocol_stubs_are_skipped(self, tmp_path):
         make_project(
             tmp_path,

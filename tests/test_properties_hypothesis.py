@@ -7,9 +7,9 @@ every property is something the paper (or basic graph theory) guarantees for
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamic_mis import DynamicMIS
@@ -17,7 +17,7 @@ from repro.core.engine_api import BATCH_REPORT_FIELDS
 from repro.core.greedy import greedy_mis
 from repro.core.priorities import RandomPriorityAssigner
 from repro.distributed.protocol_direct import DirectMISNetwork
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, GraphError
 from repro.graph.line_graph import LineGraphView, line_graph_of
 from repro.graph.validation import (
     check_graph_consistency,
@@ -30,6 +30,9 @@ from repro.workloads.changes import (
     EdgeInsertion,
     NodeDeletion,
     NodeInsertion,
+    NodeUnmuting,
+    apply_change_to_graph,
+    validate_batch,
 )
 
 # ----------------------------------------------------------------------
@@ -384,3 +387,111 @@ def test_apply_batch_reaches_apply_sequence_states_on_both_engines(script_case):
         maintainer.verify()
         final_states[engine] = sequential
     assert final_states["template"] == final_states["fast"]
+
+
+# ----------------------------------------------------------------------
+# Batch validation against one-at-a-time application
+# ----------------------------------------------------------------------
+@st.composite
+def batches_that_may_fail(draw) -> Tuple[DynamicGraph, List]:
+    """A small graph plus a batch of every change kind, valid or not.
+
+    Labels come from a pool of six that the graph only partly uses.  Most
+    changes are drawn valid for the topology the batch has reached so far,
+    and insertions favor labels the batch deleted, so batches delete a label,
+    re-insert it with new neighbors and go on to use its edges.  Up to two
+    changes per batch are drawn blindly from the pool instead: missing
+    nodes, self loops, duplicate neighbors, existing or absent edges.
+    """
+    graph = draw(graphs(max_nodes=5))
+    pool = list(range(6))
+    working = graph.copy()
+    length = draw(st.integers(min_value=1, max_value=10))
+    blind = draw(st.sets(st.integers(min_value=0, max_value=length - 1), max_size=2))
+    deleted: List[int] = []
+    changed: Set[Tuple[int, int]] = set()
+    changes: List = []
+    for position in range(length):
+        present = sorted(working.nodes())
+        absent = [label for label in pool if not working.has_node(label)]
+        returning = [label for label in deleted if label in absent]
+        missing = [
+            (u, v)
+            for i, u in enumerate(present)
+            for v in present[i + 1 :]
+            if not working.has_edge(u, v)
+        ]
+        valid = position not in blind
+        possible = {
+            "edge_insertion": missing,
+            "edge_deletion": working.num_edges(),
+            "node_insertion": absent,
+            "node_unmuting": absent,
+            "node_deletion": present,
+        }
+        kind = draw(st.sampled_from([kind for kind in possible if possible[kind] or not valid]))
+        if kind in ("edge_insertion", "edge_deletion"):
+            inserting = kind == "edge_insertion"
+            if valid:
+                candidates = missing if inserting else working.edges()
+            else:
+                candidates = [(u, v) for u in pool for v in pool]
+            # Revisiting an edge the batch already changed, across a deletion
+            # and re-insertion of an endpoint, is the case an overlay gets wrong.
+            revisits = [pair for pair in candidates if tuple(sorted(pair)) in changed]
+            u, v = draw(st.sampled_from(revisits if revisits and draw(st.booleans()) else candidates))
+            changed.add(tuple(sorted((u, v))))
+            change = EdgeInsertion(u, v) if inserting else EdgeDeletion(u, v)
+        elif kind == "node_deletion":
+            choices = present if valid else pool
+            ends = [node for node in choices if any(node in pair for pair in changed)]
+            node = draw(st.sampled_from(ends if ends and draw(st.booleans()) else choices))
+            change = NodeDeletion(node, graceful=draw(st.booleans()))
+        else:
+            cls = NodeInsertion if kind == "node_insertion" else NodeUnmuting
+            if valid:
+                node = draw(st.sampled_from(returning or absent))
+                neighbors = draw(st.lists(st.sampled_from(present), unique=True)) if present else []
+            else:
+                node = draw(st.sampled_from(pool))
+                neighbors = draw(st.lists(st.sampled_from(pool), max_size=4))
+            change = cls(node, tuple(neighbors))
+        try:
+            apply_change_to_graph(working, change)
+        except GraphError:
+            pass  # an invalid change leaves the topology as it was
+        else:
+            if isinstance(change, NodeDeletion):
+                deleted.append(change.node)
+        changes.append(change)
+    return graph, changes
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batches_that_may_fail())
+# An edge change, then a deletion of one endpoint: the edge's fate is now
+# decided by what the endpoint is re-inserted with, not by that edge change.
+@example((DynamicGraph(nodes=[0, 1]), [
+    EdgeInsertion(0, 1), NodeDeletion(0), NodeInsertion(0, ()), EdgeInsertion(0, 1),
+]))
+@example((DynamicGraph(nodes=[0, 1], edges=[(0, 1)]), [
+    EdgeDeletion(0, 1), NodeDeletion(1), NodeUnmuting(1, (0,)), EdgeDeletion(0, 1),
+]))
+@example((DynamicGraph(nodes=[0, 1]), [EdgeInsertion(0, 1), NodeDeletion(0), EdgeDeletion(0, 1)]))
+def test_validate_batch_raises_exactly_when_one_at_a_time_application_does(case):
+    """The batch overlay agrees with applying the changes to a copy in turn."""
+    graph, changes = case
+    copy = graph.copy()
+    try:
+        for change in changes:
+            apply_change_to_graph(copy, change)
+        expected = None
+    except GraphError as error:
+        expected = error
+    for target in (graph, DynamicMIS(seed=0, initial_graph=graph, engine="fast").engine):
+        try:
+            validate_batch(target, changes)
+            raised = None
+        except GraphError as error:
+            raised = error
+        assert (raised is None) == (expected is None), (changes, raised, expected)

@@ -722,6 +722,32 @@ class TestObservers:
         assert seen == [0, 1, 2, 3]  # 40 changes / batch_size 10
 
 
+class TestStatus:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            BackendSpec(runner="sequential", engine="fast"),
+            BackendSpec(runner="protocol", protocol="direct", network="fast"),
+        ],
+        ids=["sequential", "protocol"],
+    )
+    def test_status_never_materializes_the_outputs(self, backend, monkeypatch):
+        # The service adds status() to every reply, so it must not pay for an
+        # O(n) read of the MIS or the output map.
+        session = Session(small_spec(backend=backend))
+        _steps(session, 5)
+
+        def boom():
+            raise AssertionError("status() read the whole output")
+
+        monkeypatch.setattr(session._runner, "mis", boom)
+        monkeypatch.setattr(session._runner, "states", boom)
+        status = session.status()
+        assert status["position"] == 5
+        assert status["num_nodes"] == session.graph.num_nodes()
+        json.dumps(status)
+
+
 class TestGrid:
     def test_same_scenario_across_backends(self):
         results = run_scenario_grid(
