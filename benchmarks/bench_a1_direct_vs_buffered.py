@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.priorities import DeterministicPriorityAssigner
-from repro.distributed.protocol_direct import DirectMISNetwork
-from repro.distributed.protocol_mis import BufferedMISNetwork
+from repro.distributed.network_api import create_network
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.workloads.changes import EdgeInsertion
@@ -57,8 +56,8 @@ def run_experiment() -> Dict:
     # Part (a): average-case comparison on random churn.
     graph = erdos_renyi_graph(NUM_NODES, 3.0 / NUM_NODES, seed=1)
     changes = mixed_churn_sequence(graph, CHANGES, seed=2)
-    direct = DirectMISNetwork(seed=3, initial_graph=graph)
-    buffered = BufferedMISNetwork(seed=3, initial_graph=graph)
+    direct = create_network("direct", seed=3, initial_graph=graph)
+    buffered = create_network("buffered", seed=3, initial_graph=graph)
     direct.apply_sequence(changes)
     buffered.apply_sequence(changes)
     average_rows = [
@@ -81,11 +80,15 @@ def run_experiment() -> Dict:
     # Part (b): the worst-case gadget, deterministic order so the wave always fires.
     gadget_rows: List[List] = []
     for path_length in GADGET_LENGTHS:
-        direct_network = DirectMISNetwork(
-            priorities=DeterministicPriorityAssigner(), initial_graph=_gadget_graph(path_length)
+        direct_network = create_network(
+            "direct",
+            priorities=DeterministicPriorityAssigner(),
+            initial_graph=_gadget_graph(path_length),
         )
-        buffered_network = BufferedMISNetwork(
-            priorities=DeterministicPriorityAssigner(), initial_graph=_gadget_graph(path_length)
+        buffered_network = create_network(
+            "buffered",
+            priorities=DeterministicPriorityAssigner(),
+            initial_graph=_gadget_graph(path_length),
         )
         direct_record = direct_network.apply(EdgeInsertion(0, 1))
         buffered_record = buffered_network.apply(EdgeInsertion(0, 1))

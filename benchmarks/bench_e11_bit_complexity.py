@@ -18,7 +18,7 @@ from typing import Dict, List
 
 from repro.analysis.estimators import growth_exponent
 from repro.distributed.message import expected_comparison_bits, state_message_bits
-from repro.distributed.protocol_mis import BufferedMISNetwork
+from repro.distributed.network_api import create_network
 from repro.graph.generators import erdos_renyi_graph
 from repro.workloads.sequences import edge_churn_sequence
 
@@ -34,7 +34,7 @@ def run_experiment() -> Dict:
     comparison_bits_series: List[float] = []
     for num_nodes in NODE_COUNTS:
         graph = erdos_renyi_graph(num_nodes, 4.0 / num_nodes, seed=1)
-        network = BufferedMISNetwork(seed=2, initial_graph=graph)
+        network = create_network("buffered", seed=2, initial_graph=graph)
         records = network.apply_sequence(edge_churn_sequence(graph, CHANGES, seed=3))
         network.verify()
         mean_broadcasts = network.metrics.mean("broadcasts")

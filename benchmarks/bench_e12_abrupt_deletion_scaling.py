@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.estimators import growth_exponent, mean
-from repro.distributed.protocol_mis import BufferedMISNetwork
+from repro.distributed.network_api import create_network
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.workloads.changes import NodeDeletion
@@ -53,7 +53,7 @@ def _hub_graph(hub_degree: int, seed: int) -> DynamicGraph:
 
 def _one_abrupt_deletion(hub_degree: int, seed: int) -> Dict:
     graph = _hub_graph(hub_degree, seed)
-    network = BufferedMISNetwork(seed=seed + 100, initial_graph=graph)
+    network = create_network("buffered", seed=seed + 100, initial_graph=graph)
     hub_in_mis = "hub" in network.mis()
     record = network.apply(NodeDeletion("hub", graceful=False))
     network.verify()
@@ -76,7 +76,9 @@ def run_experiment() -> Dict:
             unconditional.append(outcome["broadcasts"])
 
             graceful_graph = _hub_graph(hub_degree, seed)
-            graceful_network = BufferedMISNetwork(seed=seed + 100, initial_graph=graceful_graph)
+            graceful_network = create_network(
+                "buffered", seed=seed + 100, initial_graph=graceful_graph
+            )
             graceful_record = graceful_network.apply(NodeDeletion("hub", graceful=True))
             graceful_network.verify()
             graceful_broadcasts.append(graceful_record.broadcasts)

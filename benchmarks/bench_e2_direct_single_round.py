@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.distributed.async_network import AsyncDirectMISNetwork
-from repro.distributed.protocol_direct import DirectMISNetwork
+from repro.distributed.network_api import create_network
 from repro.distributed.scheduler import create_scheduler
 from repro.graph.generators import erdos_renyi_graph
 from repro.workloads.sequences import mixed_churn_sequence
@@ -35,13 +34,14 @@ def run_experiment() -> Dict:
         graph = erdos_renyi_graph(NUM_NODES, 3.0 / NUM_NODES, seed=seed)
         changes = mixed_churn_sequence(graph, CHANGES, seed=seed + 10)
 
-        synchronous = DirectMISNetwork(seed=seed + 20, initial_graph=graph)
+        synchronous = create_network("direct", seed=seed + 20, initial_graph=graph)
         for record in synchronous.apply_sequence(changes):
             sync_rounds.append(record.rounds)
             sync_adjustments.append(record.adjustments)
         synchronous.verify()
 
-        asynchronous = AsyncDirectMISNetwork(
+        asynchronous = create_network(
+            "async-direct",
             seed=seed + 20,
             initial_graph=graph,
             scheduler=create_scheduler("random", seed=seed + 30),
@@ -51,7 +51,8 @@ def run_experiment() -> Dict:
             async_adjustments.append(record.adjustments)
         asynchronous.verify()
 
-        adversarial = AsyncDirectMISNetwork(
+        adversarial = create_network(
+            "async-direct",
             seed=seed + 20,
             initial_graph=graph,
             scheduler=create_scheduler("adversarial", seed=seed + 40),

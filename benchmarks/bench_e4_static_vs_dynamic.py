@@ -17,8 +17,7 @@ from typing import Dict, List
 
 from repro.analysis.estimators import growth_exponent
 from repro.baselines.recompute import StaticRecomputeDynamicMIS
-from repro.distributed.protocol_direct import DirectMISNetwork
-from repro.distributed.protocol_mis import BufferedMISNetwork
+from repro.distributed.network_api import create_network
 from repro.graph.generators import erdos_renyi_graph
 from repro.workloads.sequences import edge_churn_sequence
 
@@ -42,9 +41,9 @@ def run_experiment() -> Dict:
         graph = erdos_renyi_graph(num_nodes, 4.0 / num_nodes, seed=1)
         changes = edge_churn_sequence(graph, CHANGES, seed=2)
 
-        ours = BufferedMISNetwork(seed=3, initial_graph=graph)
+        ours = create_network("buffered", seed=3, initial_graph=graph)
         ours.apply_sequence(changes)
-        direct = DirectMISNetwork(seed=3, initial_graph=graph)
+        direct = create_network("direct", seed=3, initial_graph=graph)
         direct.apply_sequence(changes)
         luby = StaticRecomputeDynamicMIS("luby", seed=3, initial_graph=graph)
         luby.apply_sequence(changes)

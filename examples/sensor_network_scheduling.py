@@ -24,7 +24,7 @@ import random
 
 from repro.analysis.reporting import format_table
 from repro.baselines.recompute import StaticRecomputeDynamicMIS
-from repro.distributed.protocol_mis import BufferedMISNetwork
+from repro.distributed.network_api import create_network
 from repro.graph.generators import random_geometric_graph
 from repro.workloads.changes import (
     EdgeDeletion,
@@ -78,7 +78,7 @@ def build_event_stream(network, num_events: int, seed: int):
 
 def main() -> None:
     field = random_geometric_graph(num_nodes=50, radius=0.25, seed=3)
-    network = BufferedMISNetwork(seed=17, initial_graph=field)
+    network = create_network("buffered", seed=17, initial_graph=field)
     print(
         f"sensor field: {field.num_nodes()} sensors, {field.num_edges()} radio links, "
         f"{len(network.mis())} cluster heads initially"

@@ -4,7 +4,7 @@ The :class:`~repro.core.state_api.Checkpointable` contract says a restored
 object is observably identical to the snapshotted one.  The PR 6 resume bug
 (a scheduler field added to ``__init__`` but never captured) is the exact
 failure mode this checker makes structural: for every class that defines
-**both** ``snapshot`` and ``restore`` in its own body, every ``self.*``
+or inherits **both** ``snapshot`` and ``restore``, every ``self.*``
 attribute assigned in the ``__init__`` call closure must be
 
 * *read* somewhere in the ``snapshot()`` call closure, and
@@ -15,21 +15,23 @@ unless its assignment line carries ``# repro-lint: transient -- reason``
 (caches, per-change scratch, observability toggles -- state the snapshot
 contract deliberately excludes).  The finding, and so the waiver, sits at
 the attribute's first assignment in the closure, in whichever file defines
-it -- a base class's build method included.
+it -- a base class's build method included.  Subclasses inherit that
+assignment, so each (file, line, attribute) is reported once, under the
+first class examined.
 
 A closure follows ``self.method()`` calls and ``self.prop`` accesses into
 the methods the class defines or inherits from classes defined in the
 project (bases named in the file or imported with ``from ... import``,
-searched depth-first, left to right; ``super()`` calls are not followed),
-and -- because the simulators delegate to the shared builders in
-:mod:`repro.distributed.state` -- also module-level helper calls that
-receive ``self`` as an argument, resolved through ``from ... import``
-across the project index (bounded depth, cycle-safe).
-Purely dynamic delegation (``getattr``, dict-driven dispatch) is invisible
-to the AST; such attributes take the ``transient`` waiver with a reason.
+searched depth-first, left to right), ``super().method()`` calls into the
+next definition after the calling method's class in that order, and
+module-level helper calls that receive ``self`` as an argument, resolved
+through ``from ... import`` across the project index (bounded depth,
+cycle-safe).  Purely dynamic delegation (``getattr``, dict-driven
+dispatch) is invisible to the AST; such attributes take the ``transient``
+waiver with a reason.
 
-Classes whose ``snapshot`` *and* ``restore`` are both stubs (protocol
-definitions, ABCs raising ``NotImplementedError``) are skipped.
+Classes whose resolved ``snapshot`` *and* ``restore`` are both stubs
+(protocol definitions, ABCs raising ``NotImplementedError``) are skipped.
 """
 
 from __future__ import annotations
@@ -95,25 +97,35 @@ def _resolve_base(
     return None
 
 
-def _inherited_methods(
-    index: ProjectIndex, file: SourceFile, cls: ast.ClassDef
-) -> Dict[str, Method]:
-    """Methods of ``cls`` and its project bases; the first definition wins."""
-    methods: Dict[str, Method] = {}
+#: A class together with the file that defines it.
+ClassRef = Tuple[SourceFile, ast.ClassDef]
+
+
+def _base_order(index: ProjectIndex, file: SourceFile, cls: ast.ClassDef) -> List[ClassRef]:
+    """``cls`` and its project bases, depth-first, left to right, each once."""
+    order: List[ClassRef] = []
     seen: Set[Tuple[str, str]] = set()
 
     def visit(owner_file: SourceFile, owner: ast.ClassDef) -> None:
         if (owner_file.rel, owner.name) in seen:
             return
         seen.add((owner_file.rel, owner.name))
-        for name, fn in _class_methods(owner).items():
-            methods.setdefault(name, (owner_file, fn))
+        order.append((owner_file, owner))
         for base in owner.bases:
             resolved = _resolve_base(index, owner_file, base)
             if resolved is not None:
                 visit(*resolved)
 
     visit(file, cls)
+    return order
+
+
+def _inherited_methods(classes: List[ClassRef]) -> Dict[str, Method]:
+    """Methods of a base order's classes; the first definition wins."""
+    methods: Dict[str, Method] = {}
+    for owner_file, owner in classes:
+        for name, fn in _class_methods(owner).items():
+            methods.setdefault(name, (owner_file, fn))
     return methods
 
 
@@ -134,11 +146,19 @@ class _SelfAccessCollector(ast.NodeVisitor):
         self.self_calls: Dict[str, None] = {}
         #: (helper name, argument position the self object was passed at).
         self.helper_calls: Dict[Tuple[str, int], None] = {}
+        #: ``super().name`` accesses, resolved past the calling method's class.
+        self.super_calls: Dict[str, None] = {}
 
     def _is_self(self, node: ast.AST) -> bool:
         return isinstance(node, ast.Name) and node.id == self.self_name
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "super"
+        ):
+            self.super_calls.setdefault(node.attr)
         if self._is_self(node.value):
             bucket = self.stores if isinstance(node.ctx, ast.Store) else self.loads
             bucket.setdefault(node.attr, node.lineno)
@@ -195,22 +215,37 @@ def _resolve_helper(
     return source_file, helper
 
 
+def _next_definition(
+    classes: List[ClassRef], caller: ast.FunctionDef, name: str
+) -> Optional[Method]:
+    """What ``super().name`` in ``caller`` resolves to, in base order."""
+    owners = [position for position, (_, owner) in enumerate(classes) if caller in owner.body]
+    if not owners:
+        return None
+    for owner_file, owner in classes[owners[0] + 1 :]:
+        fn = _class_methods(owner).get(name)
+        if fn is not None:
+            return owner_file, fn
+    return None
+
+
 def _closure_accesses(
-    index: ProjectIndex, methods: Dict[str, Method], entry: str
+    index: ProjectIndex, classes: List[ClassRef], entry: str
 ) -> Tuple[Set[str], Dict[str, Tuple[SourceFile, int]]]:
     """``self.*`` loads and stores over the call closure rooted at ``entry``.
 
     Stores map each attribute to its first assignment (file, line) in a
     depth-first walk in source order, so the entry's own lines come first.
     """
+    methods = _inherited_methods(classes)
     loads: Set[str] = set()
     stores: Dict[str, Tuple[SourceFile, int]] = {}
-    visited: Set[Tuple[str, str, str]] = set()
+    visited: Set[Tuple[str, int, str]] = set()
 
     def walk_body(
         body_file: SourceFile, fn: ast.FunctionDef, self_name: str, depth: int
     ) -> None:
-        key = (body_file.rel, fn.name, self_name)
+        key = (body_file.rel, fn.lineno, self_name)
         if key in visited or depth > _MAX_DEPTH:
             return
         visited.add(key)
@@ -219,8 +254,9 @@ def _closure_accesses(
         loads.update(collector.loads)
         for attr, line in collector.stores.items():
             stores.setdefault(attr, (body_file, line))
-        for attr in collector.self_calls:
-            resolved = methods.get(attr)
+        resolved_calls = [methods.get(attr) for attr in collector.self_calls]
+        resolved_calls += [_next_definition(classes, fn, attr) for attr in collector.super_calls]
+        for resolved in resolved_calls:
             if resolved is not None and resolved[1].args.args:
                 method_file, method = resolved
                 walk_body(method_file, method, method.args.args[0].arg, depth + 1)
@@ -240,25 +276,26 @@ def _closure_accesses(
 
 def check_checkpoint_parity(index: ProjectIndex) -> Iterator[Finding]:
     """Compare the ``__init__`` closure's state against snapshot/restore."""
+    reported: Set[Tuple[str, int, str]] = set()
     for file in index.iter_files("src/repro/"):
         assert file.tree is not None
         for node in ast.walk(file.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            own = _class_methods(node)
-            snapshot = own.get("snapshot")
-            restore = own.get("restore")
+            classes = _base_order(index, file, node)
+            methods = _inherited_methods(classes)
+            snapshot = methods.get("snapshot")
+            restore = methods.get("restore")
             if snapshot is None or restore is None:
                 continue
-            if _is_stub(snapshot) and _is_stub(restore):
+            if _is_stub(snapshot[1]) and _is_stub(restore[1]):
                 continue  # protocol / ABC definition, not an implementation
-            methods = _inherited_methods(index, file, node)
-            _, attributes = _closure_accesses(index, methods, "__init__")
+            _, attributes = _closure_accesses(index, classes, "__init__")
             if not attributes:
                 continue
-            snapshot_loads, snapshot_stores = _closure_accesses(index, methods, "snapshot")
+            snapshot_loads, snapshot_stores = _closure_accesses(index, classes, "snapshot")
             snapshot_mentions = snapshot_loads | set(snapshot_stores)
-            restore_loads, restore_stores = _closure_accesses(index, methods, "restore")
+            restore_loads, restore_stores = _closure_accesses(index, classes, "restore")
             restore_mentions = restore_loads | set(restore_stores)
             for attr, (assigned_in, line) in attributes.items():
                 missing: List[str] = []
@@ -266,8 +303,9 @@ def check_checkpoint_parity(index: ProjectIndex) -> Iterator[Finding]:
                     missing.append("never read by snapshot()")
                 if attr not in restore_mentions:
                     missing.append("never written by restore()")
-                if not missing:
+                if not missing or (assigned_in.rel, line, attr) in reported:
                     continue
+                reported.add((assigned_in.rel, line, attr))
                 yield Finding(
                     check=CHECK,
                     path=assigned_in.rel,

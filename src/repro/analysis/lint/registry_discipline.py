@@ -20,11 +20,11 @@ themselves* (no hand-maintained list to drift):
   values resolve like factories.
 
 A construction is then flagged unless it happens in the class's defining
-module, the registering module (where the factories live), or a class that
-*is itself a registry front door* -- one whose ``__new__`` (or a base's)
-dispatches through ``resolve_network`` / ``create_network`` -- since calling
-the front door **is** using the registry.  ``tests/`` are outside the lint
-scope by default: tests construct concrete backends on purpose.
+module or the registering module (where the factories live).  A class
+whose constructor dispatches through the registry itself earns no
+exemption: ``create_network`` / ``create_engine`` are the one way to pick
+a backend.  ``tests/`` are outside the lint scope by default: tests
+construct concrete backends on purpose.
 
 Suppress an intentional site (e.g. a simulator's internal default scheduler)
 with ``# repro-lint: registry-discipline -- reason``.
@@ -53,12 +53,6 @@ _REGISTRARS = {
     "register_sink": "create_sink",
     "register_scheduler": "create_scheduler",
 }
-
-#: Calls that mark a class's ``__new__`` as a registry front door.
-_DISPATCH_CALLS = frozenset(
-    {"resolve_network", "create_network", "resolve_engine", "create_engine"}
-)
-
 
 @dataclass(frozen=True)
 class _Backend:
@@ -145,44 +139,11 @@ def _collect_backends(index: ProjectIndex) -> List[_Backend]:
     return list(backends.values())
 
 
-def _front_door_classes(index: ProjectIndex) -> Set[str]:
-    """Classes whose ``__new__`` (own or inherited) dispatches via the registry."""
-    dispatching: Set[str] = set()
-    bases: Dict[str, List[str]] = {}
-    for class_name, entries in index.classes.items():
-        for _, node in entries:
-            bases.setdefault(class_name, []).extend(
-                base.id for base in node.bases if isinstance(base, ast.Name)
-            )
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__new__":
-                    for call in ast.walk(item):
-                        if isinstance(call, ast.Call):
-                            callee = call_name(call)
-                            terminal = callee.rsplit(".", 1)[-1] if callee else None
-                            if terminal in _DISPATCH_CALLS:
-                                dispatching.add(class_name)
-    # Subclasses inherit the dispatching __new__ unless they override it --
-    # an override that drops the dispatch is rare enough to accept the
-    # approximation (it would resurface as a registration-path test failure).
-    grown = True
-    while grown:
-        grown = False
-        for class_name, base_names in bases.items():
-            if class_name not in dispatching and any(
-                base in dispatching for base in base_names
-            ):
-                dispatching.add(class_name)
-                grown = True
-    return dispatching
-
-
 def check_registry_discipline(index: ProjectIndex) -> Iterator[Finding]:
     """Flag direct constructions of registered backend classes."""
     backends = {b.class_name: b for b in _collect_backends(index)}
     if not backends:
         return
-    exempt_classes = _front_door_classes(index)
     for file in index.iter_files():
         assert file.tree is not None
         for node in ast.walk(file.tree):
@@ -193,7 +154,7 @@ def check_registry_discipline(index: ProjectIndex) -> Iterator[Finding]:
                 continue
             terminal = callee.rsplit(".", 1)[-1]
             backend = backends.get(terminal)
-            if backend is None or terminal in exempt_classes:
+            if backend is None:
                 continue
             if file.rel in backend.sanctioned_rels:
                 continue

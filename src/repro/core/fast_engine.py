@@ -121,9 +121,9 @@ class InternedGraph:
         keys = [tuple(assign(label)) for label in labels]
         count = len(labels)
         # id-indexed parallel arrays (grown together by _new_slot).
-        self._labels: List[Optional[Node]] = list(labels)  # id -> label (None = free slot)
+        self._labels: List[Optional[Node]] = list(labels)  # repro-lint: transient -- id -> label (None = free slot), the inverse of _id_of; rebuilt with it
         self._prio: List[float] = [float(key[0]) for key in keys]  # repro-lint: transient -- cache of _keys[nid][0], rebuilt on restore
-        self._keys: List[Optional[Tuple]] = list(keys)  # id -> full priority key
+        self._keys: List[Optional[Tuple]] = list(keys)  # repro-lint: transient -- id -> full priority key, copied from the assigner, whose keys are snapshotted
         self._alive = bytearray(b"\x01") * count  # repro-lint: transient -- id -> 1 iff live; restore rebuilds every snapshot node
         # Label interning.
         self._id_of: Dict[Node, int] = {label: nid for nid, label in enumerate(labels)}
@@ -398,10 +398,10 @@ class FastEngine(InternedGraph, MISEngine):
         count = len(self._labels)
         self._state = bytearray(count)  # id -> 1 iff in MIS
         # Per-change scratch stamps (avoid clearing O(n) state every change).
-        self._snap_stamp: List[int] = [0] * count  # id -> epoch of the old-state snapshot
-        self._snap_state = bytearray(count)  # id -> state at snapshot time
-        self._infl_stamp: List[int] = [0] * count  # id -> epoch when first counted influenced
-        self._epoch = 0
+        self._snap_stamp: List[int] = [0] * count  # repro-lint: transient -- id -> epoch of the old-state snapshot; per-change scratch
+        self._snap_state = bytearray(count)  # repro-lint: transient -- id -> state at the change's start; per-change scratch
+        self._infl_stamp: List[int] = [0] * count  # repro-lint: transient -- id -> epoch when first counted influenced; per-change scratch
+        self._epoch = 0  # repro-lint: transient -- per-change stamp counter; stamps compare only within one change
 
     def _bootstrap(self, graph: DynamicGraph) -> None:
         self._build(graph.nodes(), graph.edges())

@@ -7,8 +7,10 @@ The subpackage contains
 * the per-node runtime state holding exactly the knowledge a node is allowed
   to have -- its own random ID, its neighbors, and the last state/ID it heard
   from each neighbor (:mod:`repro.distributed.node`),
-* the synchronous round-based broadcast simulator and the shared
-  topology-change controller (:mod:`repro.distributed.network`),
+* the surface all six simulators share -- one change dispatch,
+  ``apply_sequence``, ``metrics`` and ``verify`` -- the dict/set state
+  core and the synchronous round-based broadcast simulator
+  (:mod:`repro.distributed.network`),
 * **Algorithm 2**, the constant-broadcast protocol with states M, M-bar, C, R
   (:mod:`repro.distributed.protocol_mis`),
 * the **direct template implementation** of Corollary 6 -- one adjustment and
@@ -17,10 +19,10 @@ The subpackage contains
   adversarial/random message delays (:mod:`repro.distributed.async_network`,
   :mod:`repro.distributed.scheduler`),
 * the id-interned flat-array state core running the same three protocols at
-  protocol-benchmark scale (:mod:`repro.distributed.fast_network`), selected
-  through the network-backend registry
-  (:mod:`repro.distributed.network_api`) or by passing ``network="fast"`` to
-  any simulator constructor.
+  protocol-benchmark scale (:mod:`repro.distributed.fast_network`), and
+* the network-backend registry (:mod:`repro.distributed.network_api`),
+  whose ``create_network(protocol, network=...)`` is the one way to pick a
+  core.
 """
 
 from repro.distributed.message import Message, MessageKind, id_message_bits, state_message_bits

@@ -30,35 +30,22 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.core.greedy import greedy_mis_states
-from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
+from repro.core.priorities import PriorityAssigner
 from repro.core.state_api import EventSequence
-from repro.distributed.metrics import ChangeMetrics, MetricsAggregator
+from repro.distributed.metrics import ChangeMetrics
+from repro.distributed.network import DictNetworkCore
 from repro.distributed.node import NodeRuntime, NodeState
 from repro.distributed.scheduler import DelayScheduler, RandomDelayScheduler
-from repro.distributed.state import (
-    NetworkSnapshot,
-    check_restorable,
-    snapshot_from_runtimes,
-    stable_runtimes,
-)
+from repro.distributed.state import NetworkSnapshot
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.workloads.changes import (
-    EdgeDeletion,
-    EdgeInsertion,
-    NodeDeletion,
-    NodeInsertion,
-    NodeUnmuting,
-    TopologyChange,
-    validate_change,
-)
+from repro.workloads.changes import EdgeDeletion, EdgeInsertion, NodeDeletion
 
 Node = Hashable
 
 
-class AsyncDirectMISNetwork:
+class AsyncDirectMISNetwork(DictNetworkCore):
     """Event-driven dynamic MIS maintainer for the asynchronous model.
 
     Parameters
@@ -77,160 +64,36 @@ class AsyncDirectMISNetwork:
     #: protocol name in the network-backend registry.
     PROTOCOL = "async-direct"
 
-    def __new__(cls, *args, network: str = "dict", **kwargs):
-        """Dispatch through the network-backend registry when ``network != "dict"``.
-
-        ``AsyncDirectMISNetwork(seed=3, network="fast")`` returns the
-        id-interned
-        :class:`~repro.distributed.fast_network.FastAsyncDirectMISNetwork`.
-        """
-        if network != "dict":
-            if "PROTOCOL" not in cls.__dict__:
-                # A subclass inheriting PROTOCOL would silently lose its
-                # overrides to the stock registered twin -- fail loudly.
-                raise TypeError(
-                    f"{cls.__name__} subclasses a registered protocol; register it "
-                    f"as its own network backend and select it by name instead of "
-                    f"network={network!r}"
-                )
-            from repro.distributed.network_api import resolve_network
-
-            return resolve_network(network, cls.PROTOCOL)(*args, **kwargs)
-        return super().__new__(cls)
-
     def __init__(
         self,
         seed: int = 0,
         initial_graph: Optional[DynamicGraph] = None,
         scheduler: Optional[DelayScheduler] = None,
         priorities: Optional[PriorityAssigner] = None,
-        *,
-        network: str = "dict",
     ) -> None:
-        # Keyword-only, mirroring __new__: a positional value here would be
-        # invisible to the dispatch and silently build the dict core.
-        del network  # "dict" by construction; other values dispatched in __new__
-        self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
         if scheduler is None:
             # The simulator's own built-in default delay policy; spec-driven
             # runs pass scheduler= through create_network / create_scheduler.
             scheduler = RandomDelayScheduler(seed + 1)  # repro-lint: registry-discipline -- internal default
         self._scheduler = scheduler
-        self._graph = DynamicGraph()
-        self._runtimes: Dict[Node, NodeRuntime] = {}
-        self._aggregator = MetricsAggregator()
         self._sequence = EventSequence()
-        if initial_graph is not None:
-            self._bootstrap(initial_graph)
+        super().__init__(seed, initial_graph, priorities)
 
     # ------------------------------------------------------------------
-    # Bootstrap and read access
+    # Scheduler state (snapshots record the event-sequence cursor and the
+    # scheduler's RNG stream position, so a resumed simulator draws the
+    # exact same remaining delays for every scheduler kind)
     # ------------------------------------------------------------------
-    def _bootstrap(self, graph: DynamicGraph) -> None:
-        self._graph = graph.copy()
-        keys = {node: self._priorities.assign(node) for node in self._graph.nodes()}
-        self._runtimes = stable_runtimes(
-            self._graph, keys, greedy_mis_states(self._graph, self._priorities)
-        )
+    def _scheduler_cursor(self) -> int:
+        return self._sequence.value
 
-    @property
-    def graph(self) -> DynamicGraph:
-        """The ground-truth topology (do not mutate directly)."""
-        return self._graph
-
-    @property
-    def priorities(self) -> PriorityAssigner:
-        """The order ``pi``."""
-        return self._priorities
-
-    @property
-    def metrics(self) -> MetricsAggregator:
-        """Per-change metrics accumulated so far."""
-        return self._aggregator
-
-    def mis(self) -> Set[Node]:
-        """The current maximal independent set."""
-        return {node for node, runtime in self._runtimes.items() if runtime.in_mis()}
-
-    def states(self) -> Dict[Node, bool]:
-        """Copy of the output map ``node -> in MIS?``."""
-        return {node: runtime.in_mis() for node, runtime in self._runtimes.items()}
-
-    def verify(self, reference_engine: str = "template") -> None:
-        """Assert that the outputs equal the random-greedy MIS of the graph.
-
-        ``reference_engine="fast"`` computes the expected MIS with the
-        array-backed :func:`~repro.core.fast_engine.fast_greedy_mis` instead
-        of the dict-based greedy (same output, cheaper at scale).
-        """
-        from repro.core.fast_engine import reference_mis
-
-        expected = reference_mis(self._graph, self._priorities, reference_engine)
-        actual = self.mis()
-        if expected != actual:
-            raise AssertionError(
-                f"async protocol diverged from random greedy: "
-                f"expected {sorted(expected, key=repr)[:5]}..., "
-                f"got {sorted(actual, key=repr)[:5]}..."
-            )
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (the Checkpointable pair)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> NetworkSnapshot:
-        """Capture the simulator's state between changes.
-
-        Additionally records the event-sequence cursor and the scheduler's
-        resumable state (the RNG stream position for the ``"random"`` kind,
-        ``None`` for the stateless channel-deterministic kinds), so a
-        resumed simulator continues scheduling exactly where this one
-        stopped -- and draws the exact same remaining delays -- for *every*
-        scheduler kind.
-        """
-        return snapshot_from_runtimes(
-            type(self).PROTOCOL,
-            self._graph,
-            self._priorities,
-            self._runtimes,
-            self._aggregator,
-            scheduler_cursor=self._sequence.value,
-            scheduler_state=self._scheduler.getstate(),
-        )
+    def _scheduler_state(self) -> Optional[Tuple]:
+        return self._scheduler.getstate()
 
     def restore(self, snapshot: NetworkSnapshot) -> None:
-        """Reset the simulator to a previously captured :class:`NetworkSnapshot`."""
-        check_restorable(snapshot, type(self).PROTOCOL)
-        keys = {node: tuple(key) for node, key in snapshot.priority_keys.items()}
-        self._priorities.restore_keys(keys)
-        self._graph = DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges)
-        outputs = {node: value == NodeState.M.value for node, value in snapshot.states.items()}
-        self._runtimes = stable_runtimes(self._graph, keys, outputs)
-        self._aggregator = MetricsAggregator(snapshot.metrics.copy())
+        super().restore(snapshot)
         self._sequence = EventSequence(snapshot.scheduler_cursor)
         self._scheduler.setstate(copy.deepcopy(snapshot.scheduler_state))
-
-    # ------------------------------------------------------------------
-    # Topology-change API
-    # ------------------------------------------------------------------
-    def apply(self, change: TopologyChange) -> ChangeMetrics:
-        """Apply one topology change and run the event loop to quiescence."""
-        validate_change(self._graph, change)
-        if isinstance(change, EdgeInsertion):
-            metrics = self._apply_edge_insertion(change)
-        elif isinstance(change, EdgeDeletion):
-            metrics = self._apply_edge_deletion(change)
-        elif isinstance(change, (NodeInsertion, NodeUnmuting)):
-            metrics = self._apply_node_insertion(change)
-        elif isinstance(change, NodeDeletion):
-            metrics = self._apply_node_deletion(change)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown change type: {change!r}")
-        self._aggregator.add(metrics)
-        return metrics
-
-    def apply_sequence(self, changes: Iterable[TopologyChange]) -> List[ChangeMetrics]:
-        """Apply a whole change sequence."""
-        return [self.apply(change) for change in changes]
 
     # ------------------------------------------------------------------
     # Change handlers (model-level notifications include IDs)
@@ -298,6 +161,10 @@ class AsyncDirectMISNetwork:
         self._run_events(seeds, metrics)
         self._finalize(metrics, before, removed=node)
         return metrics
+
+    #: Unmuting is an insertion here: the model already tells both sides
+    #: each other's IDs and states.
+    _apply_node_unmuting = _apply_node_insertion
 
     # ------------------------------------------------------------------
     # Event loop
@@ -370,15 +237,3 @@ class AsyncDirectMISNetwork:
         runtime_v.add_neighbor(u)
         runtime_u.learn_neighbor(v, runtime_v.key, runtime_v.state)
         runtime_v.learn_neighbor(u, runtime_u.key, runtime_u.state)
-
-    def _finalize(
-        self, metrics: ChangeMetrics, before: Dict[Node, bool], removed: Optional[Node] = None
-    ) -> None:
-        after = self.states()
-        adjusted = {
-            node for node, now in after.items() if before.get(node, False) != now
-        }
-        if removed is not None:
-            adjusted.discard(removed)
-        metrics.adjusted_nodes = adjusted
-        metrics.adjustments = len(adjusted)

@@ -36,10 +36,12 @@ the same seed.  That claim is machine-checked by
 ``tests/conformance/test_protocol_differential.py``; the speedup is measured
 by ``benchmarks/bench_a5_distributed.py``.
 
-Select a backend through the network registry
-(:mod:`repro.distributed.network_api`) or simply pass ``network="fast"`` to
-any of the dict simulator classes -- their constructors dispatch through the
-registry, so existing call sites pick the fast core up with zero edits.
+Both cores share the :class:`~repro.distributed.network.NetworkSimulator`
+surface (the change dispatch, ``apply_sequence``, ``metrics`` and
+``verify``).  Select a core through the network registry:
+``create_network(protocol, network="fast")``
+(:mod:`repro.distributed.network_api`), or a spec's or the CLI's
+``network`` option, which call it.
 """
 
 from __future__ import annotations
@@ -48,13 +50,18 @@ import heapq
 from array import array
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.fast_engine import InternedGraph, reference_mis
+from repro.core.fast_engine import InternedGraph
 from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
 from repro.core.state_api import EventSequence
 from repro.distributed.message import MessageKind, id_message_bits, state_message_bits
 from repro.distributed.metrics import ChangeMetrics, MetricsAggregator
 from repro.distributed.async_network import AsyncDirectMISNetwork
-from repro.distributed.network import ProtocolError, RoundRecord, SynchronousMISNetwork
+from repro.distributed.network import (
+    NetworkSimulator,
+    ProtocolError,
+    RoundRecord,
+    SynchronousMISNetwork,
+)
 from repro.distributed.node import CODE_TO_STATE, NodeRuntime, NodeState
 from repro.distributed.scheduler import DelayScheduler, RandomDelayScheduler
 from repro.distributed.state import (
@@ -69,8 +76,6 @@ from repro.workloads.changes import (
     NodeDeletion,
     NodeInsertion,
     NodeUnmuting,
-    TopologyChange,
-    validate_change,
 )
 
 Node = Hashable
@@ -92,7 +97,7 @@ _STATE_VALUES = tuple(state.value for state in CODE_TO_STATE)
 FastMessage = Tuple[int, int, int, bool]
 
 
-class FastNetworkCore(InternedGraph):
+class FastNetworkCore(InternedGraph, NetworkSimulator):
     """Interned storage shared by the synchronous and asynchronous fast simulators.
 
     On top of the :class:`~repro.core.fast_engine.InternedGraph` store
@@ -310,11 +315,6 @@ class FastNetworkCore(InternedGraph):
     # ------------------------------------------------------------------
     # Read access (the store's read API is inherited)
     # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsAggregator:
-        """Per-change metrics accumulated so far."""
-        return self._aggregator
-
     def mis(self) -> Set[Node]:
         """The current maximal independent set (outputs of all nodes)."""
         state = self._state
@@ -355,41 +355,21 @@ class FastNetworkCore(InternedGraph):
         return runtime
 
     def verify(self, reference_engine: str = "fast") -> None:
-        """Assert that the outputs equal the random-greedy MIS of the graph.
+        """The shared ``verify``, by default against the array-backed ``"fast"``
+        engine: this core exists for networks where the dict recompute is slow."""
+        super().verify(reference_engine)
 
-        Identical contract to the dict simulators' ``verify``; the default
-        reference is the array-backed ``"fast"`` engine because this core
-        exists for networks where the dict recompute is the bottleneck.  Any
-        registered engine backend name is accepted.
-        """
-        expected = reference_mis(self.graph, self._priorities, reference_engine)
-        actual = self.mis()
-        if expected != actual:
-            missing = expected - actual
-            extra = actual - expected
-            raise AssertionError(
-                f"protocol output diverged from random greedy: "
-                f"missing={sorted(missing, key=repr)[:5]}, extra={sorted(extra, key=repr)[:5]}"
-            )
-        transient = [
-            self._labels[nid]
+    def _mid_repair_nodes(self) -> List[Node]:
+        state, retiring, labels = self._state, self._retiring, self._labels
+        return [
+            labels[nid]
             for nid in sorted(self._id_of.values())
-            if self._state[nid] > CODE_M_BAR
+            if state[nid] > CODE_M_BAR or retiring[nid]
         ]
-        if transient:
-            raise AssertionError(f"nodes left in transient states: {transient[:5]}")
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the Checkpointable pair)
     # ------------------------------------------------------------------
-    def _scheduler_cursor(self) -> int:
-        """Event-sequence position recorded in snapshots (0 for synchronous cores)."""
-        return 0
-
-    def _scheduler_state(self) -> Optional[Tuple]:
-        """Resumable scheduler state recorded in snapshots (``None`` if stateless)."""
-        return None
-
     def snapshot(self) -> NetworkSnapshot:
         """Capture the simulator's state between changes.
 
@@ -398,20 +378,19 @@ class FastNetworkCore(InternedGraph):
         network backend running the same protocol, including the dict/set
         simulators.
         """
-        protocol = getattr(type(self), "PROTOCOL", None)
+        protocol = type(self).PROTOCOL
         if protocol is None:
             raise NetworkStateError(
                 "this simulator class declares no PROTOCOL name; only concrete "
                 "registered protocols can snapshot"
             )
-        state, labels = self._state, self._labels
-        for nid in sorted(self._id_of.values()):
-            if state[nid] > CODE_M_BAR or self._retiring[nid]:
-                raise NetworkStateError(
-                    f"node {labels[nid]!r} is mid-repair; snapshots are only "
-                    "valid between changes"
-                )
-        keys = self._keys
+        mid_repair = self._mid_repair_nodes()
+        if mid_repair:
+            raise NetworkStateError(
+                f"nodes {mid_repair[:5]} are mid-repair; snapshots are only valid "
+                "between changes"
+            )
+        state, keys = self._state, self._keys
         return NetworkSnapshot(
             protocol=protocol,
             nodes=tuple(self._id_of),
@@ -433,7 +412,7 @@ class FastNetworkCore(InternedGraph):
         restored too, a resumed run is observably identical to an
         uninterrupted one.
         """
-        check_restorable(snapshot, getattr(type(self), "PROTOCOL", None))
+        check_restorable(snapshot, type(self).PROTOCOL)
         self._priorities.restore_keys(
             {node: tuple(key) for node, key in snapshot.priority_keys.items()}
         )
@@ -486,10 +465,10 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         initial_graph: Optional[DynamicGraph] = None,
         priorities: Optional[PriorityAssigner] = None,
     ) -> None:
-        self._round_logging = False
-        self._last_round_log: List[RoundRecord] = []
-        self._introduced: Set[int] = set()
-        self._transient: Set[int] = set()
+        self._round_logging = False  # repro-lint: transient -- observability toggle, not protocol state
+        self._last_round_log: List[RoundRecord] = []  # repro-lint: transient -- observability scratch
+        self._introduced: Set[int] = set()  # repro-lint: transient -- per-change discovery scratch, reset by _begin_change
+        self._transient: Set[int] = set()  # repro-lint: transient -- ids in C or R mid-repair; empty between changes
         super().__init__(seed=seed, initial_graph=initial_graph, priorities=priorities)
 
     # ------------------------------------------------------------------
@@ -507,36 +486,15 @@ class FastSynchronousMISNetwork(FastNetworkCore):
 
     def restore(self, snapshot: NetworkSnapshot) -> None:
         super().restore(snapshot)
-        self._introduced = set()
         self._transient = set()
         self._last_round_log = []
 
-    # ------------------------------------------------------------------
-    # Topology-change API
-    # ------------------------------------------------------------------
-    def apply(self, change: TopologyChange) -> ChangeMetrics:
-        """Apply one topology change, run the protocol to stability, return metrics."""
-        validate_change(self.graph, change)
-        self._begin_change()
+    def _begin_change(self) -> None:
+        # The core's epoch bump, with this simulator's discovery reset folded
+        # in: no super() call on the per-change path.
+        self._epoch += 1
+        self._touched = []
         self._introduced = set()
-        if isinstance(change, EdgeInsertion):
-            metrics = self._apply_edge_insertion(change)
-        elif isinstance(change, EdgeDeletion):
-            metrics = self._apply_edge_deletion(change)
-        elif isinstance(change, NodeInsertion):
-            metrics = self._apply_node_insertion(change)
-        elif isinstance(change, NodeUnmuting):
-            metrics = self._apply_node_unmuting(change)
-        elif isinstance(change, NodeDeletion):
-            metrics = self._apply_node_deletion(change)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown change type: {change!r}")
-        self._aggregator.add(metrics)
-        return metrics
-
-    def apply_sequence(self, changes: Iterable[TopologyChange]) -> List[ChangeMetrics]:
-        """Apply a whole change sequence, returning one metrics record per change."""
-        return [self.apply(change) for change in changes]
 
     # ------------------------------------------------------------------
     # Change handlers (mirror the dict controller step for step)
@@ -780,7 +738,7 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         return self._seed_violation(nid, metrics)
 
     def _handle_inbox(
-        self, nid: int, inbox: Sequence[FastMessage], round_no: int
+        self, nid: int, inbox: Sequence[FastMessage]
     ) -> Tuple[List[FastMessage], bool, bool]:
         """Shared inbox processing: update knowledge, handle introductions.
 
@@ -789,7 +747,6 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         trigger is evaluated against the keys known *after* the whole inbox
         was absorbed, exactly like the dict protocol's two-pass handling.
         """
-        del round_no
         outgoing: List[FastMessage] = []
         learned_new_key = False
         row = self._adj[nid]
@@ -877,7 +834,7 @@ class FastBufferedMISNetwork(FastSynchronousMISNetwork):
     def _node_step(
         self, nid: int, inbox: Sequence[FastMessage], round_no: int
     ) -> Tuple[List[FastMessage], bool]:
-        outgoing, learned_new_key, c_trigger = self._handle_inbox(nid, inbox, round_no)
+        outgoing, learned_new_key, c_trigger = self._handle_inbox(nid, inbox)
         changed = False
         state_code = self._state[nid]
 
@@ -946,7 +903,7 @@ class FastDirectMISNetwork(FastSynchronousMISNetwork):
     def _node_step(
         self, nid: int, inbox: Sequence[FastMessage], round_no: int
     ) -> Tuple[List[FastMessage], bool]:
-        outgoing, learned_new_key, _ = self._handle_inbox(nid, inbox, round_no)
+        outgoing, learned_new_key, _ = self._handle_inbox(nid, inbox)
         changed = False
         if (inbox or learned_new_key) and self._knows_all_neighbor_keys(nid):
             if self._retiring[nid]:
@@ -1015,30 +972,6 @@ class FastAsyncDirectMISNetwork(FastNetworkCore):
         self._scheduler.setstate(snapshot.scheduler_state)
 
     # ------------------------------------------------------------------
-    # Topology-change API
-    # ------------------------------------------------------------------
-    def apply(self, change: TopologyChange) -> ChangeMetrics:
-        """Apply one topology change and run the event loop to quiescence."""
-        validate_change(self.graph, change)
-        self._begin_change()
-        if isinstance(change, EdgeInsertion):
-            metrics = self._apply_edge_insertion(change)
-        elif isinstance(change, EdgeDeletion):
-            metrics = self._apply_edge_deletion(change)
-        elif isinstance(change, (NodeInsertion, NodeUnmuting)):
-            metrics = self._apply_node_insertion(change)
-        elif isinstance(change, NodeDeletion):
-            metrics = self._apply_node_deletion(change)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown change type: {change!r}")
-        self._aggregator.add(metrics)
-        return metrics
-
-    def apply_sequence(self, changes: Iterable[TopologyChange]) -> List[ChangeMetrics]:
-        """Apply a whole change sequence."""
-        return [self.apply(change) for change in changes]
-
-    # ------------------------------------------------------------------
     # Change handlers (model-level notifications include IDs)
     # ------------------------------------------------------------------
     def _connect(self, iu: int, iv: int) -> None:
@@ -1080,6 +1013,10 @@ class FastAsyncDirectMISNetwork(FastNetworkCore):
         self._run_events(seeds, metrics)
         self._finalize(metrics)
         return metrics
+
+    #: Unmuting is an insertion here: the model already tells both sides
+    #: each other's IDs and states.
+    _apply_node_unmuting = _apply_node_insertion
 
     def _apply_node_deletion(self, change: NodeDeletion) -> ChangeMetrics:
         metrics = ChangeMetrics("node_deletion")

@@ -1,19 +1,28 @@
-"""Synchronous broadcast simulator and shared topology-change controller.
+"""The simulator surface, the dict/set state core and the synchronous simulator.
 
-:class:`SynchronousMISNetwork` implements everything that is common to the
-two dynamic MIS protocols:
+Every distributed simulator -- three protocols on two state cores -- shares
+one surface, :class:`NetworkSimulator`: the topology-change entry point
+(validate, dispatch to the five change handlers, aggregate the metrics),
+``apply_sequence``, ``metrics`` and ``verify``.  The paper runs every change
+through one model-level controller (Sections 2, 4.1 and 4.2); its protocols
+differ only in the per-node rules, and so do the simulators.
 
-* the ground-truth topology and the random order ``pi`` (realized by random
-  IDs handed out on node arrival),
-* one :class:`~repro.distributed.node.NodeRuntime` per node holding the
-  node's *local* knowledge,
+:class:`DictNetworkCore` is the paper-shaped state core: one
+:class:`~repro.distributed.node.NodeRuntime` per node holding the node's
+*local* knowledge, the ground-truth topology and the random order ``pi``
+(realized by random IDs handed out on node arrival), with the read API,
+bootstrap, snapshot and restore.  The id-interned twin is
+:class:`~repro.distributed.fast_network.FastNetworkCore`.
+
+:class:`SynchronousMISNetwork` adds, on the dict core,
+
 * the synchronous round loop -- a message broadcast in round ``t`` is
   received by all current neighbors of the sender and processed in round
   ``t + 1``; a round with no message in flight, no state change and no node
   in a transient state is stable,
-* the topology-change controller implementing the model-level notifications
-  and discovery phases of Sections 2, 4.1 and 4.2 (who gets told what when an
-  edge/node appears or disappears, and who must broadcast its random ID), and
+* the topology-change handlers implementing the model-level notifications
+  and discovery phases (who gets told what when an edge/node appears or
+  disappears, and who must broadcast its random ID), and
 * the per-change metric collection (adjustments, rounds, broadcasts, bits).
 
 The two concrete protocols plug into the three hooks
@@ -21,24 +30,22 @@ The two concrete protocols plug into the three hooks
 :meth:`SynchronousMISNetwork._seed_violation` (what ``v*`` does when it
 detects that the MIS invariant broke) and
 :meth:`SynchronousMISNetwork._seed_retirement` (what a gracefully deleted MIS
-node does).
+node does).  Select a protocol and a core through
+:func:`repro.distributed.network_api.create_network`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+import copy
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.core.fast_engine import reference_mis
 from repro.core.greedy import greedy_mis_states
 from repro.core.priorities import PriorityAssigner, RandomPriorityAssigner
 from repro.distributed.message import Message, MessageKind, MessageKind as _Kind
 from repro.distributed.metrics import ChangeMetrics, MetricsAggregator
 from repro.distributed.node import NodeRuntime, NodeState
-from repro.distributed.state import (
-    NetworkSnapshot,
-    check_restorable,
-    snapshot_from_runtimes,
-    stable_runtimes,
-)
+from repro.distributed.state import NetworkSnapshot, NetworkStateError, check_restorable
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.workloads.changes import (
     EdgeDeletion,
@@ -80,208 +87,32 @@ class RoundRecord:
         )
 
 
-class SynchronousMISNetwork:
-    """Base class: simulator + controller for dynamic distributed MIS protocols.
+class NetworkSimulator:
+    """The surface every distributed simulator shares, whatever its core.
 
-    Parameters
-    ----------
-    seed:
-        Seed of the random IDs (ignored when ``priorities`` is given).
-    initial_graph:
-        Optional starting topology.  As in the paper, the system starts from a
-        stable configuration: the initial MIS is installed directly (it could
-        equivalently be computed by any static algorithm) and every node knows
-        its neighbors' IDs and states.
-    priorities:
-        Custom priority assigner (e.g. the deterministic one for baselines).
+    Each state core (:class:`DictNetworkCore`,
+    :class:`~repro.distributed.fast_network.FastNetworkCore`) provides the
+    read API (``graph``, ``priorities``, ``mis``, ``states``,
+    ``node_runtime``), ``snapshot`` / ``restore`` and the
+    :meth:`_mid_repair_nodes` hook; each execution model (synchronous
+    rounds, asynchronous events) one ``_apply_<kind>`` handler per change
+    kind; and a concrete protocol sets :attr:`PROTOCOL`.
     """
 
-    #: multiplicative safety cap on the number of rounds per change.
-    ROUND_CAP_FACTOR = 6
-    #: additive safety cap on the number of rounds per change.
-    ROUND_CAP_SLACK = 30
     #: protocol name in the network-backend registry (set by concrete protocols).
     PROTOCOL: Optional[str] = None
 
-    def __new__(cls, *args, network: str = "dict", **kwargs):
-        """Dispatch through the network-backend registry when ``network != "dict"``.
-
-        ``BufferedMISNetwork(seed=3, network="fast")`` returns the
-        id-interned :class:`~repro.distributed.fast_network.FastBufferedMISNetwork`
-        (and likewise for the direct protocol), so existing call sites select
-        a state core with zero edits.  See
-        :mod:`repro.distributed.network_api`.
-        """
-        if network != "dict":
-            if cls.PROTOCOL is None:
-                raise TypeError(
-                    f"{cls.__name__} is not a concrete protocol; select a backend "
-                    f"via repro.distributed.network_api.create_network instead"
-                )
-            if "PROTOCOL" not in cls.__dict__:
-                # A subclass inheriting PROTOCOL would silently lose its
-                # overrides to the stock registered twin -- fail loudly.
-                raise TypeError(
-                    f"{cls.__name__} subclasses a registered protocol; register it "
-                    f"as its own network backend and select it by name instead of "
-                    f"network={network!r}"
-                )
-            from repro.distributed.network_api import resolve_network
-
-            return resolve_network(network, cls.PROTOCOL)(*args, **kwargs)
-        return super().__new__(cls)
-
-    def __init__(
-        self,
-        seed: int = 0,
-        initial_graph: Optional[DynamicGraph] = None,
-        priorities: Optional[PriorityAssigner] = None,
-        *,
-        network: str = "dict",
-    ) -> None:
-        # Keyword-only, mirroring __new__: a positional value here would be
-        # invisible to the dispatch and silently build the dict core.
-        del network  # "dict" by construction; other values dispatched in __new__
-        self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
-        self._graph = DynamicGraph()
-        self._runtimes: Dict[Node, NodeRuntime] = {}
-        self._aggregator = MetricsAggregator()
-        self._introduced: Set[Node] = set()  # repro-lint: transient -- bootstrap bookkeeping; restore re-interns
-        self._round_logging = False  # repro-lint: transient -- observability toggle, not protocol state
-        self._last_round_log: List[RoundRecord] = []  # repro-lint: transient -- observability scratch
-        if initial_graph is not None:
-            self._bootstrap(initial_graph)
-
-    # ------------------------------------------------------------------
-    # Bootstrap and read access
-    # ------------------------------------------------------------------
-    def _bootstrap(self, graph: DynamicGraph) -> None:
-        self._graph = graph.copy()
-        keys = {node: self._priorities.assign(node) for node in self._graph.nodes()}
-        self._runtimes = stable_runtimes(
-            self._graph, keys, greedy_mis_states(self._graph, self._priorities)
-        )
-
-    @property
-    def graph(self) -> DynamicGraph:
-        """The ground-truth topology (do not mutate directly)."""
-        return self._graph
-
-    @property
-    def priorities(self) -> PriorityAssigner:
-        """The order ``pi``."""
-        return self._priorities
+    _aggregator: MetricsAggregator
 
     @property
     def metrics(self) -> MetricsAggregator:
         """Per-change metrics accumulated so far."""
         return self._aggregator
 
-    def mis(self) -> Set[Node]:
-        """The current maximal independent set (outputs of all nodes)."""
-        return {node for node, runtime in self._runtimes.items() if runtime.in_mis()}
-
-    def states(self) -> Dict[Node, bool]:
-        """Copy of the output map ``node -> in MIS?``."""
-        return {node: runtime.in_mis() for node, runtime in self._runtimes.items()}
-
-    def node_runtime(self, node: Node) -> NodeRuntime:
-        """The runtime record of ``node`` (primarily for tests)."""
-        return self._runtimes[node]
-
-    def enable_round_logging(self, enabled: bool = True) -> None:
-        """Turn per-round observability records on or off (off by default)."""
-        self._round_logging = enabled
-        if not enabled:
-            self._last_round_log = []
-
-    def last_change_trace(self) -> List[RoundRecord]:
-        """Round-by-round records of the most recent change (requires logging)."""
-        return list(self._last_round_log)
-
-    def verify(self, reference_engine: str = "template") -> None:
-        """Assert that the outputs equal the random-greedy MIS of the graph.
-
-        This is a stronger check than "the output is some MIS": it verifies
-        that the protocol faithfully simulates the sequential random greedy
-        algorithm under the same random IDs, which is what gives history
-        independence.
-
-        Parameters
-        ----------
-        reference_engine:
-            Which reference computes the expected MIS: ``"template"`` uses
-            the dict-based :func:`~repro.core.greedy.greedy_mis`, ``"fast"``
-            the array-backed :func:`~repro.core.fast_engine.fast_greedy_mis`
-            (same output, much cheaper on large networks).
-        """
-        expected = self._reference_mis(reference_engine)
-        actual = self.mis()
-        if expected != actual:
-            missing = expected - actual
-            extra = actual - expected
-            raise AssertionError(
-                f"protocol output diverged from random greedy: "
-                f"missing={sorted(missing, key=repr)[:5]}, "
-                f"extra={sorted(extra, key=repr)[:5]}"
-            )
-        transient = [
-            node for node, runtime in self._runtimes.items() if not runtime.state.is_output
-        ]
-        if transient:
-            raise AssertionError(f"nodes left in transient states: {transient[:5]}")
-
-    def _reference_mis(self, reference_engine: str) -> Set[Node]:
-        """Expected MIS from the selected sequential reference backend."""
-        from repro.core.fast_engine import reference_mis
-
-        return reference_mis(self._graph, self._priorities, reference_engine)
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (the Checkpointable pair)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> NetworkSnapshot:
-        """Capture the simulator's state between changes.
-
-        The snapshot is label-keyed (see
-        :class:`~repro.distributed.state.NetworkSnapshot`), so it restores
-        into *any* registered network backend running the same protocol --
-        including the id-interned fast core.
-        """
-        return snapshot_from_runtimes(
-            type(self).PROTOCOL,
-            self._graph,
-            self._priorities,
-            self._runtimes,
-            self._aggregator,
-        )
-
-    def restore(self, snapshot: NetworkSnapshot) -> None:
-        """Reset the simulator to a previously captured :class:`NetworkSnapshot`.
-
-        After ``restore(snap)`` the topology, node states, priority keys and
-        accumulated metrics equal those at ``snapshot()`` time, and every
-        node knows each neighbor's key and current state, as at bootstrap;
-        applying the identical remaining workload then reproduces an
-        uninterrupted run change for change.
-        """
-        check_restorable(snapshot, type(self).PROTOCOL)
-        keys = {node: tuple(key) for node, key in snapshot.priority_keys.items()}
-        self._priorities.restore_keys(keys)
-        self._graph = DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges)
-        outputs = {node: value == NodeState.M.value for node, value in snapshot.states.items()}
-        self._runtimes = stable_runtimes(self._graph, keys, outputs)
-        self._aggregator = MetricsAggregator(snapshot.metrics.copy())
-        self._introduced = set()
-        self._last_round_log = []
-
-    # ------------------------------------------------------------------
-    # Topology-change API
-    # ------------------------------------------------------------------
     def apply(self, change: TopologyChange) -> ChangeMetrics:
-        """Apply one topology change, run the protocol to stability, return metrics."""
-        validate_change(self._graph, change)
-        self._introduced = set()
+        """Apply one topology change, run the protocol to quiescence, return metrics."""
+        validate_change(self.graph, change)
+        self._begin_change()
         if isinstance(change, EdgeInsertion):
             metrics = self._apply_edge_insertion(change)
         elif isinstance(change, EdgeDeletion):
@@ -301,6 +132,258 @@ class SynchronousMISNetwork:
         """Apply a whole change sequence, returning one metrics record per change."""
         return [self.apply(change) for change in changes]
 
+    def verify(self, reference_engine: str = "template") -> None:
+        """Assert that the outputs equal the random-greedy MIS of the graph.
+
+        This is a stronger check than "the output is some MIS": it verifies
+        that the protocol faithfully simulates the sequential random greedy
+        algorithm under the same random IDs, which is what gives history
+        independence.  It also asserts that no node is left mid-repair.
+
+        Parameters
+        ----------
+        reference_engine:
+            Which reference computes the expected MIS: ``"template"`` uses
+            the dict-based :func:`~repro.core.greedy.greedy_mis`, ``"fast"``
+            the array-backed :func:`~repro.core.fast_engine.fast_greedy_mis`
+            (same output, much cheaper on large networks); any registered
+            engine backend name is accepted.
+        """
+        expected = reference_mis(self.graph, self.priorities, reference_engine)
+        actual = self.mis()
+        if expected != actual:
+            missing = expected - actual
+            extra = actual - expected
+            raise AssertionError(
+                f"protocol output diverged from random greedy: "
+                f"missing={sorted(missing, key=repr)[:5]}, "
+                f"extra={sorted(extra, key=repr)[:5]}"
+            )
+        mid_repair = self._mid_repair_nodes()
+        if mid_repair:
+            raise AssertionError(f"nodes left mid-repair: {mid_repair[:5]}")
+
+    def _begin_change(self) -> None:
+        """Reset per-change scratch before a change's handler runs."""
+
+    def _mid_repair_nodes(self) -> List[Node]:
+        """Nodes in a transient protocol state or retiring (none between changes)."""
+        raise NotImplementedError
+
+    def _scheduler_cursor(self) -> int:
+        """Event-sequence position recorded in snapshots (0 for synchronous simulators)."""
+        return 0
+
+    def _scheduler_state(self) -> Optional[Tuple]:
+        """Resumable scheduler state recorded in snapshots (``None`` if stateless)."""
+        return None
+
+
+class DictNetworkCore(NetworkSimulator):
+    """Dict/set state core of the synchronous and asynchronous simulators.
+
+    Parameters
+    ----------
+    seed:
+        Seed of the random IDs (ignored when ``priorities`` is given).
+    initial_graph:
+        Optional starting topology.  As in the paper, the system starts from a
+        stable configuration: the initial MIS is installed directly (it could
+        equivalently be computed by any static algorithm) and every node knows
+        its neighbors' IDs and states.
+    priorities:
+        Custom priority assigner (e.g. the deterministic one for baselines).
+    """
+
+    def __init__(
+        self,
+        seed: int = 0,
+        initial_graph: Optional[DynamicGraph] = None,
+        priorities: Optional[PriorityAssigner] = None,
+    ) -> None:
+        self._priorities = priorities if priorities is not None else RandomPriorityAssigner(seed)
+        self._graph = DynamicGraph()
+        self._runtimes: Dict[Node, NodeRuntime] = {}
+        self._aggregator = MetricsAggregator()
+        if initial_graph is not None:
+            self._bootstrap(initial_graph)
+
+    # ------------------------------------------------------------------
+    # Bootstrap and restore
+    # ------------------------------------------------------------------
+    def _bootstrap(self, graph: DynamicGraph) -> None:
+        # A copy of the caller's graph keeps its neighbor iteration order,
+        # which the asynchronous random scheduler's delay stream follows.
+        graph = graph.copy()
+        keys = {node: self._priorities.assign(node) for node in graph.nodes()}
+        self._install(graph, keys, greedy_mis_states(graph, self._priorities))
+
+    def _install(
+        self, graph: DynamicGraph, keys: Mapping[Node, Tuple], outputs: Mapping[Node, bool]
+    ) -> None:
+        """Install a stable configuration of ``graph``: the one build path.
+
+        Node ``v`` gets key ``keys[v]``, state ``M`` iff ``outputs[v]``, and
+        knows every neighbor's key and current state -- the configuration
+        bootstrap installs from the greedy MIS and restore from a snapshot's
+        states, and the one each change's repair ends in.
+        """
+        runtimes = {
+            node: NodeRuntime(
+                node_id=node,
+                key=keys[node],
+                state=NodeState.M if outputs[node] else NodeState.M_BAR,
+                neighbors=set(graph.neighbors(node)),
+            )
+            for node in graph.nodes()
+        }
+        for node in graph.nodes():
+            runtime = runtimes[node]
+            for other in runtime.neighbors:
+                runtime.learn_neighbor(other, runtimes[other].key, runtimes[other].state)
+        self._graph = graph
+        self._runtimes = runtimes
+
+    # ------------------------------------------------------------------
+    # Read access
+    # ------------------------------------------------------------------
+    @property
+    def graph(self) -> DynamicGraph:
+        """The ground-truth topology (do not mutate directly)."""
+        return self._graph
+
+    @property
+    def priorities(self) -> PriorityAssigner:
+        """The order ``pi``."""
+        return self._priorities
+
+    def mis(self) -> Set[Node]:
+        """The current maximal independent set (outputs of all nodes)."""
+        return {node for node, runtime in self._runtimes.items() if runtime.in_mis()}
+
+    def states(self) -> Dict[Node, bool]:
+        """Copy of the output map ``node -> in MIS?``."""
+        return {node: runtime.in_mis() for node, runtime in self._runtimes.items()}
+
+    def node_runtime(self, node: Node) -> NodeRuntime:
+        """The live runtime record of ``node`` (primarily for tests)."""
+        return self._runtimes[node]
+
+    def _mid_repair_nodes(self) -> List[Node]:
+        return [
+            node
+            for node, runtime in self._runtimes.items()
+            if not runtime.state.is_output or runtime.retiring
+        ]
+
+    # ------------------------------------------------------------------
+    # Snapshot / restore (the Checkpointable pair)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> NetworkSnapshot:
+        """Capture the simulator's state between changes.
+
+        The snapshot is label-keyed (see
+        :class:`~repro.distributed.state.NetworkSnapshot`), so it restores
+        into *any* registered network backend running the same protocol --
+        including the id-interned fast core.  The asynchronous simulator's
+        event-sequence cursor and scheduler state ride along, so a resumed
+        run draws the exact same remaining delays.
+        """
+        protocol = type(self).PROTOCOL
+        if protocol is None:
+            raise NetworkStateError(
+                "this simulator class declares no PROTOCOL name; only concrete "
+                "registered protocols can snapshot"
+            )
+        mid_repair = self._mid_repair_nodes()
+        if mid_repair:
+            raise NetworkStateError(
+                f"nodes {mid_repair[:5]} are mid-repair; snapshots are only valid "
+                "between changes"
+            )
+        runtimes = self._runtimes
+        return NetworkSnapshot(
+            protocol=protocol,
+            nodes=tuple(self._graph.nodes()),
+            edges=tuple(self._graph.edges()),
+            states={node: runtime.state.value for node, runtime in runtimes.items()},
+            priority_keys={node: tuple(self._priorities.key(node)) for node in runtimes},
+            scheduler_cursor=self._scheduler_cursor(),
+            metrics=self._aggregator.totals.copy(),
+            scheduler_state=copy.deepcopy(self._scheduler_state()),
+        )
+
+    def restore(self, snapshot: NetworkSnapshot) -> None:
+        """Reset the simulator to a previously captured :class:`NetworkSnapshot`.
+
+        After ``restore(snap)`` the topology, node states, priority keys and
+        accumulated metrics equal those at ``snapshot()`` time, and every
+        node knows each neighbor's key and current state, as at bootstrap;
+        applying the identical remaining workload then reproduces an
+        uninterrupted run change for change.
+        """
+        check_restorable(snapshot, type(self).PROTOCOL)
+        keys = {node: tuple(key) for node, key in snapshot.priority_keys.items()}
+        self._priorities.restore_keys(keys)
+        outputs = {node: value == NodeState.M.value for node, value in snapshot.states.items()}
+        self._install(DynamicGraph(nodes=snapshot.nodes, edges=snapshot.edges), keys, outputs)
+        self._aggregator = MetricsAggregator(snapshot.metrics.copy())
+
+    # ------------------------------------------------------------------
+    # Adjustment accounting
+    # ------------------------------------------------------------------
+    def _finalize(
+        self, metrics: ChangeMetrics, before: Dict[Node, bool], removed: Optional[Node] = None
+    ) -> None:
+        """Compute the adjustment complexity of the change just processed."""
+        adjusted = {node for node, now in self.states().items() if before.get(node, False) != now}
+        if removed is not None:
+            adjusted.discard(removed)
+        metrics.adjusted_nodes = adjusted
+        metrics.adjustments = len(adjusted)
+
+
+class SynchronousMISNetwork(DictNetworkCore):
+    """Base class: synchronous round loop and change handlers on the dict core.
+
+    Takes the :class:`DictNetworkCore` parameters; the concrete protocols
+    are :class:`~repro.distributed.protocol_mis.BufferedMISNetwork` and
+    :class:`~repro.distributed.protocol_direct.DirectMISNetwork`.
+    """
+
+    #: multiplicative safety cap on the number of rounds per change.
+    ROUND_CAP_FACTOR = 6
+    #: additive safety cap on the number of rounds per change.
+    ROUND_CAP_SLACK = 30
+
+    def __init__(
+        self,
+        seed: int = 0,
+        initial_graph: Optional[DynamicGraph] = None,
+        priorities: Optional[PriorityAssigner] = None,
+    ) -> None:
+        self._introduced: Set[Node] = set()  # repro-lint: transient -- per-change discovery scratch, reset by _begin_change
+        self._round_logging = False  # repro-lint: transient -- observability toggle, not protocol state
+        self._last_round_log: List[RoundRecord] = []  # repro-lint: transient -- observability scratch
+        super().__init__(seed, initial_graph, priorities)
+
+    def _begin_change(self) -> None:
+        self._introduced = set()
+
+    def restore(self, snapshot: NetworkSnapshot) -> None:
+        super().restore(snapshot)
+        self._last_round_log = []
+
+    def enable_round_logging(self, enabled: bool = True) -> None:
+        """Turn per-round observability records on or off (off by default)."""
+        self._round_logging = enabled
+        if not enabled:
+            self._last_round_log = []
+
+    def last_change_trace(self) -> List[RoundRecord]:
+        """Round-by-round records of the most recent change (requires logging)."""
+        return list(self._last_round_log)
+
     # ------------------------------------------------------------------
     # Change handlers
     # ------------------------------------------------------------------
@@ -318,7 +401,7 @@ class SynchronousMISNetwork:
             self._id_broadcast(v, round_sent=1),
         ]
         self._introduced.update((u, v))
-        self._run_until_stable(metrics, seeds, dirty=set())
+        self._run_until_stable(metrics, seeds)
         self._finalize(metrics, before)
         return metrics
 
@@ -334,7 +417,7 @@ class SynchronousMISNetwork:
         later = u if self._priorities.earlier(v, u) else v
         seeds: List[Message] = []
         seeds.extend(self._maybe_seed_violation(self._runtimes[later], metrics))
-        self._run_until_stable(metrics, seeds, dirty=set())
+        self._run_until_stable(metrics, seeds)
         self._finalize(metrics, before)
         return metrics
 
@@ -361,7 +444,7 @@ class SynchronousMISNetwork:
         self._introduced.add(node)
         if not change.neighbors:
             seeds.extend(self._maybe_seed_violation(runtime, metrics))
-        self._run_until_stable(metrics, seeds, dirty=set())
+        self._run_until_stable(metrics, seeds)
         self._finalize(metrics, before)
         return metrics
 
@@ -387,7 +470,7 @@ class SynchronousMISNetwork:
         seeds = [self._id_broadcast(node, round_sent=1, requests_introduction=False)]
         self._introduced.add(node)
         seeds.extend(self._maybe_seed_violation(runtime, metrics))
-        self._run_until_stable(metrics, seeds, dirty=set())
+        self._run_until_stable(metrics, seeds)
         self._finalize(metrics, before)
         return metrics
 
@@ -403,12 +486,12 @@ class SynchronousMISNetwork:
             # forced to non-MIS, and only then retires.
             runtime.retiring = True
             seeds = self._seed_retirement(runtime, metrics)
-            self._run_until_stable(metrics, seeds, dirty=set())
+            self._run_until_stable(metrics, seeds)
             self._detach_node(node)
         elif change.graceful:
             # A non-MIS node retires silently: no neighbor's invariant changes.
             self._detach_node(node)
-            self._run_until_stable(metrics, [], dirty=set())
+            self._run_until_stable(metrics, [])
         else:
             # Abrupt deletion: neighbors merely observe that the node is gone.
             former_neighbors = set(self._graph.neighbors(node))
@@ -420,7 +503,7 @@ class SynchronousMISNetwork:
                 # deleted node) switches to C in the first round.
                 for other in sorted(former_neighbors, key=self._priorities.key):
                     seeds.extend(self._maybe_seed_violation(self._runtimes[other], metrics))
-            self._run_until_stable(metrics, seeds, dirty=set())
+            self._run_until_stable(metrics, seeds)
         self._finalize(metrics, before, removed=node)
         return metrics
 
@@ -448,17 +531,12 @@ class SynchronousMISNetwork:
     # ------------------------------------------------------------------
     # Simulator core
     # ------------------------------------------------------------------
-    def _run_until_stable(
-        self, metrics: ChangeMetrics, seed_messages: List[Message], dirty: Set[Node]
-    ) -> None:
+    def _run_until_stable(self, metrics: ChangeMetrics, seed_messages: List[Message]) -> None:
         """Run synchronous rounds until the system is stable again.
 
         ``seed_messages`` are the broadcasts issued in round 1 by the change
-        handler (discovery and violation seeds); ``dirty`` is unused by the
-        buffered protocol and lets the direct protocol force re-evaluations
-        without a message (kept for symmetry; currently seeds cover it).
+        handler (discovery and violation seeds).
         """
-        del dirty
         self._last_round_log = []
         pending = list(seed_messages)
         if pending:
@@ -574,21 +652,6 @@ class SynchronousMISNetwork:
         self._graph.remove_node(node)
         self._runtimes.pop(node, None)
         self._priorities.forget(node)
-
-    def _finalize(
-        self, metrics: ChangeMetrics, before: Dict[Node, bool], removed: Optional[Node] = None
-    ) -> None:
-        """Compute the adjustment complexity of the change just processed."""
-        after = self.states()
-        adjusted: Set[Node] = set()
-        for node, now_in_mis in after.items():
-            previously = before.get(node, False)
-            if previously != now_in_mis:
-                adjusted.add(node)
-        if removed is not None:
-            adjusted.discard(removed)
-        metrics.adjusted_nodes = adjusted
-        metrics.adjustments = len(adjusted)
 
     def _handle_inbox(
         self, runtime: NodeRuntime, inbox: List[Message], round_no: int

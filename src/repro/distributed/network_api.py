@@ -17,11 +17,9 @@ registry (:mod:`repro.core.engine_api`):
 * :func:`register_network` registers a backend name with one factory per
   protocol; third-party cores plug in without touching any simulator module;
 * :func:`create_network` builds a simulator from ``(protocol, network)``;
-* the simulator classes' constructors dispatch through
-  :func:`resolve_network` when called with ``network="..."``, so existing
-  call sites (CLI, benchmarks, tests) select a core with zero edits:
-  ``BufferedMISNetwork(seed=3, network="fast")`` returns the array-backed
-  twin.
+  it is the one way to pick a core -- scenario specs, the CLI, the service
+  layer and the benchmarks all call it, and the simulator constructors take
+  no ``network`` keyword.
 
 ``NETWORK_NAMES`` is a live view of the registered backend names, used by
 the CLI for its ``--network`` choices.
@@ -76,9 +74,11 @@ def register_network(
     :data:`PROTOCOL_NAMES`) to simulator factories.  A factory must accept
     the keyword arguments ``seed``, ``initial_graph`` and ``priorities``
     (plus ``scheduler`` for ``"async-direct"``) and return a ready simulator
-    exposing the shared surface: ``apply`` / ``apply_sequence``, ``mis`` /
-    ``states``, ``metrics``, ``graph``, ``priorities`` and
-    ``verify(reference_engine=...)``.  Backends that additionally implement
+    exposing the surface of
+    :class:`~repro.distributed.network.NetworkSimulator`, which every
+    built-in subclasses: ``apply`` / ``apply_sequence``, ``metrics``,
+    ``verify(reference_engine=...)``, ``graph``, ``priorities``, ``mis`` /
+    ``states`` and ``node_runtime``.  Backends that additionally implement
     the label-keyed ``snapshot()`` / ``restore()`` pair of
     :mod:`repro.distributed.state` (all built-ins do) gain session
     checkpointing and cross-backend resume for free

@@ -36,9 +36,9 @@ class DirectMISNetwork(SynchronousMISNetwork):
     >>> metrics = network.apply(NodeDeletion(0, graceful=False))
     >>> network.verify()
 
-    Passing ``network="fast"`` to the constructor returns the id-interned
-    array-backed twin
-    (:class:`~repro.distributed.fast_network.FastDirectMISNetwork`).
+    The id-interned array-backed twin is
+    :class:`~repro.distributed.fast_network.FastDirectMISNetwork`; pick
+    either with ``create_network("direct", network=...)``.
     """
 
     PROTOCOL = "direct"

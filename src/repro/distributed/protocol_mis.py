@@ -20,7 +20,7 @@ types except abrupt node deletions (O(min(log n, d(v*)))) and node insertions
 (O(d(v*)) for the ID discovery).
 
 The change detection and discovery phases (Sections 4.1 and 4.2) are
-implemented by the shared controller in
+implemented by the change handlers of
 :class:`repro.distributed.network.SynchronousMISNetwork`; this module only
 adds the per-round state machine and the two seeding reactions.
 """
@@ -49,10 +49,10 @@ class BufferedMISNetwork(SynchronousMISNetwork):
     >>> metrics.broadcasts <= 3 * network.graph.num_nodes()
     True
 
-    Passing ``network="fast"`` to the constructor returns the id-interned
-    array-backed twin
-    (:class:`~repro.distributed.fast_network.FastBufferedMISNetwork`), which
-    is observably identical at a fraction of the per-change cost.
+    The id-interned array-backed twin,
+    :class:`~repro.distributed.fast_network.FastBufferedMISNetwork`, is
+    observably identical at a fraction of the per-change cost; pick either
+    with ``create_network("buffered", network=...)``.
     """
 
     PROTOCOL = "buffered"

@@ -25,22 +25,20 @@ flight, transient protocol states or retiring relays at snapshot time: the
 simulators' ``snapshot()`` refuses mid-repair states, and
 :func:`check_restorable` refuses transient or torn snapshots.
 
-This module also hosts the dict/set simulators' halves of the pair:
-:func:`snapshot_from_runtimes` and :func:`stable_runtimes`, the one build
-path of their bootstrap and restore.  The fast core implements the same pair
-over its interned arrays in :mod:`repro.distributed.fast_network`.
+Each state core implements the ``snapshot()`` / ``restore()`` pair once:
+:class:`~repro.distributed.network.DictNetworkCore` over its node runtimes,
+:class:`~repro.distributed.fast_network.FastNetworkCore` over its interned
+arrays.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.state_api import Totals
-from repro.distributed.metrics import METRIC_COUNTERS, MetricsAggregator
-from repro.distributed.node import NodeRuntime, NodeState
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.distributed.metrics import METRIC_COUNTERS
+from repro.distributed.node import NodeState
 
 Node = Hashable
 
@@ -160,65 +158,3 @@ def check_restorable(snapshot: NetworkSnapshot, protocol: Optional[str]) -> None
             f"torn snapshot: edges {stray[:5]} have an endpoint outside the snapshot nodes"
         )
     check_quiescent(snapshot)
-
-
-# ----------------------------------------------------------------------
-# Shared plumbing of the dict/set simulators
-# ----------------------------------------------------------------------
-def stable_runtimes(
-    graph: DynamicGraph, keys: Mapping[Node, Tuple], outputs: Mapping[Node, bool]
-) -> Dict[Node, NodeRuntime]:
-    """The runtimes of a stable configuration of ``graph``.
-
-    Node ``v`` gets key ``keys[v]``, state ``M`` iff ``outputs[v]``, and
-    knows every neighbor's key and current state -- the configuration the
-    dict simulators install at bootstrap (from the greedy MIS) and at
-    restore (from a snapshot's states).
-    """
-    runtimes = {
-        node: NodeRuntime(
-            node_id=node,
-            key=keys[node],
-            state=NodeState.M if outputs[node] else NodeState.M_BAR,
-            neighbors=set(graph.neighbors(node)),
-        )
-        for node in graph.nodes()
-    }
-    for node in graph.nodes():
-        runtime = runtimes[node]
-        for other in runtime.neighbors:
-            runtime.learn_neighbor(other, runtimes[other].key, runtimes[other].state)
-    return runtimes
-
-
-def snapshot_from_runtimes(
-    protocol: Optional[str],
-    graph: DynamicGraph,
-    priorities,
-    runtimes: Dict[Node, NodeRuntime],
-    metrics: MetricsAggregator,
-    scheduler_cursor: int = 0,
-    scheduler_state: Optional[Tuple] = None,
-) -> NetworkSnapshot:
-    """Build a :class:`NetworkSnapshot` from a dict simulator's live state."""
-    if protocol is None:
-        raise NetworkStateError(
-            "this simulator class declares no PROTOCOL name; only concrete "
-            "registered protocols can snapshot"
-        )
-    for node, runtime in runtimes.items():
-        if not runtime.state.is_output or runtime.retiring:
-            raise NetworkStateError(
-                f"node {node!r} is mid-repair (state {runtime.state.value}); "
-                "snapshots are only valid between changes"
-            )
-    return NetworkSnapshot(
-        protocol=protocol,
-        nodes=tuple(graph.nodes()),
-        edges=tuple(graph.edges()),
-        states={node: runtime.state.value for node, runtime in runtimes.items()},
-        priority_keys={node: tuple(priorities.key(node)) for node in runtimes},
-        scheduler_cursor=scheduler_cursor,
-        metrics=metrics.totals.copy(),
-        scheduler_state=copy.deepcopy(scheduler_state),
-    )

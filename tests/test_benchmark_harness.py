@@ -5,17 +5,22 @@ benchmarks' entry into the declarative scenario API) and the ``emit_json`` overw
 logging -- result files record the performance trajectory in git, so
 overwriting one must report the previous values (on stderr -- stdout is for
 machine output) instead of silently dropping them (the exact values
-``report.py`` would have diffed against).
+``report.py`` would have diffed against).  It also checks that an
+experiment's measured quantities do not depend on the interpreter's string
+hash seed.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-HARNESS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "harness.py"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+HARNESS_PATH = REPO_ROOT / "benchmarks" / "harness.py"
 
 spec = importlib.util.spec_from_file_location("benchmark_harness", HARNESS_PATH)
 harness = importlib.util.module_from_spec(spec)
@@ -109,3 +114,23 @@ class TestRunScenario:
         _, fast_session = harness.run_scenario_session(scenario.with_backend(engine="fast"))
         assert template_session.changes == fast_session.changes
         assert template_session.states() == fast_session.states()
+
+
+class TestReproducibleExperiments:
+    def test_e3_results_do_not_depend_on_the_string_hash_seed(self):
+        """str hashes are salted per interpreter; E3's workloads must not follow them."""
+        entries = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(str(entry) for entry in entries if entry)
+        script = "import bench_e3_constant_broadcasts as e3; print(repr(e3.run_experiment()))"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]

@@ -91,6 +91,18 @@ class TestCommands:
         assert "mean broadcasts" in output
         assert "ALL" in output
 
+    @pytest.mark.parametrize("protocol", ["buffered", "direct"])
+    def test_protocol_tables_are_identical_on_both_network_cores(self, protocol, capsys):
+        # Not for --protocol async: its default random-delay scheduler draws
+        # in neighbor iteration order, which the two cores do not share.
+        tables = []
+        for network in ("dict", "fast"):
+            argv = ["protocol", "--protocol", protocol, "--network", network]
+            assert main(argv + ["--nodes", "40", "--changes", "60", "--seed", "5"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert "mean broadcasts" in tables[0]
+        assert tables[0] == tables[1]
+
     def test_protocol_with_recompute_comparison(self, capsys):
         exit_code = main(
             [

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed import (
-    AsyncDirectMISNetwork,
-    BufferedMISNetwork,
-    DirectMISNetwork,
-    FastAsyncDirectMISNetwork,
-    FastBufferedMISNetwork,
-    FastDirectMISNetwork,
-)
+from repro.distributed import BufferedMISNetwork, FastBufferedMISNetwork
 from repro.distributed.network_api import (
     NETWORK_NAMES,
     UnknownNetworkError,
@@ -94,69 +87,12 @@ def test_third_backend_passes_protocol_differential() -> None:
 
 
 # ----------------------------------------------------------------------
-# The network= constructor selector (zero call-site edits)
+# Selecting a core through the registry
 # ----------------------------------------------------------------------
-def test_network_selector_dispatches_to_fast_twins() -> None:
-    graph = erdos_renyi_graph(12, 0.3, seed=4)
-    assert type(BufferedMISNetwork(seed=1, initial_graph=graph, network="fast")) is (
-        FastBufferedMISNetwork
-    )
-    assert type(DirectMISNetwork(seed=1, initial_graph=graph, network="fast")) is (
-        FastDirectMISNetwork
-    )
-    assert type(AsyncDirectMISNetwork(seed=1, initial_graph=graph, network="fast")) is (
-        FastAsyncDirectMISNetwork
-    )
-    # The default stays the dict implementation.
-    assert type(BufferedMISNetwork(seed=1, initial_graph=graph)) is BufferedMISNetwork
-    assert type(
-        BufferedMISNetwork(seed=1, initial_graph=graph, network="dict")
-    ) is BufferedMISNetwork
-
-
-def test_network_selector_rejects_unknown_backend() -> None:
-    with pytest.raises(UnknownNetworkError):
-        BufferedMISNetwork(seed=0, network="no-such-core")
-
-
-def test_network_selector_works_with_positional_arguments() -> None:
-    """Existing call sites pass seed/graph positionally; dispatch must survive that."""
-    graph = star_graph(5)
-    assert type(BufferedMISNetwork(3, graph, network="fast")) is FastBufferedMISNetwork
-    assert type(AsyncDirectMISNetwork(3, graph, network="fast")) is FastAsyncDirectMISNetwork
-
-
-def test_network_selector_rejects_protocol_subclasses() -> None:
-    """A subclass's overrides would be silently dropped by the dispatch, so
-    the selector only works on the registered protocol classes themselves."""
-
-    class TweakedBuffered(BufferedMISNetwork):
-        pass
-
-    assert type(TweakedBuffered(seed=0)) is TweakedBuffered
-    with pytest.raises(TypeError, match="register it"):
-        TweakedBuffered(seed=0, network="fast")
-
-    class TweakedAsync(AsyncDirectMISNetwork):
-        pass
-
-    with pytest.raises(TypeError, match="register it"):
-        TweakedAsync(seed=0, network="fast")
-
-
-def test_network_selector_is_keyword_only() -> None:
-    """A positional value in network's slot must fail loudly, never silently
-    bind past the dispatch and hand back the dict core."""
-    with pytest.raises(TypeError):
-        BufferedMISNetwork(0, None, None, "fast")
-    with pytest.raises(TypeError):
-        AsyncDirectMISNetwork(0, None, None, None, "fast")
-
-
 def test_fast_selector_matches_dict_outputs() -> None:
     graph = erdos_renyi_graph(20, 0.2, seed=3)
-    dict_network = BufferedMISNetwork(seed=9, initial_graph=graph)
-    fast_network = BufferedMISNetwork(seed=9, initial_graph=graph, network="fast")
+    dict_network = create_network("buffered", seed=9, initial_graph=graph)
+    fast_network = create_network("buffered", network="fast", seed=9, initial_graph=graph)
     assert dict_network.states() == fast_network.states()
     edge = dict_network.graph.edges()[0]
     dict_network.apply(EdgeDeletion(*edge))

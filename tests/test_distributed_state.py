@@ -17,7 +17,10 @@ import random
 import pytest
 
 from repro.core.state_api import Checkpointable, EventSequence
-from repro.distributed.network_api import create_network
+from repro.distributed.fast_network import FastNetworkCore
+from repro.distributed.network import NetworkSimulator
+from repro.distributed.network_api import PROTOCOL_NAMES, create_network
+from repro.distributed.node import NodeState
 from repro.distributed.scheduler import (
     AdversarialDelayScheduler,
     UnknownSchedulerError,
@@ -54,17 +57,11 @@ def _simulator(protocol: str, network: str):
     return create_network(protocol, network=network, **kwargs)
 
 
-def _runtime(simulator, node):
-    """A node's runtime record; the async dict core has no ``node_runtime``."""
-    reader = getattr(simulator, "node_runtime", None)
-    return reader(node) if reader is not None else simulator._runtimes[node]
-
-
 def _learned(simulator):
     """Every node's learned neighbor keys and states."""
     learned = {}
     for node in simulator.graph.nodes():
-        runtime = _runtime(simulator, node)
+        runtime = simulator.node_runtime(node)
         learned[node] = (runtime.neighbor_keys, runtime.neighbor_states)
     return learned
 
@@ -74,7 +71,7 @@ def _assert_stable(simulator) -> None:
     if hasattr(simulator, "check_interning_invariants"):
         simulator.check_interning_invariants(expect_stable=True)
         return
-    runtimes = {node: _runtime(simulator, node) for node in simulator.graph.nodes()}
+    runtimes = {node: simulator.node_runtime(node) for node in simulator.graph.nodes()}
     for node, runtime in runtimes.items():
         assert runtime.neighbors == set(simulator.graph.neighbors(node)), node
         keys = {other: runtimes[other].key for other in runtime.neighbors}
@@ -261,6 +258,40 @@ class TestRestoreGuards:
         assert other.states() == simulator.states()
         assert sorted(other.graph.edges()) == sorted(simulator.graph.edges())
         other.check_interning_invariants()
+
+
+def _leave_mid_repair(simulator, node, how: str) -> None:
+    """Put ``node`` in state C, or make it a retiring relay, as mid-repair."""
+    if isinstance(simulator, FastNetworkCore):
+        nid = simulator._id_of[node]
+        if how == "transient":
+            simulator._state[nid] = NodeState.C.code
+        else:
+            simulator._retiring[nid] = 1
+    elif how == "transient":
+        simulator.node_runtime(node).state = NodeState.C
+    else:
+        simulator.node_runtime(node).retiring = True
+
+
+class TestOneSurface:
+    @pytest.mark.parametrize("how", ["transient", "retiring"])
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    @pytest.mark.parametrize("network", ["dict", "fast"])
+    def test_mid_repair_node_fails_verify_and_snapshot(self, network, protocol, how):
+        simulator = _simulator(protocol, network)
+        assert isinstance(simulator, NetworkSimulator)
+        # A non-MIS victim leaves the outputs intact: only the mid-repair
+        # check can fire.
+        victim = sorted(set(simulator.graph.nodes()) - simulator.mis(), key=repr)[0]
+        assert simulator.node_runtime(victim).node_id == victim
+        simulator.verify()
+        simulator.snapshot()
+        _leave_mid_repair(simulator, victim, how)
+        with pytest.raises(AssertionError, match="mid-repair"):
+            simulator.verify()
+        with pytest.raises(NetworkStateError, match="mid-repair"):
+            simulator.snapshot()
 
 
 class TestEventSequence:

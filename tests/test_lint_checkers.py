@@ -338,6 +338,68 @@ class TestCheckpointParity:
         assert report.findings == []
         assert report.suppressed == 1
 
+    def test_subclass_inheriting_the_pair_is_checked_once_per_assignment(self, tmp_path):
+        # Neither subclass defines snapshot() or restore(); both inherit the
+        # base's pair, so the attribute the first one's __init__ adds is
+        # state the pair never covers -- reported once, not once per class.
+        make_project(
+            tmp_path,
+            {
+                "src/repro/distributed/mini.py": """
+                class MiniCore:
+                    def __init__(self):
+                        self._states = {}
+
+                    def snapshot(self):
+                        return dict(self._states)
+
+                    def restore(self, snapshot):
+                        self._states = dict(snapshot)
+
+
+                class MiniAsync(MiniCore):
+                    def __init__(self):
+                        self._cursor = 0
+                        super().__init__()
+
+
+                class MiniAsyncTweak(MiniAsync):
+                    pass
+                """
+            },
+        )
+        found = findings_for(tmp_path, "checkpoint-parity")
+        assert len(found) == 1
+        assert found[0].symbol == "MiniAsync._cursor"
+        assert found[0].line == 15
+        assert "never read by snapshot() and never written by restore()" in found[0].message
+
+    def test_super_init_is_part_of_the_init_closure(self, tmp_path):
+        make_project(
+            tmp_path,
+            {
+                "src/repro/distributed/mini.py": """
+                class Rows:
+                    def __init__(self):
+                        self._rows = []
+
+
+                class MiniNetwork(Rows):
+                    def __init__(self):
+                        super().__init__()
+                        self._states = {}
+
+                    def snapshot(self):
+                        return dict(self._states)
+
+                    def restore(self, snapshot):
+                        self._states = dict(snapshot)
+                """
+            },
+        )
+        found = findings_for(tmp_path, "checkpoint-parity")
+        assert [finding.symbol for finding in found] == ["MiniNetwork._rows"]
+
     def test_protocol_stubs_are_skipped(self, tmp_path):
         make_project(
             tmp_path,
@@ -439,7 +501,9 @@ class TestRegistryDiscipline:
         assert found[0].path == "examples/use.py"
         assert "create_engine" in found[0].message
 
-    def test_registry_front_door_classes_are_exempt(self, tmp_path):
+    def test_constructor_dispatch_earns_no_exemption(self, tmp_path):
+        # create_network is the one way to pick a backend: a class whose
+        # __new__ dispatches through the registry is still a backend class.
         make_project(
             tmp_path,
             {
@@ -469,7 +533,12 @@ class TestRegistryDiscipline:
                 """,
             },
         )
-        assert findings_for(tmp_path, "registry-discipline") == []
+        found = findings_for(tmp_path, "registry-discipline")
+        assert [(finding.path, finding.line) for finding in found] == [
+            ("examples/use.py", 4),
+            ("examples/use.py", 5),
+        ]
+        assert all("create_network" in finding.message for finding in found)
 
 
 class TestWireProtocol:
