@@ -72,19 +72,6 @@ KINDS = (
     "node_unmuting",
 )
 
-#: Per-kind workload stream offsets, fixed because str hashes are salted per
-#: interpreter: ``hash(kind)`` would draw different workloads on every run.
-#: They are the values of ``hash(kind) % 1000`` under PYTHONHASHSEED=1,
-#: distinct for the six kinds.
-KIND_OFFSETS = {
-    "edge_insertion": 866,
-    "edge_deletion": 349,
-    "graceful_node_deletion": 423,
-    "abrupt_node_deletion": 863,
-    "node_insertion": 446,
-    "node_unmuting": 31,
-}
-
 PAPER_CLAIMS = {
     "edge_insertion": "O(1) broadcasts",
     "edge_deletion": "O(1) broadcasts",
@@ -100,10 +87,11 @@ def run_experiment() -> Dict:
         kind: {"rounds": [], "broadcasts": [], "adjustments": [], "degree": []} for kind in KINDS
     }
     for seed in SEEDS:
-        for kind in KINDS:
+        for position, kind in enumerate(KINDS):
             graph = erdos_renyi_graph(NUM_NODES, 3.0 / NUM_NODES, seed=seed)
             network = create_network("buffered", seed=seed + 5, initial_graph=graph)
-            rng = random.Random(seed + KIND_OFFSETS[kind])
+            # A fixed per-kind stream: str hashes are salted per interpreter.
+            rng = random.Random(seed + 1000 * position)
             for _ in range(OPERATIONS_PER_TYPE):
                 changes = _workload(network, rng, kind)
                 if not changes:

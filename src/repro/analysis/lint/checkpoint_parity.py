@@ -11,24 +11,30 @@ attribute assigned in the ``__init__`` call closure must be
 * *mentioned* (written, or read for in-place restoration) in the
   ``restore()`` call closure,
 
-unless its assignment line carries ``# repro-lint: transient -- reason``
-(caches, per-change scratch, observability toggles -- state the snapshot
-contract deliberately excludes).  The finding, and so the waiver, sits at
-the attribute's first assignment in the closure, in whichever file defines
-it -- a base class's build method included.  Subclasses inherit that
-assignment, so each (file, line, attribute) is reported once, under the
-first class examined.
+unless the line its finding sits on carries ``# repro-lint: transient --
+reason`` (caches, per-change scratch, observability toggles -- state the
+snapshot contract deliberately excludes).  The finding, and so the waiver,
+sits at the attribute's first assignment in the closure, in whichever file
+defines it -- a base class's build method included.  Subclasses inherit
+that assignment, so each (file, line, attribute) is reported once, under
+the first class examined.  A class that inherits the assignment can
+declare the attribute bare in its own body (``_keys: List[Tuple]``); its
+finding then sits at that declaration, so a waiver there covers that class
+and its subclasses, not the other classes sharing the assignment.
 
 A closure follows ``self.method()`` calls and ``self.prop`` accesses into
 the methods the class defines or inherits from classes defined in the
 project (bases named in the file or imported with ``from ... import``,
 searched depth-first, left to right), ``super().method()`` calls into the
-next definition after the calling method's class in that order, and
-module-level helper calls that receive ``self`` as an argument, resolved
-through ``from ... import`` across the project index (bounded depth,
-cycle-safe).  Purely dynamic delegation (``getattr``, dict-driven
-dispatch) is invisible to the AST; such attributes take the ``transient``
-waiver with a reason.
+next definition after the calling method's class in that order, and calls
+that pass ``self`` positionally to a module-level function or class the
+file defines or imports (bounded depth, cycle-safe): a helper's parameter
+stands for ``self``; in every method of a class built around the instance
+(a view such as ``FastGraphView(self)``), any field of the view does.
+Local names assigned the instance (``store = self._store``) stand for it
+too.  Purely dynamic delegation (``getattr``, dict-driven dispatch) is
+invisible to the AST; such attributes take the ``transient`` waiver with a
+reason.
 
 Classes whose resolved ``snapshot`` *and* ``restore`` are both stubs
 (protocol definitions, ABCs raising ``NotImplementedError``) are skipped.
@@ -78,22 +84,18 @@ def _class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     }
 
 
-def _resolve_base(
-    index: ProjectIndex, file: SourceFile, base: ast.expr
-) -> Optional[Tuple[SourceFile, ast.ClassDef]]:
-    """The project class a base-class name of ``file`` refers to, if any.
+def _resolve(
+    index: ProjectIndex, file: SourceFile, name: str
+) -> Optional[Tuple[SourceFile, ast.stmt]]:
+    """The module-level function or class ``name`` refers to in ``file``.
 
-    A base resolves when ``file`` defines it or imports it with
-    ``from module import Name``.
+    ``file`` defines it, or imports it with ``from module import name``.
     """
-    if not isinstance(base, ast.Name):
-        return None
-    source_module = _imported_from(file, base.id)
-    for candidate_file, cls in index.classes.get(base.id, []):
-        if candidate_file is file or (
-            source_module is not None and candidate_file.module == source_module
-        ):
-            return candidate_file, cls
+    for source in (file, index.by_module.get(_imported_from(file, name) or "")):
+        if source is not None and source.tree is not None:
+            for node in source.tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+                    return source, node
     return None
 
 
@@ -112,9 +114,9 @@ def _base_order(index: ProjectIndex, file: SourceFile, cls: ast.ClassDef) -> Lis
         seen.add((owner_file.rel, owner.name))
         order.append((owner_file, owner))
         for base in owner.bases:
-            resolved = _resolve_base(index, owner_file, base)
-            if resolved is not None:
-                visit(*resolved)
+            resolved = _resolve(index, owner_file, base.id) if isinstance(base, ast.Name) else None
+            if resolved is not None and isinstance(resolved[1], ast.ClassDef):
+                visit(resolved[0], resolved[1])
 
     visit(file, cls)
     return order
@@ -134,23 +136,40 @@ class _SelfAccessCollector(ast.NodeVisitor):
 
     ``self_name`` is the parameter playing the role of ``self`` -- the real
     ``self`` in methods, or whichever parameter a module-level helper bound
-    the instance to when it was called with ``self`` as an argument.
+    the instance to when it was called with ``self`` as an argument.  In a
+    method of a ``view`` built around the instance, the instance is any
+    field of ``self_name`` instead.  Local names assigned the instance stand
+    for it too.
     """
 
-    def __init__(self, self_name: str) -> None:
+    def __init__(self, self_name: str, view: bool = False) -> None:
         self.self_name = self_name
+        self.view = view
+        self.names: Set[str] = set() if view else {self_name}
         self.loads: Dict[str, int] = {}
         self.stores: Dict[str, int] = {}
         #: self-method / self-property names touched (call-closure edges),
         #: in source order so closures are walked deterministically.
         self.self_calls: Dict[str, None] = {}
-        #: (helper name, argument position the self object was passed at).
+        #: (function or class name, argument position self was passed at).
         self.helper_calls: Dict[Tuple[str, int], None] = {}
         #: ``super().name`` accesses, resolved past the calling method's class.
         self.super_calls: Dict[str, None] = {}
 
     def _is_self(self, node: ast.AST) -> bool:
-        return isinstance(node, ast.Name) and node.id == self.self_name
+        if isinstance(node, ast.Name):
+            return node.id in self.names
+        return (
+            self.view
+            and isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == self.self_name
+        )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.generic_visit(node)
+        if self._is_self(node.value):
+            self.names.update(target.id for target in node.targets if isinstance(target, ast.Name))
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if (
@@ -176,15 +195,6 @@ class _SelfAccessCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _module_functions(file: SourceFile) -> Dict[str, ast.FunctionDef]:
-    assert file.tree is not None
-    return {
-        node.name: node
-        for node in file.tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
-
-
 def _imported_from(file: SourceFile, name: str) -> Optional[str]:
     """The source module of ``from M import name`` anywhere in ``file``."""
     assert file.tree is not None
@@ -196,33 +206,9 @@ def _imported_from(file: SourceFile, name: str) -> Optional[str]:
     return None
 
 
-def _resolve_helper(
-    index: ProjectIndex, file: SourceFile, name: str
-) -> Optional[Tuple[SourceFile, ast.FunctionDef]]:
-    """Find the module-level helper ``name`` called from ``file``."""
-    local = _module_functions(file).get(name)
-    if local is not None:
-        return file, local
-    source_module = _imported_from(file, name)
-    if source_module is None:
-        return None
-    source_file = index.by_module.get(source_module)
-    if source_file is None or source_file.tree is None:
-        return None
-    helper = _module_functions(source_file).get(name)
-    if helper is None:
-        return None
-    return source_file, helper
-
-
-def _next_definition(
-    classes: List[ClassRef], caller: ast.FunctionDef, name: str
-) -> Optional[Method]:
-    """What ``super().name`` in ``caller`` resolves to, in base order."""
-    owners = [position for position, (_, owner) in enumerate(classes) if caller in owner.body]
-    if not owners:
-        return None
-    for owner_file, owner in classes[owners[0] + 1 :]:
+def _next_definition(classes: List[ClassRef], caller: int, name: str) -> Optional[Method]:
+    """What ``super().name`` in a method of ``classes[caller]`` resolves to."""
+    for owner_file, owner in classes[caller + 1 :]:
         fn = _class_methods(owner).get(name)
         if fn is not None:
             return owner_file, fn
@@ -231,42 +217,57 @@ def _next_definition(
 
 def _closure_accesses(
     index: ProjectIndex, classes: List[ClassRef], entry: str
-) -> Tuple[Set[str], Dict[str, Tuple[SourceFile, int]]]:
+) -> Tuple[Set[str], Dict[str, Tuple[SourceFile, int, int]]]:
     """``self.*`` loads and stores over the call closure rooted at ``entry``.
 
-    Stores map each attribute to its first assignment (file, line) in a
-    depth-first walk in source order, so the entry's own lines come first.
+    Stores map each attribute to its first assignment in a depth-first walk
+    in source order (the entry's own lines first): file, line and the
+    base-order position of the assigning class (``len(classes)`` if none).
     """
     methods = _inherited_methods(classes)
     loads: Set[str] = set()
-    stores: Dict[str, Tuple[SourceFile, int]] = {}
-    visited: Set[Tuple[str, int, str]] = set()
+    stores: Dict[str, Tuple[SourceFile, int, int]] = {}
+    visited: Set[Tuple[str, int, str, bool]] = set()
 
     def walk_body(
-        body_file: SourceFile, fn: ast.FunctionDef, self_name: str, depth: int
+        body_file: SourceFile,
+        fn: ast.FunctionDef,
+        self_name: str,
+        depth: int,
+        view: bool = False,
     ) -> None:
-        key = (body_file.rel, fn.lineno, self_name)
+        key = (body_file.rel, fn.lineno, self_name, view)
         if key in visited or depth > _MAX_DEPTH:
             return
         visited.add(key)
-        collector = _SelfAccessCollector(self_name)
+        collector = _SelfAccessCollector(self_name, view)
         collector.visit(fn)
         loads.update(collector.loads)
+        owner = next(
+            (position for position, (_, cls) in enumerate(classes) if fn in cls.body),
+            len(classes),
+        )
         for attr, line in collector.stores.items():
-            stores.setdefault(attr, (body_file, line))
+            stores.setdefault(attr, (body_file, line, owner))
         resolved_calls = [methods.get(attr) for attr in collector.self_calls]
-        resolved_calls += [_next_definition(classes, fn, attr) for attr in collector.super_calls]
+        resolved_calls += [
+            _next_definition(classes, owner, attr) for attr in collector.super_calls
+        ]
         for resolved in resolved_calls:
             if resolved is not None and resolved[1].args.args:
                 method_file, method = resolved
                 walk_body(method_file, method, method.args.args[0].arg, depth + 1)
-        for helper_name, position in collector.helper_calls:
-            helper_resolved = _resolve_helper(index, body_file, helper_name)
-            if helper_resolved is None:
+        for callee, position in collector.helper_calls:
+            target = _resolve(index, body_file, callee)
+            if target is None:
                 continue
-            helper_file, helper = helper_resolved
-            if position < len(helper.args.args):
-                walk_body(helper_file, helper, helper.args.args[position].arg, depth + 1)
+            target_file, found = target
+            if isinstance(found, ast.ClassDef):  # a view: any method may read the instance
+                for method in _class_methods(found).values():
+                    if method.args.args:
+                        walk_body(target_file, method, method.args.args[0].arg, depth + 1, True)
+            elif isinstance(found, ast.FunctionDef) and position < len(found.args.args):
+                walk_body(target_file, found, found.args.args[position].arg, depth + 1)
 
     root = methods.get(entry)
     if root is not None and root[1].args.args:
@@ -297,18 +298,28 @@ def check_checkpoint_parity(index: ProjectIndex) -> Iterator[Finding]:
             snapshot_mentions = snapshot_loads | set(snapshot_stores)
             restore_loads, restore_stores = _closure_accesses(index, classes, "restore")
             restore_mentions = restore_loads | set(restore_stores)
-            for attr, (assigned_in, line) in attributes.items():
+            for attr, (site, line, owner) in attributes.items():
+                declared = [  # in a class before the assigning one: its own site
+                    (declaring_file, item.lineno)
+                    for declaring_file, declaring in classes[:owner]
+                    for item in declaring.body
+                    if isinstance(item, ast.AnnAssign)
+                    and item.value is None
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id == attr
+                ]
+                site, line = declared[0] if declared else (site, line)
                 missing: List[str] = []
                 if attr not in snapshot_mentions:
                     missing.append("never read by snapshot()")
                 if attr not in restore_mentions:
                     missing.append("never written by restore()")
-                if not missing or (assigned_in.rel, line, attr) in reported:
+                if not missing or (site.rel, line, attr) in reported:
                     continue
-                reported.add((assigned_in.rel, line, attr))
+                reported.add((site.rel, line, attr))
                 yield Finding(
                     check=CHECK,
-                    path=assigned_in.rel,
+                    path=site.rel,
                     line=line,
                     col=0,
                     message=(

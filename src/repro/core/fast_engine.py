@@ -121,9 +121,9 @@ class InternedGraph:
         keys = [tuple(assign(label)) for label in labels]
         count = len(labels)
         # id-indexed parallel arrays (grown together by _new_slot).
-        self._labels: List[Optional[Node]] = list(labels)  # repro-lint: transient -- id -> label (None = free slot), the inverse of _id_of; rebuilt with it
+        self._labels: List[Optional[Node]] = list(labels)  # id -> label (None = free slot)
         self._prio: List[float] = [float(key[0]) for key in keys]  # repro-lint: transient -- cache of _keys[nid][0], rebuilt on restore
-        self._keys: List[Optional[Tuple]] = list(keys)  # repro-lint: transient -- id -> full priority key, copied from the assigner, whose keys are snapshotted
+        self._keys: List[Optional[Tuple]] = list(keys)  # id -> full priority key
         self._alive = bytearray(b"\x01") * count  # repro-lint: transient -- id -> 1 iff live; restore rebuilds every snapshot node
         # Label interning.
         self._id_of: Dict[Node, int] = {label: nid for nid, label in enumerate(labels)}
@@ -137,7 +137,7 @@ class InternedGraph:
             rows[iu].append(iv)
             rows[iv].append(iu)
             num_edges += 1
-        self._adj: List[array] = [array("q", row) for row in rows]  # repro-lint: transient -- captured as the edge list through graph.edges()
+        self._adj: List[array] = [array("q", row) for row in rows]
         self._num_edges = num_edges  # repro-lint: transient -- derived count; the snapshot stores the edge list
 
     # ------------------------------------------------------------------
@@ -377,6 +377,9 @@ class FastEngine(InternedGraph, MISEngine):
         Optional starting graph whose MIS is computed with one array-based
         greedy pass.
     """
+
+    #: Declared here so that this waiver covers the engine, not the network cores.
+    _keys: List[Optional[Tuple]]  # repro-lint: transient -- copy of the assigner's keys, which snapshot() reads
 
     def __init__(
         self,

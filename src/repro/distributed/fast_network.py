@@ -64,11 +64,7 @@ from repro.distributed.network import (
 )
 from repro.distributed.node import CODE_TO_STATE, NodeRuntime, NodeState
 from repro.distributed.scheduler import DelayScheduler, RandomDelayScheduler
-from repro.distributed.state import (
-    NetworkSnapshot,
-    NetworkStateError,
-    check_restorable,
-)
+from repro.distributed.state import NetworkSnapshot, check_restorable
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.workloads.changes import (
     EdgeDeletion,
@@ -378,18 +374,7 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         network backend running the same protocol, including the dict/set
         simulators.
         """
-        protocol = type(self).PROTOCOL
-        if protocol is None:
-            raise NetworkStateError(
-                "this simulator class declares no PROTOCOL name; only concrete "
-                "registered protocols can snapshot"
-            )
-        mid_repair = self._mid_repair_nodes()
-        if mid_repair:
-            raise NetworkStateError(
-                f"nodes {mid_repair[:5]} are mid-repair; snapshots are only valid "
-                "between changes"
-            )
+        protocol = self._snapshot_protocol()
         state, keys = self._state, self._keys
         return NetworkSnapshot(
             protocol=protocol,

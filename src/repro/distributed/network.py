@@ -94,7 +94,8 @@ class NetworkSimulator:
     :class:`~repro.distributed.fast_network.FastNetworkCore`) provides the
     read API (``graph``, ``priorities``, ``mis``, ``states``,
     ``node_runtime``), ``snapshot`` / ``restore`` and the
-    :meth:`_mid_repair_nodes` hook; each execution model (synchronous
+    :meth:`_mid_repair_nodes` hook that ``verify`` and the snapshot guard
+    (:meth:`_snapshot_protocol`) share; each execution model (synchronous
     rounds, asynchronous events) one ``_apply_<kind>`` handler per change
     kind; and a concrete protocol sets :attr:`PROTOCOL`.
     """
@@ -169,6 +170,22 @@ class NetworkSimulator:
     def _mid_repair_nodes(self) -> List[Node]:
         """Nodes in a transient protocol state or retiring (none between changes)."""
         raise NotImplementedError
+
+    def _snapshot_protocol(self) -> str:
+        """The protocol a snapshot records; only a concrete one, between changes."""
+        protocol = type(self).PROTOCOL
+        if protocol is None:
+            raise NetworkStateError(
+                "this simulator class declares no PROTOCOL name; only concrete "
+                "registered protocols can snapshot"
+            )
+        mid_repair = self._mid_repair_nodes()
+        if mid_repair:
+            raise NetworkStateError(
+                f"nodes {mid_repair[:5]} are mid-repair; snapshots are only valid "
+                "between changes"
+            )
+        return protocol
 
     def _scheduler_cursor(self) -> int:
         """Event-sequence position recorded in snapshots (0 for synchronous simulators)."""
@@ -289,18 +306,7 @@ class DictNetworkCore(NetworkSimulator):
         event-sequence cursor and scheduler state ride along, so a resumed
         run draws the exact same remaining delays.
         """
-        protocol = type(self).PROTOCOL
-        if protocol is None:
-            raise NetworkStateError(
-                "this simulator class declares no PROTOCOL name; only concrete "
-                "registered protocols can snapshot"
-            )
-        mid_repair = self._mid_repair_nodes()
-        if mid_repair:
-            raise NetworkStateError(
-                f"nodes {mid_repair[:5]} are mid-repair; snapshots are only valid "
-                "between changes"
-            )
+        protocol = self._snapshot_protocol()
         runtimes = self._runtimes
         return NetworkSnapshot(
             protocol=protocol,

@@ -13,6 +13,7 @@ is the invariant CI enforces.
 
 from __future__ import annotations
 
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -399,6 +400,131 @@ class TestCheckpointParity:
         )
         found = findings_for(tmp_path, "checkpoint-parity")
         assert [finding.symbol for finding in found] == ["MiniNetwork._rows"]
+
+    VIEW_FIXTURE = {
+        "src/repro/distributed/mini.py": """
+        class RowsView:
+            def __init__(self, store):
+                self._store = store
+
+            def rows(self):
+                store = self._store
+                return list(store._rows)
+
+
+        class MiniNetwork:
+            def __init__(self):
+                self._rows = []
+                self._count = 0
+
+            @property
+            def graph(self):
+                return RowsView(self)
+
+            def snapshot(self):
+                return self.graph.rows()
+
+            def restore(self, snapshot):
+                self._rows = list(snapshot)
+                self._count = len(self._rows)
+        """,
+    }
+
+    def test_reads_through_a_view_built_with_self_count(self, tmp_path):
+        # The snapshot reaches _rows only through a view that keeps the
+        # instance in a field; _count it never reads at all.
+        make_project(tmp_path, self.VIEW_FIXTURE)
+        found = findings_for(tmp_path, "checkpoint-parity")
+        assert [finding.symbol for finding in found] == ["MiniNetwork._count"]
+        assert "never read by snapshot()" in found[0].message
+
+    SHARED_BUILD_FIXTURE = {
+        "src/repro/core/store.py": """
+        class Store:
+            def _build(self, rows):
+                self._rows = list(rows)
+                self._keys = [row * 2 for row in self._rows]
+        """,
+        "src/repro/core/engine.py": """
+        from repro.core.store import Store
+
+
+        class MiniEngine(Store):
+            _keys: list  # repro-lint: transient -- copy of what _rows captures
+
+            def __init__(self):
+                self._build(())
+
+            def snapshot(self):
+                return list(self._rows)
+
+            def restore(self, snapshot):
+                self._build(snapshot)
+        """,
+        "src/repro/distributed/mini.py": """
+        from repro.core.store import Store
+
+
+        class MiniNetwork(Store):
+            def __init__(self):
+                self._build(())
+
+            def snapshot(self):
+                return {{"rows": list(self._rows), "keys": {keys}}}
+
+            def restore(self, snapshot):
+                self._build(snapshot["rows"])
+        """,
+    }
+
+    def shared_build_fixture(self, keys: str) -> dict:
+        files = dict(self.SHARED_BUILD_FIXTURE)
+        rel = "src/repro/distributed/mini.py"
+        files[rel] = files[rel].format(keys=keys)
+        return files
+
+    def test_a_bare_declaration_scopes_a_waiver_to_its_class(self, tmp_path):
+        # Both classes inherit the store's assignment of _keys.  The engine
+        # waives it at its own declaration; the network still has to read it.
+        make_project(tmp_path, self.shared_build_fixture("list(self._keys)"))
+        report = run_lint(tmp_path, select=["checkpoint-parity"])
+        assert report.findings == []
+        assert report.suppressed == 1
+
+    def test_the_engine_waiver_does_not_cover_a_sibling_class(self, tmp_path):
+        make_project(tmp_path, self.shared_build_fixture("[]"))
+        found = findings_for(tmp_path, "checkpoint-parity")
+        assert [finding.symbol for finding in found] == ["MiniNetwork._keys"]
+        assert (found[0].path, found[0].line) == ("src/repro/core/store.py", 5)
+        assert "never read by snapshot()" in found[0].message
+
+    def test_fast_network_snapshot_must_read_the_store_keys(self, tmp_path):
+        # Mutation check on a copy of the real sources: a fast network core
+        # whose snapshot() drops the priority keys is flagged at the shared
+        # store's assignment, which FastEngine's own waiver does not cover.
+        shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
+        network = tmp_path / "src" / "repro" / "distributed" / "fast_network.py"
+        text = network.read_text()
+        for old, new in (
+            ("state, keys = self._state, self._keys", "state = self._state"),
+            (
+                "priority_keys={label: keys[nid] for label, nid in self._id_of.items()}",
+                "priority_keys={}",
+            ),
+        ):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        network.write_text(text)
+        found = findings_for(tmp_path, "checkpoint-parity")
+        store_text = (tmp_path / "src" / "repro" / "core" / "fast_engine.py").read_text()
+        keys_line = next(
+            number
+            for number, line in enumerate(store_text.splitlines(), start=1)
+            if line.lstrip().startswith("self._keys: List")
+        )
+        assert [(f.symbol, f.path, f.line) for f in found] == [
+            ("FastNetworkCore._keys", "src/repro/core/fast_engine.py", keys_line)
+        ]
 
     def test_protocol_stubs_are_skipped(self, tmp_path):
         make_project(
