@@ -4,9 +4,10 @@ The paper's protocol guarantees are *per change* -- O(1) expected
 adjustments and broadcasts -- but the dict simulator pays O(n) per change
 regardless (before/after output snapshots) plus O(n log n) per round (the
 full sorted sweep), which capped protocol experiments at a few thousand
-nodes.  The id-interned core (:mod:`repro.distributed.fast_network`) visits
-only the active neighborhood each round and computes adjustments from an
-epoch-stamped touched list, so its per-change cost tracks the repair wave.
+nodes.  The id-interned core (:mod:`repro.distributed.fast_network`) steps
+only transient nodes and the receivers a broadcast teaches something each
+round and computes adjustments from an epoch-stamped touched list, so its
+per-change cost tracks the repair wave.
 
 Reproduction: sweep n with constant average degree into the tens of
 thousands and drive both network backends through the identical seeded

@@ -48,6 +48,10 @@ Node = Hashable
 class AsyncDirectMISNetwork(DictNetworkCore):
     """Event-driven dynamic MIS maintainer for the asynchronous model.
 
+    Under a :class:`~repro.distributed.scheduler.RandomDelayScheduler` the
+    delays are drawn from one stream in neighbor-set iteration order, which
+    for string labels depends on the interpreter's ``PYTHONHASHSEED``.
+
     Parameters
     ----------
     seed:

@@ -21,9 +21,12 @@ node), and add only the protocol's own id-indexed arrays:
   scans with no hashing on the hot path;
 * per-round message buffers are lists of small integer tuples delivered
   through the adjacency rows, instead of per-node dict queues;
-* the round loop only visits the *active* set -- inbox receivers plus nodes
-  in transient states -- and the adjustment count is computed from an
-  epoch-stamped touched list, never from an ``O(n)`` state snapshot.
+* the round loop only visits the *active* set -- nodes in transient states
+  plus receivers a broadcast teaches something (a neighbor that already
+  knows the sender's key and the state a message carries takes no step for
+  it, so a hub's broadcast does not step all its neighbors) -- and the
+  adjustment count is computed from an epoch-stamped touched list, never
+  from an ``O(n)`` state snapshot.
 
 The three simulators here -- :class:`FastBufferedMISNetwork` (Algorithm 2),
 :class:`FastDirectMISNetwork` (the direct template protocol) and
@@ -355,6 +358,10 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         engine: this core exists for networks where the dict recompute is slow."""
         super().verify(reference_engine)
 
+    def _validation_graph(self) -> "FastNetworkCore":
+        # The store answers has_node/has_edge itself: no view per change.
+        return self
+
     def _mid_repair_nodes(self) -> List[Node]:
         state, retiring, labels = self._state, self._retiring, self._labels
         return [
@@ -443,6 +450,10 @@ class FastSynchronousMISNetwork(FastNetworkCore):
     # drift between the two backends.
     ROUND_CAP_FACTOR = SynchronousMISNetwork.ROUND_CAP_FACTOR
     ROUND_CAP_SLACK = SynchronousMISNetwork.ROUND_CAP_SLACK
+
+    #: State codes whose messages make every receiver step, even one that
+    #: already knows the sender's key and that state (see :meth:`_deliver`).
+    ALWAYS_STEP_STATES: Tuple[int, ...] = ()
 
     def __init__(
         self,
@@ -613,11 +624,32 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         """Run synchronous rounds until the system is stable again.
 
         Identical round semantics to the dict simulator, but each round only
-        visits the *active* set -- inbox receivers plus nodes in transient
-        states -- instead of sweeping every runtime.  A node outside that set
-        provably does nothing in both protocol state machines, so the visit
-        order (ascending ``pi`` within the active set) and every observable
-        outcome coincide with the full sorted sweep.
+        visits the *active* set -- nodes in transient states plus receivers
+        a broadcast teaches something -- instead of sweeping every runtime.
+        A node outside that set provably does nothing in both protocol state
+        machines, so the visit order (ascending ``pi`` within the active set)
+        and every observable outcome coincide with the full sorted sweep.
+
+        A receiver that already knows the sender's key and the state a
+        message carries gets no inbox entry (:meth:`_deliver`; it still
+        counts as delivered).  All messages are delivered before any node
+        steps, and a knowledge row changes only in its node's own
+        :meth:`_handle_inbox` or in a change handler, so the filter reads the
+        knowledge the step would have read.  Skipping the step is exact:
+
+        * ``direct``: between its own steps a node's output is the rule
+          applied to its knowledge row (or, while it misses a neighbor's
+          key, it does not evaluate at all).  Each change handler seeds every
+          node whose rule can change -- the later endpoint, the former
+          neighbors of an abruptly deleted MIS node, a new or unmuted node --
+          so a receiver whose row does not change would re-evaluate to its
+          current state, neither flipping nor broadcasting.  Introductions
+          answer only unknown keys, and such a message is never dropped.
+        * ``buffered``: a node in M or M_BAR acts only on a C from an
+          earlier neighbor or on a newly learned key, and nodes in C or R
+          step anyway through the transient set.  Rules 1-2 fire on every C,
+          so C messages are never dropped
+          (:attr:`FastBufferedMISNetwork.ALWAYS_STEP_STATES`).
         """
         self._last_round_log = []
         labels = self._labels
@@ -679,21 +711,40 @@ class FastSynchronousMISNetwork(FastNetworkCore):
     def _deliver(
         self, messages: List[FastMessage]
     ) -> Tuple[Dict[int, List[FastMessage]], int]:
-        """Deliver each broadcast to all *current* neighbors of its sender."""
+        """Deliver each broadcast to all *current* neighbors of its sender.
+
+        Every receiver counts in ``delivered``, but one that already knows
+        the sender's key and the state the message carries, and holds no
+        inbox yet this round, gets no inbox entry: the message teaches it
+        nothing, so it takes no step for it (see :meth:`_run_until_stable`).
+        Messages in :attr:`ALWAYS_STEP_STATES` are never dropped.  Once a
+        receiver holds an inbox, later messages join it unfiltered, so it
+        absorbs them in order.
+        """
         inboxes: Dict[int, List[FastMessage]] = {}
         delivered = 0
         alive = self._alive
-        adj = self._adj
+        adj, nstate, nkey = self._adj, self._nstate, self._nkey
+        always_step = self.ALWAYS_STEP_STATES
         for message in messages:
             sender = message[0]
             if not alive[sender]:
                 continue
-            for receiver in adj[sender]:
+            row = adj[sender]
+            delivered += len(row)
+            state_code = message[2]
+            droppable = state_code not in always_step
+            for receiver in row:
                 inbox = inboxes.get(receiver)
-                if inbox is None:
-                    inbox = inboxes[receiver] = []
-                inbox.append(message)
-                delivered += 1
+                if inbox is not None:
+                    inbox.append(message)
+                    continue
+                if droppable:
+                    # Adjacency is symmetric and the sender is alive: no miss.
+                    position = adj[receiver].index(sender)
+                    if nkey[receiver][position] and nstate[receiver][position] == state_code:
+                        continue
+                inboxes[receiver] = [message]
         return inboxes, delivered
 
     def _account_broadcasts(self, metrics: ChangeMetrics, messages: List[FastMessage]) -> None:
@@ -797,6 +848,8 @@ class FastBufferedMISNetwork(FastSynchronousMISNetwork):
     """
 
     PROTOCOL = "buffered"
+    #: Rules 1-2 fire on every C from an earlier neighbor, not only on a new one.
+    ALWAYS_STEP_STATES = (CODE_C,)
 
     # ------------------------------------------------------------------
     # Seeding hooks

@@ -112,7 +112,7 @@ class NetworkSimulator:
 
     def apply(self, change: TopologyChange) -> ChangeMetrics:
         """Apply one topology change, run the protocol to quiescence, return metrics."""
-        validate_change(self.graph, change)
+        validate_change(self._validation_graph(), change)
         self._begin_change()
         if isinstance(change, EdgeInsertion):
             metrics = self._apply_edge_insertion(change)
@@ -163,6 +163,10 @@ class NetworkSimulator:
         mid_repair = self._mid_repair_nodes()
         if mid_repair:
             raise AssertionError(f"nodes left mid-repair: {mid_repair[:5]}")
+
+    def _validation_graph(self):
+        """What :meth:`apply` checks a change against (``has_node``/``has_edge``)."""
+        return self.graph
 
     def _begin_change(self) -> None:
         """Reset per-change scratch before a change's handler runs."""

@@ -19,6 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HARNESS_PATH = REPO_ROOT / "benchmarks" / "harness.py"
 
@@ -117,11 +119,14 @@ class TestRunScenario:
 
 
 class TestReproducibleExperiments:
-    def test_e3_results_do_not_depend_on_the_string_hash_seed(self):
-        """str hashes are salted per interpreter; E3's workloads must not follow them."""
+    @pytest.mark.parametrize(
+        "module", ["bench_e2_direct_single_round", "bench_e3_constant_broadcasts"]
+    )
+    def test_results_do_not_depend_on_the_string_hash_seed(self, module):
+        """str hashes are salted per interpreter; an experiment must not follow them."""
         entries = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", os.environ.get("PYTHONPATH")]
         path = os.pathsep.join(str(entry) for entry in entries if entry)
-        script = "import bench_e3_constant_broadcasts as e3; print(repr(e3.run_experiment()))"
+        script = f"import {module} as bench; print(repr(bench.run_experiment()))"
         outputs = []
         for hash_seed in ("0", "1"):
             result = subprocess.run(

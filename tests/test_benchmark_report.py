@@ -112,7 +112,16 @@ def test_run_report_skips_cleanly_when_git_is_unavailable(tmp_path, monkeypatch,
     assert "skipping the trajectory comparison" in capsys.readouterr().out
 
 
-def test_baseline_ref_exists_distinguishes_real_and_missing_refs():
+def test_baseline_ref_exists_distinguishes_real_and_missing_refs(tmp_path, monkeypatch):
+    """Checked in a throwaway repository, so it holds in a copy without ``.git``."""
+    import subprocess
+
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+    subprocess.run([*git, "init", "--quiet"], check=True)
+    subprocess.run(
+        [*git, "commit", "--quiet", "--allow-empty", "--no-gpg-sign", "-m", "base"], check=True
+    )
+    monkeypatch.setattr(report, "REPO_ROOT", tmp_path)
     assert report.baseline_ref_exists("HEAD")
     assert not report.baseline_ref_exists("no-such-ref-anywhere")
 

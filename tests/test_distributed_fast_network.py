@@ -2,9 +2,10 @@
 
 The round-by-round equivalence with the dict simulators is pinned down by
 ``tests/conformance/test_protocol_differential.py``; this file covers the
-pieces around it: the backend registry and its error messages, the
-``network=`` constructor selector, label interning with free-list reuse,
-the materialized runtime views, and the scheduler channel cache.
+pieces around it: the backend registry and its error messages, selecting
+a core through ``create_network``, label interning with free-list reuse,
+the materialized runtime views, the scheduler channel cache, and the
+delivery that steps only the receivers a broadcast teaches something.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.distributed import BufferedMISNetwork, FastBufferedMISNetwork
+from repro.distributed.fast_network import CODE_C, CODE_M, CODE_M_BAR
 from repro.distributed.network_api import (
     NETWORK_NAMES,
     UnknownNetworkError,
@@ -23,8 +25,15 @@ from repro.distributed.network_api import (
     unregister_network,
 )
 from repro.distributed.scheduler import AdversarialDelayScheduler
-from repro.graph.generators import erdos_renyi_graph, star_graph
-from repro.workloads.changes import EdgeDeletion, NodeDeletion, NodeInsertion
+from repro.graph.dynamic_graph import GraphError
+from repro.graph.generators import erdos_renyi_graph, path_graph, star_graph
+from repro.workloads.changes import (
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    NodeInsertion,
+    NodeUnmuting,
+)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +174,32 @@ def test_metrics_surface_matches_dict(small_random_graph) -> None:
     assert dict_network.metrics.summary() == fast_network.metrics.summary()
 
 
+@pytest.mark.parametrize("protocol", ["buffered", "direct", "async-direct"])
+def test_invalid_changes_fail_as_on_the_dict_core(protocol) -> None:
+    """The fast cores validate against their store: same errors, nothing applied."""
+    invalid = [
+        EdgeInsertion(0, 1),
+        EdgeInsertion(0, 99),
+        EdgeInsertion(1, 1),
+        EdgeDeletion(1, 2),
+        NodeInsertion(0),
+        NodeInsertion("new", (99,)),
+        NodeUnmuting("new", (1, 1)),
+        NodeDeletion(99),
+    ]
+    reference = create_network(protocol, seed=2, initial_graph=star_graph(4))
+    fast = create_network(protocol, network="fast", seed=2, initial_graph=star_graph(4))
+    for change in invalid:
+        with pytest.raises(GraphError) as expected:
+            reference.apply(change)
+        with pytest.raises(GraphError) as actual:
+            fast.apply(change)
+        assert str(actual.value) == str(expected.value)
+    assert fast.states() == reference.states()
+    assert fast.metrics.num_changes == 0
+    fast.check_interning_invariants()
+
+
 # ----------------------------------------------------------------------
 # Scheduler channel cache
 # ----------------------------------------------------------------------
@@ -178,3 +213,108 @@ def test_adversarial_scheduler_cache_is_consistent() -> None:
         assert cached.delay(pair[0], pair[1], 99) == first[pair]
         assert fresh.delay(pair[0], pair[1], 7) == first[pair]
     assert any(delay > 10 for delay in first.values()), "no slow channel drawn"
+
+
+# ----------------------------------------------------------------------
+# Delivery steps only the receivers a broadcast teaches something
+# ----------------------------------------------------------------------
+def _count_node_steps(network, monkeypatch) -> list:
+    """Record the id of every node that takes a protocol step."""
+    steps = []
+    step = network._node_step
+
+    def counting_step(nid, inbox, round_no):
+        steps.append(nid)
+        return step(nid, inbox, round_no)
+
+    monkeypatch.setattr(network, "_node_step", counting_step)
+    return steps
+
+
+def _trace(network) -> list:
+    return [
+        (record.round_number, record.messages_delivered, record.broadcasts, record.state_changes)
+        for record in network.last_change_trace()
+    ]
+
+
+@pytest.mark.parametrize("protocol", ["direct", "buffered"])
+def test_node_insertion_next_to_a_hub_steps_independently_of_its_degree(
+    protocol, monkeypatch
+) -> None:
+    """The hub's introduction teaches its d leaves nothing: none of them steps."""
+    step_counts = []
+    for leaves in (100, 1000):
+        graph = star_graph(leaves)
+        change = NodeInsertion("new", (0, 1))
+        reference = create_network(protocol, seed=3, initial_graph=graph)
+        fast = create_network(protocol, network="fast", seed=3, initial_graph=graph)
+        reference.enable_round_logging()
+        fast.enable_round_logging()
+        steps = _count_node_steps(fast, monkeypatch)
+        expected = reference.apply(change)
+        actual = fast.apply(change)
+        assert actual.as_dict() == expected.as_dict()
+        assert actual.adjusted_nodes == expected.adjusted_nodes
+        assert _trace(fast) == _trace(reference)
+        assert fast.states() == reference.states()
+        fast.verify()
+        step_counts.append(len(steps))
+    assert step_counts[0] == step_counts[1] <= 5
+
+
+def _stable_path(protocol: str):
+    """A fast network on the path 0-1-2, with node ids by label."""
+    network = create_network(protocol, network="fast", seed=4, initial_graph=path_graph(3))
+    return network, network._id_of
+
+
+def _with_state(message: tuple, code: int) -> tuple:
+    return message[:2] + (code,) + message[3:]
+
+
+def _flipped(message: tuple) -> tuple:
+    return _with_state(message, CODE_M_BAR if message[2] == CODE_M else CODE_M)
+
+
+def test_deliver_drops_a_known_key_and_state_but_counts_it() -> None:
+    network, ids = _stable_path("direct")
+    state_message = network._state_broadcast(ids[1])
+    id_message = network._id_broadcast(ids[1])
+    inboxes, delivered = network._deliver([state_message, id_message])
+    assert inboxes == {}
+    assert delivered == 4
+
+
+def test_deliver_keeps_an_unknown_key_or_a_new_state() -> None:
+    network, ids = _stable_path("direct")
+    sender, receiver = ids[0], ids[1]
+    new_state = _flipped(network._state_broadcast(sender))
+    assert network._deliver([new_state]) == ({receiver: [new_state]}, 1)
+    network._nkey[receiver][network._adj[receiver].index(sender)] = 0
+    unknown_key = network._id_broadcast(sender)
+    assert network._deliver([unknown_key]) == ({receiver: [unknown_key]}, 1)
+
+
+def test_deliver_appends_unfiltered_once_a_receiver_holds_an_inbox() -> None:
+    network, ids = _stable_path("direct")
+    left, middle, right = ids[0], ids[1], ids[2]
+    known_left = network._state_broadcast(left)
+    new_left = _flipped(known_left)
+    known_right = network._state_broadcast(right)
+    # The middle node's first message teaches it something; the known one
+    # after it still joins its inbox.  A known message before any inbox is dropped.
+    inboxes, delivered = network._deliver([known_left, new_left, known_right])
+    assert inboxes == {middle: [new_left, known_right]}
+    assert delivered == 3
+
+
+@pytest.mark.parametrize("protocol, kept", [("buffered", True), ("direct", False)])
+def test_deliver_keeps_a_known_c_only_on_buffered(protocol, kept) -> None:
+    """Rules 1-2 fire on every C from an earlier neighbor, so buffered keeps it."""
+    network, ids = _stable_path(protocol)
+    sender, receiver = ids[0], ids[1]
+    network._nstate[receiver][network._adj[receiver].index(sender)] = CODE_C
+    message = _with_state(network._state_broadcast(sender), CODE_C)
+    expected = {receiver: [message]} if kept else {}
+    assert network._deliver([message]) == (expected, 1)
