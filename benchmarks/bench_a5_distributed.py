@@ -6,8 +6,10 @@ regardless (before/after output snapshots) plus O(n log n) per round (the
 full sorted sweep), which capped protocol experiments at a few thousand
 nodes.  The id-interned core (:mod:`repro.distributed.fast_network`) steps
 only transient nodes and the receivers a broadcast teaches something each
-round and computes adjustments from an epoch-stamped touched list, so its
-per-change cost tracks the repair wave.
+round, delivers each broadcast to those receivers alone (it tracks which
+neighbors miss each node's key and which state its neighbors know, so it
+scans no other neighbor), and computes adjustments from an epoch-stamped
+touched list, so its per-change cost tracks the repair wave.
 
 Reproduction: sweep n with constant average degree into the tens of
 thousands and drive both network backends through the identical seeded

@@ -8,7 +8,9 @@ of this module -- the six distributed network simulators, whose
 :class:`~repro.distributed.state.NetworkSnapshot` captures topology, node
 states, priority keys, metrics, the asynchronous scheduler cursor and the
 scheduler's own resumable state (the RNG stream position of the
-``"random"`` delay scheduler), so resume is exact for every scheduler kind.
+``"random"`` delay scheduler).  Resume is exact for every channel-deterministic
+scheduler; the random kind hands its delays out in neighbor order, which a
+restored simulator need not share with the live one after churn.
 Each node's local knowledge is not captured: between changes it is every
 neighbor's key and current output, which restore derives as bootstrap
 does.

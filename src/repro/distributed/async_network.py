@@ -86,7 +86,8 @@ class AsyncDirectMISNetwork(DictNetworkCore):
     # ------------------------------------------------------------------
     # Scheduler state (snapshots record the event-sequence cursor and the
     # scheduler's RNG stream position, so a resumed simulator draws the
-    # exact same remaining delays for every scheduler kind)
+    # same remaining delays; which channel gets which one follows the
+    # neighbor order, see RandomDelayScheduler)
     # ------------------------------------------------------------------
     def _scheduler_cursor(self) -> int:
         return self._sequence.value

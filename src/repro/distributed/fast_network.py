@@ -22,11 +22,12 @@ node), and add only the protocol's own id-indexed arrays:
 * per-round message buffers are lists of small integer tuples delivered
   through the adjacency rows, instead of per-node dict queues;
 * the round loop only visits the *active* set -- nodes in transient states
-  plus receivers a broadcast teaches something (a neighbor that already
-  knows the sender's key and the state a message carries takes no step for
-  it, so a hub's broadcast does not step all its neighbors) -- and the
-  adjustment count is computed from an epoch-stamped touched list, never
-  from an ``O(n)`` state snapshot.
+  plus receivers a broadcast teaches something -- and a broadcast visits
+  only those receivers: per node the core keeps the state its neighbors
+  know and the set of neighbors that miss its key, so a hub's broadcast
+  that teaches its neighbors nothing neither steps nor scans them;
+* the adjustment count is computed from an epoch-stamped touched list,
+  never from an ``O(n)`` state snapshot.
 
 The three simulators here -- :class:`FastBufferedMISNetwork` (Algorithm 2),
 :class:`FastDirectMISNetwork` (the direct template protocol) and
@@ -102,9 +103,10 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
     On top of the :class:`~repro.core.fast_engine.InternedGraph` store
     (labels, priorities, adjacency, free-list reuse) it holds the protocol's
     id-indexed arrays -- state codes, knowledge rows aligned with the
-    adjacency rows, the retiring and entered-C flags -- and the
-    epoch-stamped adjustment accounting.  Subclasses add the round loop /
-    event loop and the topology-change controller.
+    adjacency rows, the retiring and entered-C flags -- the delivery
+    bookkeeping (each node's announced state and the neighbors missing its
+    key) and the epoch-stamped adjustment accounting.  Subclasses add the
+    round loop / event loop and the topology-change controller.
     """
 
     def __init__(
@@ -154,6 +156,10 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
             for node, nid in self._id_of.items():
                 state[nid] = NodeState(states[node]).code
         self._state = state
+        # What each node's key-aware neighbors know of its state (equal to
+        # _state between changes), and the neighbors that miss its key.
+        self._announced = bytearray(state)  # repro-lint: transient -- delivery bookkeeping, equal to _state between changes
+        self._unaware: Dict[int, Set[int]] = {}  # repro-lint: transient -- sender id -> neighbor ids missing its key; empty between changes
         # Knowledge rows aligned with the adjacency rows (stable: all known).
         self._nstate: List[bytearray] = [bytearray(map(state.__getitem__, row)) for row in adj]  # repro-lint: transient -- id -> known state per adjacency slot; restore derives it from the outputs
         self._nkey: List[bytearray] = [bytearray(b"\x01") * len(row) for row in adj]  # repro-lint: transient -- id -> 1 iff that neighbor's key is known; restore derives it from the outputs
@@ -173,6 +179,7 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         self._nstate.append(bytearray())
         self._nkey.append(bytearray())
         self._state.append(CODE_M_BAR)
+        self._announced.append(CODE_M_BAR)
         self._retiring.append(0)
         self._entered_c.append(-1)
         self._snap_stamp.append(0)
@@ -187,6 +194,7 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         """
         nid = super()._intern(label)
         self._state[nid] = CODE_M_BAR
+        self._announced[nid] = CODE_M_BAR
         self._retiring[nid] = 0
         self._entered_c[nid] = -1
         self._snap_stamp[nid] = self._epoch
@@ -209,10 +217,15 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         row = self._adj[nid]
         for m in list(row):
             self._remove_half_edge(m, nid)
+        nkey = self._nkey[nid]
+        if 0 in nkey:
+            for position, m in enumerate(row):
+                if not nkey[position]:
+                    self._drop_unaware(m, nid)
         self._num_edges -= len(row)
         del row[:]
         del self._nstate[nid][:]
-        del self._nkey[nid][:]
+        del nkey[:]
         self._alive[nid] = 0
         del self._id_of[label]
         self._priorities.forget(label)
@@ -226,6 +239,8 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         self._adj[nid].append(other)
         self._nstate[nid].append(known_state)
         self._nkey[nid].append(known_key)
+        if not known_key:
+            self._unaware.setdefault(other, set()).add(nid)
 
     def _remove_half_edge(self, nid: int, other: int) -> None:
         row = self._adj[nid]
@@ -233,6 +248,8 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         last = len(row) - 1
         nstate = self._nstate[nid]
         nkey = self._nkey[nid]
+        if not nkey[position]:
+            self._drop_unaware(other, nid)
         if position != last:
             row[position] = row[last]
             nstate[position] = nstate[last]
@@ -240,6 +257,17 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
         del row[last]
         del nstate[last]
         del nkey[last]
+
+    def _drop_unaware(self, sender: int, receiver: int) -> None:
+        """Take ``receiver`` off the neighbors missing ``sender``'s key.
+
+        Called when it learns the key or stops being a neighbor; a set
+        leaves :attr:`_unaware` with its last receiver.
+        """
+        unaware = self._unaware[sender]
+        unaware.discard(receiver)
+        if not unaware:
+            del self._unaware[sender]
 
     # ------------------------------------------------------------------
     # Local-knowledge views (the protocol rules)
@@ -414,26 +442,41 @@ class FastNetworkCore(InternedGraph, NetworkSimulator):
     def check_interning_invariants(self, expect_stable: bool = True) -> None:
         """Assert the interning / knowledge / adjacency bookkeeping is sound.
 
+        The delivery bookkeeping is checked against the key bits:
+        ``_unaware[s]`` holds exactly the neighbors whose key bit for ``s``
+        is 0, and no empty set lingers in it.
+
         With ``expect_stable`` (between changes) additionally asserts the
         quiescence knowledge invariant: every node knows every neighbor's key
         and *current* state -- which is exactly what makes the protocols'
-        local decisions agree with the global greedy MIS between repairs.
+        local decisions agree with the global greedy MIS between repairs --
+        so ``_unaware`` is empty and every node's announced state is its
+        current one.
         """
         super().check_interning_invariants()
         capacity = len(self._labels)
-        parallels = (self._nstate, self._nkey, self._state, self._retiring, self._entered_c)
+        parallels = (
+            self._nstate, self._nkey, self._state, self._announced, self._retiring, self._entered_c
+        )
         for parallel in parallels + (self._snap_stamp, self._snap_bit):
             assert len(parallel) == capacity, "parallel arrays diverged in length"
+        unaware: Dict[int, Set[int]] = {}
         for nid in sorted(self._id_of.values()):
             row = self._adj[nid]
             assert len(self._nstate[nid]) == len(row) == len(self._nkey[nid])
+            for position, m in enumerate(row):
+                if not self._nkey[nid][position]:
+                    unaware.setdefault(m, set()).add(nid)
             if expect_stable:
                 assert self._state[nid] <= CODE_M_BAR, "transient state at stability"
+                assert self._announced[nid] == self._state[nid], "unannounced state at stability"
                 for position, m in enumerate(row):
                     assert self._nkey[nid][position], "neighbor key unknown at stability"
                     assert self._nstate[nid][position] == self._state[m], (
                         "stale neighbor-state knowledge at stability"
                     )
+        assert all(self._unaware.values()), "empty unaware set left behind"
+        assert self._unaware == unaware, "unaware sets disagree with the key bits"
 
 
 class FastSynchronousMISNetwork(FastNetworkCore):
@@ -630,26 +673,36 @@ class FastSynchronousMISNetwork(FastNetworkCore):
         machines, so the visit order (ascending ``pi`` within the active set)
         and every observable outcome coincide with the full sorted sweep.
 
-        A receiver that already knows the sender's key and the state a
-        message carries gets no inbox entry (:meth:`_deliver`; it still
-        counts as delivered).  All messages are delivered before any node
-        steps, and a knowledge row changes only in its node's own
-        :meth:`_handle_inbox` or in a change handler, so the filter reads the
-        knowledge the step would have read.  Skipping the step is exact:
+        A message reaches only the receivers it teaches something
+        (:meth:`_deliver`; every neighbor still counts as delivered): a
+        receiver that already knows the sender's key and the state the
+        message carries gets no inbox entry for it, neither a first one nor
+        one appended to an inbox it holds from another message.  All
+        messages are delivered before any node steps, and a knowledge row
+        changes only in its node's own :meth:`_handle_inbox` or in a change
+        handler, so absorbing such a message would rewrite exactly the key
+        bit and state the receiver already holds.  Leaving it out is exact:
 
-        * ``direct``: between its own steps a node's output is the rule
-          applied to its knowledge row (or, while it misses a neighbor's
-          key, it does not evaluate at all).  Each change handler seeds every
-          node whose rule can change -- the later endpoint, the former
-          neighbors of an abruptly deleted MIS node, a new or unmuted node --
-          so a receiver whose row does not change would re-evaluate to its
-          current state, neither flipping nor broadcasting.  Introductions
-          answer only unknown keys, and such a message is never dropped.
-        * ``buffered``: a node in M or M_BAR acts only on a C from an
+        * A receiver that holds an inbox anyway still steps, on the same
+          knowledge.  A message matters beyond the knowledge row only as a
+          newly learned key (never left out: a receiver missing the key gets
+          every message) or as ``buffered``'s C trigger (never left out
+          either, see below).
+        * A receiver that gets no inbox takes no step.  ``direct``: between
+          its own steps a node's output is the rule applied to its knowledge
+          row (or, while it misses a neighbor's key, it does not evaluate at
+          all).  Each change handler seeds every node whose rule can change
+          -- the later endpoint, the former neighbors of an abruptly
+          deleted MIS node, a new or unmuted node -- so a receiver whose row
+          does not change would re-evaluate to its current state, neither
+          flipping nor broadcasting.  Introductions answer only unknown
+          keys.  ``buffered``: a node in M or M_BAR acts only on a C from an
           earlier neighbor or on a newly learned key, and nodes in C or R
-          step anyway through the transient set.  Rules 1-2 fire on every C,
-          so C messages are never dropped
-          (:attr:`FastBufferedMISNetwork.ALWAYS_STEP_STATES`).
+          step anyway through the transient set.
+
+        Rules 1-2 of ``buffered`` fire on every C from an earlier neighbor,
+        known or not, so a C always reaches the sender's whole row
+        (:attr:`FastBufferedMISNetwork.ALWAYS_STEP_STATES`).
         """
         self._last_round_log = []
         labels = self._labels
@@ -711,20 +764,27 @@ class FastSynchronousMISNetwork(FastNetworkCore):
     def _deliver(
         self, messages: List[FastMessage]
     ) -> Tuple[Dict[int, List[FastMessage]], int]:
-        """Deliver each broadcast to all *current* neighbors of its sender.
+        """Deliver each broadcast to the *current* neighbors it teaches something.
 
-        Every receiver counts in ``delivered``, but one that already knows
-        the sender's key and the state the message carries, and holds no
-        inbox yet this round, gets no inbox entry: the message teaches it
-        nothing, so it takes no step for it (see :meth:`_run_until_stable`).
-        Messages in :attr:`ALWAYS_STEP_STATES` are never dropped.  Once a
-        receiver holds an inbox, later messages join it unfiltered, so it
-        absorbs them in order.
+        Every neighbor that knows the sender's key knows its announced state
+        (:attr:`_announced`), since every change of it reaches the whole
+        row.  So a message carrying another state, or one in
+        :attr:`ALWAYS_STEP_STATES`, goes to the sender's whole row and
+        becomes the announced state; any other message goes only to the
+        neighbors missing the sender's key (:attr:`_unaware`), and no other
+        neighbor is visited.  Every neighbor counts in ``delivered`` all the
+        same.  Each inbox keeps its messages in send order; a known message
+        does not join an inbox its receiver holds from another one (see
+        :meth:`_run_until_stable` for why both are exact).
+
+        ``_state`` cannot stand in for ``_announced``: a node that flips in
+        a step has changed ``_state`` before its broadcast is delivered,
+        while its neighbors still know the old state.
         """
         inboxes: Dict[int, List[FastMessage]] = {}
         delivered = 0
-        alive = self._alive
-        adj, nstate, nkey = self._adj, self._nstate, self._nkey
+        alive, adj = self._alive, self._adj
+        announced, unaware = self._announced, self._unaware
         always_step = self.ALWAYS_STEP_STATES
         for message in messages:
             sender = message[0]
@@ -733,18 +793,17 @@ class FastSynchronousMISNetwork(FastNetworkCore):
             row = adj[sender]
             delivered += len(row)
             state_code = message[2]
-            droppable = state_code not in always_step
-            for receiver in row:
+            if state_code != announced[sender] or state_code in always_step:
+                announced[sender] = state_code
+                receivers = row
+            else:
+                receivers = unaware.get(sender, ())
+            for receiver in receivers:
                 inbox = inboxes.get(receiver)
-                if inbox is not None:
+                if inbox is None:
+                    inboxes[receiver] = [message]
+                else:
                     inbox.append(message)
-                    continue
-                if droppable:
-                    # Adjacency is symmetric and the sender is alive: no miss.
-                    position = adj[receiver].index(sender)
-                    if nkey[receiver][position] and nstate[receiver][position] == state_code:
-                        continue
-                inboxes[receiver] = [message]
         return inboxes, delivered
 
     def _account_broadcasts(self, metrics: ChangeMetrics, messages: List[FastMessage]) -> None:
@@ -802,6 +861,7 @@ class FastSynchronousMISNetwork(FastNetworkCore):
             positions.append((sender, position, state_code))
             if kind == _KIND_ID and not key_was_known:
                 learned_new_key = True
+                self._drop_unaware(sender, nid)
                 if requests_introduction and nid not in self._introduced:
                     outgoing.append(self._id_broadcast(nid))
                     self._introduced.add(nid)
@@ -971,9 +1031,12 @@ class FastAsyncDirectMISNetwork(FastNetworkCore):
     ``AdversarialDelayScheduler``): the default ``RandomDelayScheduler``
     draws delays from one private stream whose assignment to receivers
     depends on neighbor iteration order, which an interned core cannot (and
-    should not) reproduce byte-for-byte.  Same-*backend* checkpoint/resume
-    is exact for every scheduler kind, though: snapshots carry the stream
-    position (:attr:`~repro.distributed.state.NetworkSnapshot.scheduler_state`).
+    should not) reproduce byte-for-byte.  Snapshots carry the stream
+    position (:attr:`~repro.distributed.state.NetworkSnapshot.scheduler_state`),
+    but a same-*backend* resume after churn is not exact under it either:
+    :meth:`restore` builds each adjacency row in snapshot edge order, while
+    a live row's order follows its history of appends and swap-deletes,
+    and the scheduler draws its stream in row order.
     """
 
     PROTOCOL = "async-direct"
@@ -1089,12 +1152,16 @@ class FastAsyncDirectMISNetwork(FastNetworkCore):
         processed = 0
         limit = self.MAX_EVENTS_FACTOR * max(1, len(self._id_of)) ** 2 + 100
         alive, adj, labels = self._alive, self._adj, self._labels
+        announced = self._announced
         scheduler, sequence = self._scheduler, self._sequence
 
         def broadcast(sender: int, state_code: int, depth: int, now: float) -> None:
             nonlocal max_depth
             if not alive[sender]:
                 return
+            # Only the synchronous cores deliver by it; kept here so the
+            # core's between-changes invariants hold on every fast core.
+            announced[sender] = state_code
             metrics.broadcasts += 1
             metrics.bits += 2
             max_depth = max(max_depth, depth)

@@ -96,13 +96,15 @@ class RandomDelayScheduler(DelayScheduler):
     """Independent uniform delays in ``[min_delay, max_delay]``.
 
     The delays come from one private :class:`random.Random` stream, so the
-    scheduler is *stateful*: exact checkpoint/resume needs the stream
-    position, which :meth:`getstate` / :meth:`setstate` expose (the
+    scheduler is *stateful*: checkpoint/resume needs the stream position,
+    which :meth:`getstate` / :meth:`setstate` expose (the
     :class:`~repro.distributed.state.NetworkSnapshot` carries it).  It is
     still not channel-deterministic -- the delay a receiver gets depends on
     the order receivers are enumerated, which differs between the dict and
-    id-interned cores -- so cross-*backend* differentials keep requiring the
-    ``fixed``/``adversarial`` kinds; same-backend resume is exact.
+    id-interned cores, and can differ between a live simulator and one
+    restored from a snapshot after churn -- so cross-*backend*
+    differentials keep requiring the ``fixed``/``adversarial`` kinds, and a
+    same-backend resume after churn is not exact under this one.
     """
 
     #: First element of every :meth:`getstate` value, so a state captured
@@ -223,10 +225,10 @@ register_scheduler(
 
 #: Spec-nameable scheduler kinds and the keyword parameters each accepts --
 #: a read-only *live* view of the registry (late :func:`register_scheduler`
-#: calls show up here).  Exact checkpoint/resume does not require channel
-#: determinism: the stateful ``"random"`` kind snapshots its stream position
-#: (:meth:`DelayScheduler.getstate`), so *same-backend* resume is exact for
-#: every kind.
+#: calls show up here).  The stateful ``"random"`` kind snapshots its stream
+#: position (:meth:`DelayScheduler.getstate`), but it hands its delays out
+#: in neighbor order, which a restored simulator need not share with the
+#: live one, so exact resume after churn needs a channel-deterministic kind.
 SCHEDULER_KINDS: Mapping[str, Tuple[type, Tuple[str, ...]]] = _REGISTRY.view()
 
 #: Kinds whose delay is a pure function of the channel (not of the global

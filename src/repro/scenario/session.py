@@ -32,14 +32,19 @@ identical restored state and lands on the same outputs, statistics and
 per-change metrics -- machine-checked by the checkpoint differentials in
 ``tests/test_scenario_session.py`` and
 :func:`repro.testing.protocol_differential.replay_resume_differential`.
-This includes asynchronous scenarios under the ``"random"`` delay
-scheduler: the snapshot carries the scheduler's RNG stream position
+Asynchronous scenarios under the ``"random"`` delay scheduler are the
+exception.  The snapshot carries the scheduler's RNG stream position
 (:attr:`~repro.distributed.state.NetworkSnapshot.scheduler_state`), so a
-same-backend resume draws the identical remaining delays.  Only
-cross-*backend* comparisons still need a channel-deterministic scheduler
-(kind ``"adversarial"`` or ``"fixed"``) -- the dict and fast cores
-enumerate receivers in different orders, so they consume a random stream
-differently.
+same-backend resume draws the identical remaining delays, but the
+scheduler hands them to receivers in neighbor order, and a restored
+simulator, which builds each node's neighbors from the snapshot's edge
+list, can enumerate them in another order than the live one, which built
+them change by change.  After churn a same-backend resume can therefore
+give the delays to other channels, and its broadcasts, state changes and
+causal depths can diverge from the uninterrupted run's.  Exact async resume,
+and every cross-*backend* comparison (the dict and fast cores enumerate
+receivers in different orders too), needs a channel-deterministic
+scheduler (kind ``"adversarial"`` or ``"fixed"``).
 
 Every workload streams through one change iterator.  Static kinds iterate
 the materialized list; a resumed session replays its applied prefix from a

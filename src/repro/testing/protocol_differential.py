@@ -37,11 +37,12 @@ by default (or the scenario's ``backend.scheduler``, when one is declared).
 checkpointable-state pair (:mod:`repro.distributed.state`): checkpoint a
 run mid-way on one backend, resume it on another, and assert the remaining
 run is observably identical to an uninterrupted one -- per-change metrics,
-round traces, outputs and the accumulated metric totals.  Since the
-``"random"`` scheduler's RNG stream rides in the snapshot, *same-backend*
-resumes (``networks=("fast", "fast")``) are exact for every scheduler kind
-including the default random one; only cross-backend resumes still require
-a channel-deterministic scheduler (the two cores enumerate receivers in
+round traces, outputs and the accumulated metric totals.  The
+``"random"`` scheduler's RNG stream rides in the snapshot, so
+*same-backend* resumes (``networks=("fast", "fast")``) accept it, but it
+hands its delays out in neighbor order, which a restored simulator need not
+share with the live one: after churn such a resume can diverge.  Cross-backend resumes require a
+channel-deterministic scheduler (the two cores enumerate receivers in
 different orders, so sequence-dependent delays legitimately diverge).
 Failed resumes dump through the same artifact mechanism
 (``resume_divergence_*.json``).  The dump embeds the scenario spec, which is
@@ -341,7 +342,8 @@ def replay_resume_differential(
 
     Same-backend pairs (``source == target``) accept any scheduler kind --
     including an absent/``"random"`` one, whose RNG stream rides in the
-    snapshot; cross-backend pairs still require a declared
+    snapshot (though its delays follow neighbor order, which restore need
+    not reproduce after churn); cross-backend pairs still require a declared
     channel-deterministic scheduler (see
     :func:`_check_scenario_scheduler`).
 
@@ -367,8 +369,8 @@ def replay_resume_differential(
     protocol = scenario.backend.protocol
     is_async = protocol not in _SYNC_PROTOCOLS
     if is_async and source != target:
-        # A same-backend resume is exact for every scheduler kind (the RNG
-        # stream rides in the snapshot); only crossing cores needs
+        # A same-backend resume restores the random kind's RNG stream, so
+        # it may run any scheduler; crossing cores needs
         # channel-deterministic delays.
         _check_scenario_scheduler(scenario, required=True)
     trace_enabled = compare_round_traces and not is_async

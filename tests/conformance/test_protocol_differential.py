@@ -19,19 +19,33 @@ dumps CI uploads as failure artifacts.
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
+from repro.core.dynamic_mis import DynamicMIS
 from repro.core.rng import spawn_seeds
-from repro.distributed.fast_network import FastBufferedMISNetwork
+from repro.distributed.fast_network import FastBufferedMISNetwork, FastSynchronousMISNetwork
 from repro.scenario import BackendSpec, GraphSpec, ScenarioSpec, WorkloadSpec
+from repro.scenario.session import Session
 from repro.testing.differential import ConformanceMismatch, conformance_workload
 from repro.testing.protocol_differential import (
     replay_protocol_differential,
     replay_resume_differential,
 )
+from repro.workloads.changes import (
+    EdgeDeletion,
+    EdgeInsertion,
+    NodeDeletion,
+    NodeInsertion,
+    NodeUnmuting,
+)
+from repro.workloads.sequences import mixed_churn_sequence
+from repro.workloads.trace import save_trace
 
 MASTER_SEED = 20260731
 #: >= 25 seeds in tier-1: the acceptance bar for the fast network core.
@@ -233,10 +247,13 @@ def test_async_differentials_reject_non_deterministic_schedulers() -> None:
 
 @pytest.mark.parametrize("network", ["dict", "fast"])
 def test_same_backend_async_resume_with_random_scheduler(network: str) -> None:
-    """The headline fix of the exact-resume tentpole: the random scheduler's
-    RNG stream rides in the snapshot, so a same-backend resume is exact for
-    *every* scheduler kind -- checked at several checkpoint positions,
-    through the JSON codec."""
+    """The random scheduler's RNG stream rides in the snapshot, so on this
+    scenario a same-backend resume equals the uninterrupted run at several
+    checkpoint positions, through the JSON codec.  It is not exact in
+    general: the scheduler hands its delays out in neighbor order, and after
+    heavier churn a restored simulator, which builds its neighbors from the
+    snapshot's edge list, can enumerate them in another order than the
+    live one."""
     scenario = _resume_scenario("async-direct", seed=35).with_backend(
         scheduler={"kind": "random", "seed": 2}
     )
@@ -249,7 +266,7 @@ def test_same_backend_async_resume_with_random_scheduler(network: str) -> None:
 
 def test_same_backend_async_resume_with_default_scheduler() -> None:
     """A scheduler-less async spec (implicit random scheduler) also resumes
-    exactly on the same backend."""
+    on the same backend, equal to the uninterrupted run on this scenario."""
     scenario = _resume_scenario("async-direct", seed=36).with_backend(scheduler=None)
     result = replay_resume_differential(
         scenario, positions=(11,), networks=("fast", "fast")
@@ -386,3 +403,161 @@ def test_full_resume_conformance(protocol: str, seed: int) -> None:
     scenario = _resume_scenario(protocol, seed=seed, num_changes=80)
     replay_resume_differential(scenario, positions=(0, 11, 40, 79))
     replay_resume_differential(scenario, positions=(27,), networks=("fast", "dict"))
+
+
+# ----------------------------------------------------------------------
+# Hub-heavy sweep: deliveries around high-degree nodes (--run-conformance)
+# ----------------------------------------------------------------------
+#: A preferential graph whose hubs have at least ten times the median degree
+#: (median 2; eight hubs of degree 20 to 50 on this seed).
+HUB_GRAPH = GraphSpec(family="preferential", nodes=400, seed=6, params={"edges_per_node": 2})
+HUB_SEED = 17
+
+
+def _hub_workload(seed: int) -> Tuple[list, int]:
+    """Changes of every kind around the hubs of :data:`HUB_GRAPH`.
+
+    Each of six rounds inserts and unmutes a node next to the hubs, adds and
+    removes a hub edge, deletes an ordinary node and the highest-degree MIS
+    node (gracefully or abruptly), and runs a short mixed churn segment;
+    then two hubs join the MIS (their edges to earlier MIS neighbors go)
+    and leave the graph, one gracefully and one abruptly, and a last round runs next
+    to the remaining hubs on the ids those deletions free-listed.  Returns
+    the changes and the position right after the hub deletions.
+    """
+    graph = HUB_GRAPH.build()
+    degrees = sorted(graph.degree(node) for node in graph.nodes())
+    median = degrees[len(degrees) // 2]
+    hubs = sorted(
+        (node for node in graph.nodes() if graph.degree(node) >= 10 * median),
+        key=lambda node: (-graph.degree(node), node),
+    )
+    assert len(hubs) >= 4, "the hub graph lost its hubs"
+    tracker = DynamicMIS(seed=seed, initial_graph=graph, engine="template")
+    rng = random.Random(seed)
+    labels = itertools.count(10_000)
+    changes: list = []
+
+    def apply(change) -> None:
+        tracker.apply(change)
+        changes.append(change)
+
+    def ordinary(count: int) -> tuple:
+        nodes = sorted(set(tracker.graph.nodes()) - set(hubs), key=repr)
+        return tuple(rng.sample(nodes, count))
+
+    def hub_round(index: int, live_hubs: list) -> None:
+        current = tracker.graph
+        apply(NodeInsertion(next(labels), tuple(live_hubs[:3]) + ordinary(2)))
+        apply(NodeUnmuting(next(labels), tuple(live_hubs[1:4]) + ordinary(2)))
+        hub = live_hubs[index % len(live_hubs)]
+        strangers = [node for node in ordinary(6) if not current.has_edge(hub, node)]
+        apply(EdgeInsertion(hub, strangers[0]))
+        neighbor = rng.choice(sorted(current.neighbors(hub), key=repr))
+        apply(EdgeDeletion(hub, neighbor, graceful=bool(index % 2)))
+        apply(NodeDeletion(ordinary(1)[0], graceful=bool(index % 2)))
+        in_mis = sorted(tracker.mis() - set(hubs), key=lambda node: (-current.degree(node), node))
+        apply(NodeDeletion(in_mis[0], graceful=not index % 2))
+        for change in mixed_churn_sequence(current.copy(), 6, seed=seed + index):
+            apply(change)
+
+    for index in range(6):
+        hub_round(index, hubs)
+    for hub, graceful in ((hubs[0], True), (hubs[1], False)):
+        while hub not in tracker.mis():
+            earlier = tracker.priorities.earlier_neighbors(tracker.graph, hub)
+            for other in sorted(set(earlier) & tracker.mis(), key=repr):
+                apply(EdgeDeletion(hub, other))
+        apply(NodeDeletion(hub, graceful=graceful))
+    hubs_deleted = len(changes)
+    hub_round(6, hubs[2:])
+    return changes, hubs_deleted
+
+
+def _check_deliveries_against_the_filter(monkeypatch: pytest.MonkeyPatch) -> dict:
+    """Check every synchronous round's delivery against the per-receiver
+    filter it replaced.
+
+    That filter kept a receiver iff it missed the sender's key, knew another
+    state than the message carries, or the state is in
+    ``ALWAYS_STEP_STATES``.  The receivers holding an inbox must be exactly
+    the ones it keeps, each inbox an in-order subsequence of the messages
+    sent to that receiver, and ``delivered`` one count per (message,
+    neighbor) pair.  Returns running totals, to show the check ran.
+    """
+    deliver = FastSynchronousMISNetwork._deliver
+    totals = {"rounds": 0, "delivered": 0, "kept": 0}
+
+    def checked(network, messages):
+        sent: dict = {}
+        kept = set()
+        for message in messages:
+            sender, _, state_code, _ = message
+            if not network._alive[sender]:
+                continue
+            for receiver in network._adj[sender]:
+                sent.setdefault(receiver, []).append(message)
+                position = network._adj[receiver].index(sender)
+                if (
+                    state_code in network.ALWAYS_STEP_STATES
+                    or not network._nkey[receiver][position]
+                    or network._nstate[receiver][position] != state_code
+                ):
+                    kept.add(receiver)
+        inboxes, delivered = deliver(network, messages)
+        assert set(inboxes) == kept, "delivery disagrees with the per-receiver filter"
+        assert delivered == sum(map(len, sent.values()))
+        for receiver, inbox in inboxes.items():
+            remaining = iter(sent[receiver])
+            assert all(message in remaining for message in inbox), "inbox out of order"
+        totals["rounds"] += 1
+        totals["delivered"] += delivered
+        totals["kept"] += len(kept)
+        return inboxes, delivered
+
+    monkeypatch.setattr(FastSynchronousMISNetwork, "_deliver", checked)
+    return totals
+
+
+@pytest.mark.conformance
+@pytest.mark.parametrize("protocol", ["buffered", "direct"])
+def test_hub_heavy_replay_and_resume(
+    protocol: str, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Hubs broadcast to many neighbors the message teaches nothing.  Fast
+    must equal dict round for round, every delivery must match the filter
+    that scanned each neighbor, and a fast->fast resume after churn has
+    free-listed ids must rebuild the delivery bookkeeping."""
+    changes, hubs_deleted = _hub_workload(HUB_SEED)
+    kinds = {(change.kind, getattr(change, "graceful", None)) for change in changes}
+    assert kinds >= {
+        ("edge_insertion", None),
+        ("edge_deletion", True),
+        ("edge_deletion", False),
+        ("node_insertion", None),
+        ("node_unmuting", None),
+        ("node_deletion", True),
+        ("node_deletion", False),
+    }
+    save_trace(tmp_path / "hubs.json", changes)
+    scenario = ScenarioSpec(
+        name=f"hub-heavy-{protocol}",
+        seed=HUB_SEED,
+        graph=HUB_GRAPH,
+        workload=WorkloadSpec(kind="trace", path=str(tmp_path / "hubs.json")),
+        backend=BackendSpec(runner="protocol", protocol=protocol, engine="fast"),
+    )
+    totals = _check_deliveries_against_the_filter(monkeypatch)
+    result = replay_protocol_differential(scenario=scenario)
+    assert result.num_changes == len(changes)
+    assert totals["rounds"] and totals["kept"] < totals["delivered"]
+
+    session = Session(scenario.with_backend(network="fast"))
+    free_listed = []
+    while session.step() is not None:
+        if session.network.free_slots() and session.position < len(changes):
+            free_listed.append(session.position)
+    assert hubs_deleted in free_listed
+    positions = (free_listed[0], free_listed[len(free_listed) // 2], hubs_deleted)
+    resumed = replay_resume_differential(scenario, positions=positions, networks=("fast", "fast"))
+    assert resumed.positions == positions

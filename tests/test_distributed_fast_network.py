@@ -5,7 +5,7 @@ The round-by-round equivalence with the dict simulators is pinned down by
 pieces around it: the backend registry and its error messages, selecting
 a core through ``create_network``, label interning with free-list reuse,
 the materialized runtime views, the scheduler channel cache, and the
-delivery that steps only the receivers a broadcast teaches something.
+delivery that visits only the receivers a broadcast teaches something.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def test_adversarial_scheduler_cache_is_consistent() -> None:
 
 
 # ----------------------------------------------------------------------
-# Delivery steps only the receivers a broadcast teaches something
+# Delivery visits only the receivers a broadcast teaches something
 # ----------------------------------------------------------------------
 def _count_node_steps(network, monkeypatch) -> list:
     """Record the id of every node that takes a protocol step."""
@@ -286,35 +286,88 @@ def test_deliver_drops_a_known_key_and_state_but_counts_it() -> None:
     assert delivered == 4
 
 
+def _connect_unaware(network, u: int, v: int) -> None:
+    """Add the edge ``{u, v}`` as an edge insertion does before its first
+    round: neither endpoint knows the other's key yet."""
+    network._add_half_edge(u, v)
+    network._add_half_edge(v, u)
+    network._num_edges += 1
+
+
+def test_unaware_sets_follow_the_key_bits() -> None:
+    """A receiver leaves a sender's unaware set when it learns the key or
+    the edge or a node goes; a set leaves with its last receiver."""
+    network = create_network("direct", network="fast", seed=4, initial_graph=star_graph(3))
+    a, b, c = (network._id_of[label] for label in (1, 2, 3))
+    _connect_unaware(network, a, b)
+    _connect_unaware(network, b, c)
+    assert network._unaware == {a: {b}, b: {a, c}, c: {b}}
+    network._handle_inbox(b, [network._id_broadcast(a)])
+    assert network._unaware == {b: {a, c}, c: {b}}
+    network._remove_half_edge(b, c)
+    network._remove_half_edge(c, b)
+    network._num_edges -= 1
+    assert network._unaware == {b: {a}}
+    network.check_interning_invariants(expect_stable=False)
+    network._detach_node(a, 1)
+    network._release(a)
+    assert network._unaware == {}
+    network.check_interning_invariants(expect_stable=False)
+
+
+def test_restore_rebuilds_the_delivery_bookkeeping() -> None:
+    """Restoring into a network mid-change replaces its unaware sets and
+    announced states with the snapshot's stable ones."""
+    network = create_network("direct", network="fast", seed=4, initial_graph=star_graph(3))
+    snapshot = network.snapshot()
+    hub, leaf = network._id_of[0], network._id_of[1]
+    _connect_unaware(network, leaf, network._id_of[2])
+    network._deliver([_flipped(network._state_broadcast(hub))])
+    assert network._unaware and network._announced != network._state
+    network.restore(snapshot)
+    network.check_interning_invariants()
+
+
 def test_deliver_keeps_an_unknown_key_or_a_new_state() -> None:
-    network, ids = _stable_path("direct")
-    sender, receiver = ids[0], ids[1]
-    new_state = _flipped(network._state_broadcast(sender))
-    assert network._deliver([new_state]) == ({receiver: [new_state]}, 1)
-    network._nkey[receiver][network._adj[receiver].index(sender)] = 0
-    unknown_key = network._id_broadcast(sender)
-    assert network._deliver([unknown_key]) == ({receiver: [unknown_key]}, 1)
+    """The announced state reaches only the receivers missing the sender's
+    key; a new state reaches the sender's whole row."""
+    network = create_network("direct", network="fast", seed=4, initial_graph=star_graph(3))
+    ids = network._id_of
+    hub, leaves = ids[0], [ids[1], ids[2], ids[3]]
+    _connect_unaware(network, leaves[0], leaves[1])
+    known_state = network._state_broadcast(leaves[0])
+    assert network._deliver([known_state]) == ({leaves[1]: [known_state]}, 2)
+    introduction = network._id_broadcast(leaves[0])
+    assert network._deliver([introduction]) == ({leaves[1]: [introduction]}, 2)
+    new_state = _flipped(network._state_broadcast(hub))
+    assert network._deliver([new_state]) == ({leaf: [new_state] for leaf in leaves}, 3)
+    assert network._announced[hub] == new_state[2]
 
 
-def test_deliver_appends_unfiltered_once_a_receiver_holds_an_inbox() -> None:
+def test_deliver_does_not_append_a_known_message_to_a_held_inbox() -> None:
+    """Only the new state reaches the middle node: the known states before
+    and after it, its own repeat included, reach nobody."""
     network, ids = _stable_path("direct")
     left, middle, right = ids[0], ids[1], ids[2]
     known_left = network._state_broadcast(left)
     new_left = _flipped(known_left)
     known_right = network._state_broadcast(right)
-    # The middle node's first message teaches it something; the known one
-    # after it still joins its inbox.  A known message before any inbox is dropped.
-    inboxes, delivered = network._deliver([known_left, new_left, known_right])
-    assert inboxes == {middle: [new_left, known_right]}
-    assert delivered == 3
+    inboxes, delivered = network._deliver([known_left, new_left, known_right, new_left])
+    assert inboxes == {middle: [new_left]}
+    assert delivered == 4
 
 
 @pytest.mark.parametrize("protocol, kept", [("buffered", True), ("direct", False)])
 def test_deliver_keeps_a_known_c_only_on_buffered(protocol, kept) -> None:
-    """Rules 1-2 fire on every C from an earlier neighbor, so buffered keeps it."""
+    """Rules 1-2 fire on every C from an earlier neighbor, so buffered sends
+    a C to the whole row even once it is the announced state."""
     network, ids = _stable_path(protocol)
-    sender, receiver = ids[0], ids[1]
-    network._nstate[receiver][network._adj[receiver].index(sender)] = CODE_C
+    sender = ids[1]
     message = _with_state(network._state_broadcast(sender), CODE_C)
-    expected = {receiver: [message]} if kept else {}
-    assert network._deliver([message]) == (expected, 1)
+    inboxes, delivered = network._deliver([message])
+    assert inboxes == {ids[0]: [message], ids[2]: [message]}
+    assert delivered == 2
+    for receiver, inbox in inboxes.items():
+        network._handle_inbox(receiver, inbox)
+    assert network._announced[sender] == CODE_C
+    assert network._deliver([message]) == (inboxes if kept else {}, 2)
